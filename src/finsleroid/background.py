@@ -15,25 +15,31 @@ parse_config reports syntax problems with the 1-based column at which the
 sample
     Evaluate every field and its exact symbolic first derivatives at a point,
     assemble connection coefficients, the covariant derivative of the
-    preferred direction, and an adapted orthonormal frame whose last leg is
-    aligned with the preferred direction and whose time leg fixes the future
-    orientation.
+    preferred direction, and the time leg of an adapted orthonormal frame
+    whose last leg is aligned with the preferred direction and whose time leg
+    fixes the future orientation. The full frame is built on first access.
 
 Design choices
 --------------
 Symbolic differentiation of the configured expressions is the normative
-derivative route; the finite-difference layer only cross-checks it. The
-adapted frame is built by Gram-Schmidt in a fixed deterministic order (last
-leg first, then the time leg, then the space legs) with each leg's sign pinned
-so results are reproducible across runs and platforms.
+derivative route; the finite-difference layer only cross-checks it. Each
+field caches a flat evaluation layout on first use: constant entries are
+evaluated once, and ``sample`` calls only the closures of entries that vary
+with position. The adapted frame is built by Gram-Schmidt in a fixed
+deterministic order (last leg first, then the time leg, then the space legs)
+with each leg's sign pinned so results are reproducible across runs and
+platforms. ``sample`` stores only the time leg, which is all that orientation
+tests need; the space legs, ``frame`` and ``frame_inv`` are built on first
+access and are bit-identical to an eager build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,6 +140,39 @@ class BackgroundField:
     def _dg(self) -> tuple[FieldExpression, ...]:
         return tuple(self.g.differentiate(k) for k in range(self.dim))
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, tuple[Callable[[Sequence[float]], float], ...]]:
+        """Flat evaluation plan for :func:`sample`.
+
+        The flat order is ``a``, ``b_cov``, ``g``, ``da``, ``db``, ``dg``, each
+        row-major. Returns the template with every constant entry filled in,
+        the flat slots of the varying entries, and their closures. A constant
+        that cannot be evaluated stays varying, so that ``sample`` raises its
+        error at the same point as a full evaluation would.
+        """
+        exprs = (
+            [e for row in self.a for e in row]
+            + list(self.b_cov)
+            + [self.g]
+            + [e for plane in self._da for row in plane for e in row]
+            + [e for row in self._db for e in row]
+            + list(self._dg)
+        )
+        origin = (0.0,) * self.dim
+        template = np.zeros(len(exprs))
+        slots: list[int] = []
+        closures: list[Callable[[Sequence[float]], float]] = []
+        for slot, expr in enumerate(exprs):
+            if expr.is_constant:
+                try:
+                    template[slot] = expr.compiled(origin)
+                    continue
+                except DomainError:
+                    pass
+            slots.append(slot)
+            closures.append(expr.compiled)
+        return template, np.array(slots, dtype=np.intp), tuple(closures)
+
 
 # --- sampled values ----------------------------------------------------------
 
@@ -145,8 +184,10 @@ class BackgroundSample:
     Index conventions: ``da[k, i, j]`` is the ``x^k`` derivative of ``a_ij``;
     ``db[k, j]`` of ``b_j``; ``christoffel[k, i, j]`` carries the upper index
     first; ``nabla_b[i, j]`` is the covariant derivative of ``b_j`` along
-    ``x^i``. ``frame[p, i]`` maps vectors to frame components ``R^p``;
-    ``frame_inv[i, p]`` maps back, with ``frame_inv = inv(frame)``.
+    ``x^i``. ``time_leg[i]`` is the adapted frame's time leg, stored at
+    sampling time. ``frame[p, i]`` maps vectors to frame components ``R^p``;
+    ``frame_inv[i, p]`` maps back, with ``frame_inv = inv(frame)``. Both are
+    built on first access; ``frame_inv[:, 0]`` equals ``time_leg``.
     """
 
     x: np.ndarray
@@ -163,8 +204,19 @@ class BackgroundSample:
     dg: np.ndarray
     christoffel: np.ndarray
     nabla_b: np.ndarray
-    frame: np.ndarray
-    frame_inv: np.ndarray
+    time_leg: np.ndarray
+
+    @cached_property
+    def frame_inv(self) -> np.ndarray:
+        frame_inv = _build_frame(self.a, self.b_contra, self.c).T.copy()
+        frame_inv.flags.writeable = False
+        return frame_inv
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        frame = np.linalg.inv(self.frame_inv)
+        frame.flags.writeable = False
+        return frame
 
     @property
     def dim(self) -> int:
@@ -356,6 +408,41 @@ def _first_significant_sign(w: np.ndarray) -> float:
     return 1.0
 
 
+def _seeds(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Gram-Schmidt seeds: coordinate axes, then eigenvectors by descending
+    eigenvalue (decomposed only if no axis served)."""
+    dim = a.shape[0]
+    for k in range(dim):
+        yield np.eye(dim)[k]
+    eigvals, eigvecs = np.linalg.eigh(a)
+    for k in np.argsort(eigvals)[::-1]:
+        yield eigvecs[:, k]
+
+
+def _next_leg(
+    a: np.ndarray, built: list[tuple[np.ndarray, float]], wanted_sign: float
+) -> np.ndarray:
+    """First seed residual against the ``built`` legs whose base-metric norm
+    has ``wanted_sign``, normalised with its first significant component
+    positive."""
+    for seed in _seeds(a):
+        w = seed.astype(float).copy()
+        for leg, sign in built:
+            w -= sign * (w @ a @ leg) * leg
+        norm2 = float(w @ a @ w)
+        scale = float(w @ w)
+        if scale < 1e-20:
+            continue
+        if wanted_sign * norm2 > _FRAME_SEED_TOL * scale:
+            w = w / np.sqrt(wanted_sign * norm2)
+            return _first_significant_sign(w) * w
+    kind = "time" if wanted_sign > 0 else "space"
+    raise DomainError(
+        f"cannot build an adapted frame: no {kind} leg found "
+        "(background metric is not Lorentzian here)"
+    )
+
+
 def _build_frame(a: np.ndarray, b_contra: np.ndarray, c: float) -> np.ndarray:
     """Return ``legs[p, i]`` with ``a(leg_p, leg_q) = diag(+1, -1, ..., -1)[pq]``.
 
@@ -367,42 +454,11 @@ def _build_frame(a: np.ndarray, b_contra: np.ndarray, c: float) -> np.ndarray:
     """
     dim = a.shape[0]
     legs = np.zeros((dim, dim))
-    signs = np.zeros(dim)
     legs[dim - 1] = -b_contra / c
-    signs[dim - 1] = -1.0
-    built = [dim - 1]
-
-    eigvals, eigvecs = np.linalg.eigh(a)
-    # seeds: coordinate axes first, then eigenvectors by descending eigenvalue
-    seeds = [np.eye(dim)[k] for k in range(dim)]
-    seeds += [eigvecs[:, k] for k in np.argsort(eigvals)[::-1]]
-
-    def residual(seed: np.ndarray) -> np.ndarray:
-        w = seed.astype(float).copy()
-        for p in built:
-            w -= signs[p] * (w @ a @ legs[p]) * legs[p]
-        return w
-
-    # time leg: positive base-metric norm
+    built = [(legs[dim - 1], -1.0)]
     for target, wanted_sign in [(0, 1.0)] + [(p, -1.0) for p in range(1, dim - 1)]:
-        for seed in seeds:
-            w = residual(seed)
-            norm2 = float(w @ a @ w)
-            scale = float(w @ w)
-            if scale < 1e-20:
-                continue
-            if wanted_sign * norm2 > _FRAME_SEED_TOL * scale:
-                w = w / np.sqrt(wanted_sign * norm2)
-                legs[target] = _first_significant_sign(w) * w
-                signs[target] = wanted_sign
-                built.append(target)
-                break
-        else:
-            kind = "time" if wanted_sign > 0 else "space"
-            raise DomainError(
-                f"cannot build an adapted frame: no {kind} leg found "
-                "(background metric is not Lorentzian here)"
-            )
+        legs[target] = _next_leg(a, built, wanted_sign)
+        built.append((legs[target], wanted_sign))
     return legs
 
 
@@ -420,19 +476,20 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
     if x_arr.shape != (dim,):
         raise ConfigDimensionError(f"expected {dim} coordinates, got shape {x_arr.shape}")
     coords = tuple(float(v) for v in x_arr)
+    if not all(math.isfinite(v) for v in coords):
+        raise DomainError(f"non-finite chart point x = {coords}")
 
-    a = np.array([[field.a[i][j].compiled(coords) for j in range(dim)] for i in range(dim)])
-    b_cov = np.array([field.b_cov[i].compiled(coords) for i in range(dim)])
-    g = float(field.g.compiled(coords))
-
-    da = np.array(
-        [
-            [[field._da[k][i][j].compiled(coords) for j in range(dim)] for i in range(dim)]
-            for k in range(dim)
-        ]
-    )
-    db = np.array([[field._db[k][j].compiled(coords) for j in range(dim)] for k in range(dim)])
-    dg = np.array([field._dg[k].compiled(coords) for k in range(dim)])
+    template, slots, closures = field._layout
+    values = template.copy()
+    values[slots] = [fn(coords) for fn in closures]
+    n2, n3 = dim * dim, dim**3
+    a = values[:n2].reshape(dim, dim).copy()
+    b_cov = values[n2 : n2 + dim].copy()
+    g = float(values[n2 + dim])
+    offset = n2 + dim + 1
+    da = values[offset : offset + n3].reshape(dim, dim, dim).copy()
+    db = values[offset + n3 : offset + n3 + n2].reshape(dim, dim).copy()
+    dg = values[offset + n3 + n2 :].copy()
 
     try:
         a_inv = np.linalg.inv(a)
@@ -450,12 +507,20 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
         raise DomainError(
             f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}) at x = {coords}"
         )
-    c = min(float(np.sqrt(c_sq)), 1.0)
+    c = min(math.sqrt(c_sq), 1.0)
 
     if not abs(g) < 2.0:
         raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2) at x = {coords}")
-    h_time = float(np.sqrt(1.0 + 0.25 * g * g))
-    h_space = float(np.sqrt(1.0 - 0.25 * g * g))
+    h_time = math.sqrt(1.0 + 0.25 * g * g)
+    h_space = math.sqrt(1.0 - 0.25 * g * g)
+
+    eigenvalues = np.linalg.eigvalsh(a)  # ascending
+    if not eigenvalues[-2] < 0.0 < eigenvalues[-1]:
+        raise DomainError(
+            f"base metric is not Lorentzian at x = {coords} (eigenvalues {eigenvalues})"
+        )
+    # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
+    time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
 
     # connection coefficients of the base metric, upper index first
     christoffel = 0.5 * np.einsum("kn,jni->kij", a_inv, da)
@@ -463,10 +528,6 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
     christoffel -= 0.5 * np.einsum("kn,nij->kij", a_inv, da)
 
     nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
-
-    legs = _build_frame(a, b_contra, c)
-    frame_inv = legs.T.copy()  # frame_inv[i, p] = component i of leg p
-    frame = np.linalg.inv(frame_inv)
 
     arrays = dict(
         x=x_arr.copy(),
@@ -479,8 +540,7 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
         dg=dg,
         christoffel=christoffel,
         nabla_b=nabla_b,
-        frame=frame,
-        frame_inv=frame_inv,
+        time_leg=time_leg,
     )
     for arr in arrays.values():
         arr.flags.writeable = False

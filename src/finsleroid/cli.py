@@ -11,8 +11,9 @@ geodesic
     leaves its sector.
 check
     Seeded random identity battery over admissible states; worst residual per
-    identity against the central tolerance table. Work is split into a fixed
-    number of shards so the report bytes do not depend on the worker count.
+    identity against the central tolerance table. Draws are split into a
+    fixed number of shards, each with its own seeded stream, so the report
+    bytes depend only on the configuration, sample count and seed.
 angle
     The three independent angle routes and their agreement.
 hamiltonian
@@ -24,16 +25,16 @@ conformal
 Exit codes: 0 success, 1 identity breach, 2 input/configuration error,
 3 runtime geometry error. All stdout records are deterministic for a fixed
 (configuration, arguments, seed); wall-clock time goes to stderr only.
-``FINSLEROID_THREADS`` overrides the check-battery worker count.
+Non-finite vectors, zero directions, non-positive step, length or sample
+counts are input errors (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,9 @@ from .spray import ORACLE_FD, geodesic_integrate, spray_coefficients, spray_orac
 
 __all__ = ["main", "RunReport"]
 
-#: Shard count for the check battery; fixed so reports do not depend on the
-#: number of worker threads.
+#: Shard count for the check battery. Each shard draws from its own child
+#: seed stream and the report names draws by shard, so this number is part of
+#: the report format.
 CHECK_SHARDS = 8
 
 
@@ -114,7 +116,22 @@ def _vector_arg(raw: list[float] | None, dim: int, name: str) -> np.ndarray:
         raise ConfigError(
             f"{name} needs {dim} components for this configuration, got {len(raw)}"
         )
-    return np.asarray(raw, dtype=float)
+    vector = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(vector)):
+        raise ConfigError(f"{name} has non-finite components {tuple(raw)}")
+    return vector
+
+
+def _direction_arg(raw: list[float] | None, dim: int, name: str) -> np.ndarray:
+    vector = _vector_arg(raw, dim, name)
+    if not np.any(vector):
+        raise ConfigError(f"{name} is the zero vector; it has no direction")
+    return vector
+
+
+def _positive_arg(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _position(raw: list[float] | None, field_: BackgroundField, name: str) -> np.ndarray:
@@ -128,7 +145,7 @@ def _position(raw: list[float] | None, field_: BackgroundField, name: str) -> np
 
 def _eval_records(field_: BackgroundField, args) -> tuple[list[tuple[str, object]], int]:
     here = sample_background(field_, _position(args.point, field_, "--point"))
-    y = _vector_arg(args.vector, field_.dim, "--vector")
+    y = _direction_arg(args.vector, field_.dim, "--vector")
     sector = classify(here, y)
     records: list[tuple[str, object]] = [("sector", sector.tag), ("side", sector.side)]
     if not sector.supported:
@@ -188,7 +205,10 @@ def cmd_eval(args) -> int:
 def cmd_geodesic(args) -> int:
     field_ = load_config(args.config)
     x0 = _position(args.start, field_, "--start")
-    y0 = _vector_arg(args.velocity, field_.dim, "--velocity")
+    y0 = _direction_arg(args.velocity, field_.dim, "--velocity")
+    _positive_arg(args.length, "--length")
+    if args.step is not None:
+        _positive_arg(args.step, "--step")
     trajectory = geodesic_integrate(
         field_,
         x0,
@@ -399,28 +419,20 @@ def run_check(
     field_: BackgroundField, config_path: str, samples: int, seed: int, profile: str
 ) -> RunReport:
     """Execute the check battery and assemble its deterministic report."""
-    workers = max(1, int(os.environ.get("FINSLEROID_THREADS", "1")))
-    shards = min(CHECK_SHARDS, max(1, samples))
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
+    shards = min(CHECK_SHARDS, samples)
     base = np.random.SeedSequence(seed)
     children = base.spawn(shards)
     per_shard = [samples // shards] * shards
     for k in range(samples % shards):
         per_shard[k] += 1
 
-    if workers == 1:
-        results = [
-            _check_shard(field_, children[k], k, per_shard[k])
-            for k in range(shards)
-            if per_shard[k] > 0
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_check_shard, field_, children[k], k, per_shard[k])
-                for k in range(shards)
-                if per_shard[k] > 0
-            ]
-            results = [future.result() for future in futures]
+    results = [
+        _check_shard(field_, children[k], k, per_shard[k])
+        for k in range(shards)
+        if per_shard[k] > 0
+    ]
 
     report = RunReport(command="check", config=config_path, seed=seed)
     for shard_worst, shard_counts, shard_at in results:
@@ -492,8 +504,8 @@ def cmd_check(args) -> int:
 def cmd_angle(args) -> int:
     field_ = load_config(args.config)
     here = sample_background(field_, _position(args.point, field_, "--point"))
-    y1 = _vector_arg(args.y1, field_.dim, "--y1")
-    y2 = _vector_arg(args.y2, field_.dim, "--y2")
+    y1 = _direction_arg(args.y1, field_.dim, "--y1")
+    y2 = _direction_arg(args.y2, field_.dim, "--y2")
     routes: dict[str, float] = {"direct": angle_direct(here, y1, y2)}
     try:
         routes["chart"] = angle_closed_form(here, y1, y2)
@@ -539,7 +551,7 @@ def cmd_hamiltonian(args) -> int:
     if args.p is None:
         raise ConfigError("hamiltonian needs either --p or --action/--mass")
     here = sample_background(field_, _position(args.point, field_, "--point"))
-    p = _vector_arg(args.p, field_.dim, "--p")
+    p = _direction_arg(args.p, field_.dim, "--p")
     stack = covector_stack(here, p)
     _emit("dual_sector", "time-future" if stack.eps > 0 else "space-like")
     _emit("b_hat", stack.b_hat)
@@ -570,7 +582,7 @@ def cmd_hamiltonian(args) -> int:
 def cmd_conformal(args) -> int:
     field_ = load_config(args.config)
     here = sample_background(field_, _position(args.point, field_, "--point"))
-    y = _vector_arg(args.vector, field_.dim, "--vector")
+    y = _direction_arg(args.vector, field_.dim, "--vector")
     image = zeta_map(here, y)
     for i, value in enumerate(image.zeta):
         _emit(f"zeta.{i}", value)

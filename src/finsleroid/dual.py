@@ -89,7 +89,7 @@ def covector_stack(sample: BackgroundSample, y_cov: Sequence[float]) -> Covector
             raise UnsupportedCovector("covector lies on the dual cone (isotropic)")
         if margin_low < 0.0 or margin_high < 0.0:
             raise UnsupportedCovector("covector lies in the dual gap region")
-        time_component = float(p @ sample.frame_inv[:, 0])
+        time_component = float(p @ sample.time_leg)
         if time_component <= 0.0:
             raise UnsupportedCovector("covector lies in the past dual cone")
         eps = 1

@@ -161,7 +161,7 @@ def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
         if abs(margin_low) <= tol_margin or abs(margin_high) <= tol_margin:
             return Sector("isotropic", side)
         if margin_low > 0.0 and margin_high > 0.0:
-            time_component = float(sample.frame[0] @ y_arr)
+            time_component = float(sample.time_leg @ sample.a @ y_arr)
             if time_component > 0.0:
                 return Sector("time-future", side)
             return Sector("unsupported", side)
@@ -297,9 +297,12 @@ def random_admissible(
     ``margin`` additionally requires the direction to sit comfortably inside
     its cone (all relevant homogeneous margins exceed ``margin`` at unit
     norm), which keeps finite-difference probes from crossing sector walls.
+    Below unit preferred-direction norm, space-like draws whose dual radius
+    ``nu`` is not positive (see :func:`scalars`) are rejected as well.
     """
     if tag not in ("time-future", "space-like"):
         raise ValueError(f"can only sample supported sectors, not {tag!r}")
+    one_minus_c2 = 1.0 - sample.c * sample.c
     out = np.empty((count, sample.dim))
     found = 0
     for _ in range(max_tries):
@@ -328,6 +331,11 @@ def random_admissible(
             else:
                 if gamma >= -margin * margin:
                     continue
+        if tag == "space-like" and abs(one_minus_c2) > 1e-15:
+            b = float(sample.b_cov @ y)
+            q = math.sqrt(abs(float(y @ sample.a @ y) + b * b))
+            if q + one_minus_c2 * sample.g * b <= NU_MIN_REL:
+                continue  # the dual radius nu vanishes: no trace weight here
         out[found] = y
         found += 1
     if found < count:

@@ -152,21 +152,29 @@ def spray_oracle(
     config: FDConfig = ORACLE_FD,
 ) -> np.ndarray:
     """Finite-difference spray: position-differentiate momentum and squared
-    norm at fixed direction, then raise the index with the inverse metric."""
+    norm at fixed direction, then raise the index with the inverse metric.
+    Each probe position is sampled once and shared by both differences."""
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
+    probes: dict[bytes, BackgroundSample] = {}
+
+    def sample_at(position: np.ndarray) -> BackgroundSample:
+        key = position.tobytes()
+        if key not in probes:
+            probes[key] = sample_background(field, position)
+        return probes[key]
 
     def momentum_at(position: np.ndarray) -> np.ndarray:
-        return covariant_momentum(sample_background(field, position), y_arr)
+        return covariant_momentum(sample_at(position), y_arr)
 
     def f2_at(position: np.ndarray) -> float:
-        return metric_function(sample_background(field, position), y_arr)
+        return metric_function(sample_at(position), y_arr)
 
     jac = fd_jacobian(momentum_at, x_arr, config)  # jac[k, m] = d y_k / d x^m
     grad = fd_gradient(f2_at, x_arr, config)
     g_cov_low = jac @ y_arr - 0.5 * grad
 
-    here = sample_background(field, x_arr)
+    here = sample_at(x_arr)
     return inverse_metric(here, y_arr) @ g_cov_low
 
 
@@ -189,10 +197,17 @@ _DP_B4 = np.array(
 )
 
 
-def _rhs(field: BackgroundField, state: np.ndarray, dim: int) -> np.ndarray:
-    position = state[:dim]
+def _rhs(
+    field: BackgroundField,
+    state: np.ndarray,
+    dim: int,
+    here: BackgroundSample | None = None,
+) -> np.ndarray:
+    """Spray right-hand side; ``here`` is the sample at ``state[:dim]`` when
+    the caller already holds it."""
     velocity = state[dim:]
-    here = sample_background(field, position)
+    if here is None:
+        here = sample_background(field, state[:dim])
     spray = spray_coefficients(here, velocity)
     return np.concatenate([velocity, -spray.G])
 
@@ -214,10 +229,20 @@ def geodesic_integrate(
     (adaptive embedded pair controlled by ``tol``). After every accepted
     substep the velocity is re-classified; leaving the initial sector (or
     entering a degenerate configuration) truncates the trajectory at the last
-    good node and records the reason.
+    good node and records the reason. In the rk4 loop the sample taken to
+    classify a node is reused as the next step's first stage.
+
+    Raises
+    ------
+    ValueError
+        Unknown ``method``, or a ``length`` or ``step`` that is not positive
+        and finite.
     """
     if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown integration method {method!r}")
+    for name, value in (("length", length), ("step", step)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     x_arr = np.asarray(x0, dtype=float)
     y_arr = np.asarray(y0, dtype=float)
     dim = x_arr.size
@@ -238,9 +263,10 @@ def geodesic_integrate(
         n_steps = max(1, math.ceil(length / h - 1e-12))
         h = length / n_steps
         step_used = h
+        here = start  # sample at the current node, reused as the next k1 stage
         for _ in range(n_steps):
             try:
-                k1 = _rhs(field, state, dim)
+                k1 = _rhs(field, state, dim, here)
                 k2 = _rhs(field, state + 0.5 * h * k1, dim)
                 k3 = _rhs(field, state + 0.5 * h * k2, dim)
                 k4 = _rhs(field, state + h * k3, dim)

@@ -222,3 +222,42 @@ class TestDerivativeTables:
         here = sample(field, np.array([0.3, 0.0]))
         assert not np.allclose(here.nabla_b, 0.0)
         assert np.allclose(here.nabla_b, -np.einsum("k,kij->ij", here.b_cov, here.christoffel))
+
+
+SHIPPED = ["desk", "desk_shifted_b", "desk_variable_g", "desk_curved_a", "desk_c09"]
+
+
+class TestCheapSampling:
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_time_leg_is_first_frame_column(self, config_name):
+        field = load_config(config_path(config_name))
+        for x in (np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.05, -0.2, 0.3])):
+            here = sample(field, x)
+            assert np.array_equal(here.time_leg, here.frame_inv[:, 0])
+
+    def test_frame_built_on_first_access(self, desk_field):
+        here = sample(desk_field, np.zeros(4))
+        assert "frame" not in vars(here) and "frame_inv" not in vars(here)
+        frame = here.frame
+        assert here.frame is frame
+        assert not frame.flags.writeable and not here.frame_inv.flags.writeable
+
+    def test_only_varying_entries_are_evaluated(self):
+        constant = load_config(config_path("desk"))
+        varying = load_config(config_path("desk_variable_g"))
+        assert constant._layout[2] == ()
+        # the charge and its x1 derivative; every other entry is a constant
+        assert len(varying._layout[2]) == 2
+
+    def test_non_lorentzian_point_raises(self):
+        field = parse_config(
+            "dim = 4\na.0.0 = 1\na.1.1 = -1 + x0\na.2.2 = -1\na.3.3 = -1\nb.3 = 1\ng = 0.6\n"
+        )
+        sample(field, np.zeros(4))  # Lorentzian at the origin
+        with pytest.raises(DomainError, match="not Lorentzian"):
+            sample(field, np.array([2.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, desk_field, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            sample(desk_field, np.array([0.0, bad, 0.0, 0.0]))

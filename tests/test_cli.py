@@ -10,7 +10,6 @@ error messages verified elsewhere in the suite.
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
 
@@ -23,17 +22,12 @@ from conftest import config_path
 TIMEOUT = 120
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str) -> subprocess.CompletedProcess:
     """Run ``finsleroid`` as a subprocess and capture both streams as text."""
-    env = os.environ.copy()
-    env.pop("FINSLEROID_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "finsleroid.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=TIMEOUT,
     )
 
@@ -248,10 +242,17 @@ class TestCheckCommand:
         args = ("check", "--config", DESK, "--samples", "8", "--seed", "123")
         first = run_cli(*args)
         second = run_cli(*args)
-        threaded = run_cli(*args, env_extra={"FINSLEROID_THREADS": "4"})
-        assert first.returncode == second.returncode == threaded.returncode == 0
+        assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
-        assert first.stdout == threaded.stdout
+
+    @pytest.mark.parametrize("seed", ["13", "15", "20", "27"])
+    def test_sub_unit_norm_battery_skips_degenerate_dual_radius(self, seed):
+        # these seeds once drew space-like directions with nu <= 0
+        result = run_cli(
+            "check", "--config", config_path("desk_c09"), "--samples", "40", "--seed", seed
+        )
+        assert result.returncode == 0, result.stderr
+        assert parse_records(result.stdout)["status"] == "ok"
 
     def test_strict_profile_tightens_exact_identities(self):
         result = run_cli(
@@ -426,3 +427,58 @@ class TestTopLevel:
         )
         assert script.returncode == 0
         assert script.stdout == module.stdout
+
+
+class TestInputContracts:
+    """Bad numeric input is an input error (exit 2), never a traceback."""
+
+    GEO = ("geodesic", "--config", DESK, "--velocity", "1", "0", "0", "0")
+    EVAL = ("eval", "--config", DESK, *ORIGIN)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--step", "0"),
+            ("--step", "-0.1"),
+            ("--length", "0"),
+            ("--length", "-1"),
+            ("--length", "inf"),
+            ("--length", "nan"),
+            ("--start", "nan", "0", "0", "0"),
+        ],
+        ids=["step0", "step-neg", "length0", "length-neg", "length-inf", "length-nan", "start-nan"],
+    )
+    def test_geodesic_rejects(self, extra):
+        result = run_cli(*self.GEO, *extra)
+        assert result.returncode == 2
+        assert "configuration error: --" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "velocity",
+        [("nan", "0", "0", "0"), ("1", "inf", "0", "0"), ("0", "0", "0", "0")],
+        ids=["nan", "inf", "zero"],
+    )
+    def test_geodesic_rejects_velocity(self, velocity):
+        result = run_cli("geodesic", "--config", DESK, "--velocity", *velocity)
+        assert result.returncode == 2
+        assert "configuration error: --velocity" in result.stderr
+
+    @pytest.mark.parametrize(
+        "vector",
+        [("nan", "0", "0", "0"), ("inf", "0", "0", "0"), ("0", "0", "0", "0")],
+        ids=["nan", "inf", "zero"],
+    )
+    def test_eval_rejects_vector(self, vector):
+        result = run_cli(*self.EVAL, "--vector", *vector)
+        assert result.returncode == 2
+        assert "configuration error: --vector" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_check_rejects_empty_battery(self, count):
+        result = run_cli("check", "--config", DESK, "--samples", count)
+        assert result.returncode == 2
+        assert "configuration error: --samples" in result.stderr
+        assert "status" not in result.stdout

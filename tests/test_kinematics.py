@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsleroid.background import load_config, sample
 from finsleroid.errors import DegenerateQ, UnsupportedSector
-from finsleroid.kinematics import aux_vectors, classify, random_admissible, scalars
+from finsleroid.kinematics import NU_MIN_REL, aux_vectors, classify, random_admissible, scalars
 
 from _reference import REF
+from conftest import config_path
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 EX = np.array([0.0, 1.0, 0.0, 0.0])
@@ -233,6 +237,41 @@ class TestRandomAdmissible:
         one = random_admissible(desk, np.random.default_rng(99), "space-like", 5)
         two = random_admissible(desk, np.random.default_rng(99), "space-like", 5)
         assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_degenerate_dual_radius_draws_skipped(self, c09, seed):
+        # classify ignores c, so the unit-norm twin draws the same stream
+        # with the dual-radius rejection switched off
+        plain = random_admissible(
+            dataclasses.replace(c09, c=1.0), np.random.default_rng(seed), "space-like", 300
+        )
+        b = plain @ c09.b_cov
+        q = np.sqrt(np.abs(np.einsum("ni,ij,nj->n", plain, c09.a, plain) + b * b))
+        keep = q + (1.0 - c09.c**2) * c09.g * b > NU_MIN_REL
+        assert keep.sum() == (300 if seed == 0 else 299)
+        kept = random_admissible(c09, np.random.default_rng(seed), "space-like", int(keep.sum()))
+        assert np.array_equal(kept, plain[keep])
+        for y in kept:
+            assert scalars(c09, y).nu > 0.0
+
+
+SHIPPED = ["desk", "desk_shifted_b", "desk_variable_g", "desk_curved_a", "desk_c09"]
+
+
+@pytest.mark.parametrize("config_name", SHIPPED)
+def test_orientation_matches_adapted_frame(config_name):
+    """``classify`` orients by the stored time leg; the sign is the frame's."""
+    field = load_config(config_path(config_name))
+    rng = np.random.default_rng(31)
+    for x in (np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4])):
+        here = sample(field, x)
+        ys = rng.standard_normal((400, 4))
+        frame_side = ys @ here.frame[0] > 0.0
+        assert np.array_equal(np.array([here.time_leg @ here.a @ y > 0.0 for y in ys]), frame_side)
+        tags = [classify(here, y).tag for y in ys]
+        assert "time-future" in tags
+        for tag, future in zip(tags, frame_side):
+            assert tag != "time-future" or future
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsleroid import spray
 from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.errors import NoConvergence
 from finsleroid.kinematics import classify, random_admissible, scalars
@@ -197,6 +198,44 @@ class TestInterface:
             geodesic_integrate(
                 field, [0.0, 0.1, 0.0, 0.0], Y_TIME, 5.0, method="rk45", tol=1e-13, max_steps=3
             )
+
+    @pytest.mark.parametrize(
+        "length,step",
+        [(0.0, None), (-1.0, None), (np.inf, None), (np.nan, None), (1.0, 0.0), (1.0, -0.1)],
+    )
+    def test_non_positive_length_or_step_rejected(self, desk_field, length, step):
+        with pytest.raises(ValueError, match="positive and finite"):
+            geodesic_integrate(desk_field, np.zeros(4), Y_TIME, length, step=step)
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """Count the background samples taken by the spray module."""
+    calls: list[np.ndarray] = []
+
+    def counting(field, x):
+        calls.append(np.array(x))
+        return sample(field, x)
+
+    monkeypatch.setattr(spray, "sample_background", counting)
+    return calls
+
+
+class TestSampleReuse:
+    def test_rk4_samples_each_node_once(self, sample_calls):
+        field = load_config(config_path("desk_shifted_b"))
+        n = 16
+        traj = geodesic_integrate(field, X_PROBE, Y_TIME, 0.5, method="rk4", step=0.5 / n)
+        assert traj.exit_reason is None and traj.samples.shape[0] == n + 1
+        # the start node, then three stages and the new node per step
+        assert len(sample_calls) == 4 * n + 1
+
+    def test_oracle_samples_each_probe_once(self, sample_calls):
+        field = load_config(config_path("desk_variable_g"))
+        spray_oracle(field, X_PROBE, Y_TIME)
+        # Richardson central differences: 4 probes per coordinate, plus the point
+        assert len(sample_calls) == 4 * 4 + 1
+        assert len({x.tobytes() for x in sample_calls}) == len(sample_calls)
 
 
 @pytest.fixture(scope="module")
