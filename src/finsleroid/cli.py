@@ -389,8 +389,10 @@ def _check_shard(
                 record("uar_roundtrip", _relmax(back - y, y))
                 record("uar_norm", abs(f2 - scal.eps * point.z0 * point.z0) / abs(f2))
                 key = f"angle:{tag}"
-                if key in previous:
-                    y_other = previous[key]
+                y_other = previous.get(key)
+                # the earlier direction was drawn at another point; here it may
+                # lie in another sector or none
+                if y_other is not None and classify(here, y_other).tag == tag:
                     try:
                         a_direct = angle_direct(here, y, y_other)
                         a_chart = angle_closed_form(here, y, y_other)

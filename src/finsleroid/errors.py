@@ -84,7 +84,8 @@ class DegenerateNu(GeometryError):
 
 
 class NullCartan(GeometryError):
-    """The Cartan tensor assembly is requested at zero anisotropy charge."""
+    """The Cartan tensor assembly is requested at zero anisotropy charge, or
+    where the contracted cubic form it divides by vanishes."""
 
 
 class UnsupportedCovector(GeometryError):

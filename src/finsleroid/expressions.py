@@ -291,42 +291,6 @@ def _to_text(node: Node) -> str:
     return f"{left_text} {node.op} {right_text}"
 
 
-# --- evaluation --------------------------------------------------------------
-
-
-def _evaluate(node: Node, x: Sequence[float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.index >= len(x):
-            raise DomainError(
-                f"expression refers to x{node.index} but only {len(x)} coordinates were given"
-            )
-        return float(x[node.index])
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, x)
-    if isinstance(node, Call):
-        value = _evaluate(node.arg, x)
-        try:
-            return float(FUNCTIONS[node.fn](value))
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{node.fn}({value!r}) is undefined") from exc
-    left = _evaluate(node.left, x)
-    right = _evaluate(node.right, x)
-    try:
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        return math.pow(left, right)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot evaluate {left!r} {node.op} {right!r}") from exc
-
-
 # --- symbolic differentiation ------------------------------------------------
 
 
@@ -504,11 +468,12 @@ class FieldExpression:
         return cls(_num(float(value)))
 
     def evaluate(self, x: Sequence[float]) -> float:
-        return _evaluate(self.ast, x)
+        """Value at the coordinates ``x``; the same as :attr:`compiled`."""
+        return self.compiled(x)
 
     @cached_property
     def compiled(self) -> Callable[[Sequence[float]], float]:
-        """Closure-compiled evaluator (same semantics as :meth:`evaluate`)."""
+        """Closure-compiled evaluator; raises ``DomainError`` where the value is undefined."""
         raw = _compile(self.ast)
 
         def call(x: Sequence[float]) -> float:

@@ -6,6 +6,11 @@ verifies that these closed forms really are the derivative chain of the
 squared norm (momentum = half gradient, metric = momentum Jacobian, cubic
 form = half metric slope).
 
+One private record, ``_Direction``, holds the stack at one (point, direction):
+it computes the scalar chain once and ``F^2`` when built, and every other piece
+on first access, each behind its own guard. Each public function is a view of
+one record, so :func:`metric_bundle` computes the scalar chain once.
+
 Key entry points
 ----------------
 metric_function / covariant_momentum / metric_tensor / inverse_metric
@@ -21,12 +26,13 @@ frame_components
     Direction and metric expressed in the adapted frame, via closed frame
     formulas (the congruence route cross-checks them).
 metric_bundle
-    One-pass assembly of the whole stack.
+    The whole stack from one scalar chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,12 +41,10 @@ from .background import BackgroundSample
 from .errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
 from .kinematics import (
     AuxVectors,
-    KinematicScalars,
     NU_MIN_REL,
     Q_MIN_REL,
     Sector,
     aux_vectors,
-    classify,
     scalars,
 )
 
@@ -94,174 +98,180 @@ class FrameComponents:
     g_frame: np.ndarray
 
 
-# --- guards ------------------------------------------------------------------
+# --- the stack at one direction ----------------------------------------------
 
 
-def _require_q(scal: KinematicScalars, scale: float, what: str) -> None:
-    if scal.q <= Q_MIN_REL * scale:
-        raise DegenerateQ(f"{what} divides by the transverse radius, zero on the axis ray")
+class _Direction:
+    """The metric stack at one (sample, direction, sector), each piece computed once."""
 
+    def __init__(self, sample: BackgroundSample, y: Sequence[float], sector: Sector | None):
+        self.sample = sample
+        self.y = np.asarray(y, dtype=float)
+        self.scal = scal = scalars(sample, self.y, sector)
+        self.f2 = scal.B * scal.J * scal.J
 
-def _require_nu(scal: KinematicScalars, scale: float, what: str) -> None:
-    if scal.nu <= NU_MIN_REL * scale:
-        raise DegenerateNu(f"{what} divides by the dual radius nu = {scal.nu!r}")
+    @cached_property
+    def scale(self) -> float:
+        """Length of ``y``: the scale of the guards' relative thresholds."""
+        return float(np.linalg.norm(self.y))
 
+    def require_q(self, what: str) -> None:
+        if self.scal.q <= Q_MIN_REL * self.scale:
+            raise DegenerateQ(f"{what} divides by the transverse radius, zero on the axis ray")
 
-def _chain(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None
-) -> tuple[np.ndarray, KinematicScalars]:
-    y_arr = np.asarray(y, dtype=float)
-    return y_arr, scalars(sample, y_arr, sector)
+    def require_nu(self, what: str) -> None:
+        if self.scal.nu <= NU_MIN_REL * self.scale:
+            raise DegenerateNu(f"{what} divides by the dual radius nu = {self.scal.nu!r}")
 
+    @property
+    def null_charge(self) -> bool:
+        return abs(self.sample.g) <= G_NULL_TOL
 
-# --- squared norm and derivative stack ---------------------------------------
+    @cached_property
+    def aux(self) -> AuxVectors:  # read only after require_q
+        return aux_vectors(self.sample, self.y, self.scal)
 
+    @cached_property
+    def y_cov(self) -> np.ndarray:
+        sample, scal = self.sample, self.scal
+        u = sample.a @ self.y
+        return (u - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J)
 
-def metric_function(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
-    """Squared anisotropic norm ``F^2`` (positive time-future, negative space-like)."""
-    _, scal = _chain(sample, y, sector)
-    return scal.B * scal.J * scal.J
+    @cached_property
+    def g_cov(self) -> np.ndarray:
+        self.require_q("metric tensor")
+        sample, scal = self.sample, self.scal
+        g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
+        b_cov, v = sample.b_cov, self.aux.v_cov
+        j2 = scal.J * scal.J
+        bb = np.outer(b_cov, b_cov)
+        bv = np.outer(b_cov, v) + np.outer(v, b_cov)
+        vv = np.outer(v, v)
+        inner = -q * (b + g * q) * bb + q * bv - eps * (b / q) * vv
+        return (sample.a - (g / scal.B) * inner) * j2
 
+    @cached_property
+    def g_contra(self) -> np.ndarray:
+        self.require_q("inverse metric")
+        self.require_nu("inverse metric")
+        sample, scal = self.sample, self.scal
+        g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
+        c2 = sample.c * sample.c
+        b_up, v_up = sample.b_contra, self.aux.v_contra
+        j2 = scal.J * scal.J
+        bb = np.outer(b_up, b_up)
+        bv = np.outer(b_up, v_up) + np.outer(v_up, b_up)
+        vv = np.outer(v_up, v_up)
+        inner = -b * q * bb + q * bv - eps * ((b + g * c2 * q) / scal.nu) * vv
+        return (sample.a_inv + (g / scal.B) * inner) / j2
 
-def covariant_momentum(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
-    """Lowered direction ``y_i`` (half gradient of the squared norm)."""
-    y_arr, scal = _chain(sample, y, sector)
-    u = sample.a @ y_arr
-    return (u - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J)
+    @cached_property
+    def det_ratio(self) -> float:
+        sample, scal = self.sample, self.scal
+        j_pow = scal.J ** (2 * sample.dim)
+        if abs(1.0 - sample.c * sample.c) <= 1e-15:
+            return j_pow
+        self.require_q("determinant ratio")
+        return (scal.nu / scal.q) * j_pow
 
+    @cached_property
+    def C_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Contracted cubic form, covariant and contravariant."""
+        sample, scal = self.sample, self.scal
+        if self.null_charge:
+            zero = np.zeros(sample.dim)
+            return zero, zero.copy()
+        self.require_q("cubic-form vector")
+        self.require_nu("cubic-form vector")
+        aux = self.aux
+        g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
+        c2 = sample.c * sample.c
+        c_cov = (g / (2.0 * scal.B)) * (q / scal.X) * aux.e
+        c_contra = (g / (2.0 * self.f2)) * (q / scal.X) * (
+            -sample.b_contra + eps * ((b + g * c2 * q) / (q * scal.nu)) * aux.v_contra
+        )
+        return c_cov, c_contra
 
-def metric_tensor(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
-    """Covariant direction-dependent metric ``g_ij``."""
-    y_arr, scal = _chain(sample, y, sector)
-    scale = float(np.linalg.norm(y_arr))
-    _require_q(scal, scale, "metric tensor")
-    aux = aux_vectors(sample, y_arr, scal)
-    g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
-    b_cov, v = sample.b_cov, aux.v_cov
-    j2 = scal.J * scal.J
-    bb = np.outer(b_cov, b_cov)
-    bv = np.outer(b_cov, v) + np.outer(v, b_cov)
-    vv = np.outer(v, v)
-    inner = -q * (b + g * q) * bb + q * bv - eps * (b / q) * vv
-    return (sample.a - (g / scal.B) * inner) * j2
+    @cached_property
+    def CC(self) -> float:
+        if self.null_charge:
+            return 0.0
+        g, n, x = self.sample.g, self.sample.dim, self.scal.X
+        return -self.scal.eps * (g**2 / 4.0) * (1.0 / (self.f2 * x * x)) * (n + 1.0 - 1.0 / x)
 
+    @cached_property
+    def h_ang(self) -> np.ndarray:
+        return self.g_cov - np.outer(self.y_cov, self.y_cov) / self.f2
 
-def inverse_metric(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
-    """Contravariant direction-dependent metric ``g^ij``."""
-    y_arr, scal = _chain(sample, y, sector)
-    scale = float(np.linalg.norm(y_arr))
-    _require_q(scal, scale, "inverse metric")
-    _require_nu(scal, scale, "inverse metric")
-    aux = aux_vectors(sample, y_arr, scal)
-    g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
-    c2 = sample.c * sample.c
-    b_up, v_up = sample.b_contra, aux.v_contra
-    j2 = scal.J * scal.J
-    bb = np.outer(b_up, b_up)
-    bv = np.outer(b_up, v_up) + np.outer(v_up, b_up)
-    vv = np.outer(v_up, v_up)
-    inner = -b * q * bb + q * bv - eps * ((b + g * c2 * q) / scal.nu) * vv
-    return (sample.a_inv + (g / scal.B) * inner) / j2
+    @cached_property
+    def cartan(self) -> np.ndarray:
+        if self.null_charge:
+            raise NullCartan("cubic-form assembly is degenerate at zero charge")
+        c_cov, _ = self.C_vectors
+        h_ang = self.h_ang
+        cc = self.CC
+        if cc == 0.0:
+            raise NullCartan("cubic-form assembly divides by a vanishing contracted cubic form")
+        n = self.sample.dim
+        x = self.scal.X
+        sym = (
+            np.einsum("i,jk->ijk", c_cov, h_ang)
+            + np.einsum("j,ik->ijk", c_cov, h_ang)
+            + np.einsum("k,ij->ijk", c_cov, h_ang)
+        )
+        triple = np.einsum("i,j,k->ijk", c_cov, c_cov, c_cov)
+        return x * (sym - (n + 1.0 - 1.0 / x) * triple / cc)
 
+    def curvature(
+        self, seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None
+    ) -> float:
+        eps = self.scal.eps
+        if self.null_charge:
+            return -float(eps)
+        g_cov = self.g_cov
+        g_contra = self.g_contra
+        h_ang = self.h_ang
+        cartan = self.cartan
+        f2 = self.f2
 
-def determinant_ratio(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
-    """Closed form for ``det(g_ij) / det(a_ij)``."""
-    y_arr, scal = _chain(sample, y, sector)
-    j_pow = scal.J ** (2 * sample.dim)
-    if abs(1.0 - sample.c * sample.c) <= 1e-15:
-        return j_pow
-    _require_q(scal, float(np.linalg.norm(y_arr)), "determinant ratio")
-    return (scal.nu / scal.q) * j_pow
+        c_mixed = np.einsum("ha,ian->ihn", g_contra, cartan)  # C_i{}^h{}_n
+        riem = np.einsum("inh,jhm->ijmn", cartan, c_mixed) - np.einsum(
+            "imh,jhn->ijmn", cartan, c_mixed
+        )
 
+        u, v = _projected_pair(g_cov, h_ang, self.y, f2, seeds)
+        numerator = f2 * float(np.einsum("ijmn,i,j,m,n->", riem, u, v, u, v))
+        huu = float(u @ h_ang @ u)
+        hvv = float(v @ h_ang @ v)
+        huv = float(u @ h_ang @ v)
+        kappa = numerator / (huu * hvv - huv * huv)
+        return -eps * (1.0 + kappa)
 
-# --- cubic form --------------------------------------------------------------
+    @cached_property
+    def frame(self) -> FrameComponents:
+        self.require_q("frame metric")
+        sample, scal = self.sample, self.scal
+        r = sample.frame @ self.y
+        dim = sample.dim
+        g, q, b, eps, c = sample.g, scal.q, scal.b, scal.eps, sample.c
+        j2 = scal.J * scal.J
+        big_b = scal.B
+        z = r[dim - 1]
+        trans = np.concatenate([[1.0], -np.ones(dim - 2)])  # frame metric block diag(+1, -1, ...)
+        er = trans * r[: dim - 1]  # e_ad R^d over transverse legs
+        s2 = q * q - eps * b * b
 
-
-def cartan_vector(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contracted cubic form, covariant and contravariant (zeros at zero charge)."""
-    y_arr, scal = _chain(sample, y, sector)
-    if abs(sample.g) <= G_NULL_TOL:
-        zero = np.zeros(sample.dim)
-        return zero, zero.copy()
-    scale = float(np.linalg.norm(y_arr))
-    _require_q(scal, scale, "cubic-form vector")
-    _require_nu(scal, scale, "cubic-form vector")
-    aux = aux_vectors(sample, y_arr, scal)
-    g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
-    c2 = sample.c * sample.c
-    f2 = scal.B * scal.J * scal.J
-    c_cov = (g / (2.0 * scal.B)) * (q / scal.X) * aux.e
-    c_contra = (g / (2.0 * f2)) * (q / scal.X) * (
-        -sample.b_contra + eps * ((b + g * c2 * q) / (q * scal.nu)) * aux.v_contra
-    )
-    return c_cov, c_contra
-
-
-def cartan_norm(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
-    """Closed form for the squared norm ``C_h C^h`` of the contracted cubic form."""
-    y_arr, scal = _chain(sample, y, sector)
-    if abs(sample.g) <= G_NULL_TOL:
-        return 0.0
-    f2 = scal.B * scal.J * scal.J
-    n = sample.dim
-    x = scal.X
-    return -scal.eps * (sample.g**2 / 4.0) * (1.0 / (f2 * x * x)) * (n + 1.0 - 1.0 / x)
-
-
-def angular_metric(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
-    """Angular metric: the metric projected orthogonally to the direction."""
-    y_arr, scal = _chain(sample, y, sector)
-    g_cov = metric_tensor(sample, y_arr, sector)
-    y_cov = (sample.a @ y_arr - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J)
-    f2 = scal.B * scal.J * scal.J
-    return g_cov - np.outer(y_cov, y_cov) / f2
-
-
-def cartan_tensor(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
-    """Full cubic form ``C_ijk``.
-
-    Raises
-    ------
-    NullCartan
-        At zero charge, where the normalised assembly divides by the vanishing
-        squared norm of the contracted form (the exact limit value is zero).
-    """
-    y_arr, scal = _chain(sample, y, sector)
-    if abs(sample.g) <= G_NULL_TOL:
-        raise NullCartan("cubic-form assembly is degenerate at zero charge")
-    c_cov, _ = cartan_vector(sample, y_arr, sector)
-    h_ang = angular_metric(sample, y_arr, sector)
-    cc = cartan_norm(sample, y_arr, sector)
-    n = sample.dim
-    x = scal.X
-    sym = (
-        np.einsum("i,jk->ijk", c_cov, h_ang)
-        + np.einsum("j,ik->ijk", c_cov, h_ang)
-        + np.einsum("k,ij->ijk", c_cov, h_ang)
-    )
-    triple = np.einsum("i,j,k->ijk", c_cov, c_cov, c_cov)
-    return x * (sym - (n + 1.0 - 1.0 / x) * triple / cc)
-
-
-# --- indicatrix curvature ----------------------------------------------------
+        g_frame = np.zeros((dim, dim))
+        g_frame[: dim - 1, : dim - 1] = np.diag(trans) + eps * g * (
+            b / (big_b * q)
+        ) * np.outer(er, er)
+        edge = (g / (big_b * q)) * (-eps * b * z - s2 * c) * er
+        g_frame[dim - 1, : dim - 1] = edge
+        g_frame[: dim - 1, dim - 1] = edge
+        g_frame[dim - 1, dim - 1] = -1.0 + (g / (big_b * q)) * (
+            (g * q**3 - b * s2) * c * c + eps * b * z * z + 2.0 * s2 * b
+        )
+        return FrameComponents(R=r, g_frame=g_frame * j2)
 
 
 def _projected_pair(
@@ -299,6 +309,80 @@ def _projected_pair(
     raise DegenerateQ("could not find a nondegenerate tangent pair for curvature extraction")
 
 
+# --- public views ------------------------------------------------------------
+
+
+def metric_function(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> float:
+    """Squared anisotropic norm ``F^2`` (positive time-future, negative space-like)."""
+    return _Direction(sample, y, sector).f2
+
+
+def covariant_momentum(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> np.ndarray:
+    """Lowered direction ``y_i`` (half gradient of the squared norm)."""
+    return _Direction(sample, y, sector).y_cov
+
+
+def metric_tensor(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> np.ndarray:
+    """Covariant direction-dependent metric ``g_ij``."""
+    return _Direction(sample, y, sector).g_cov
+
+
+def inverse_metric(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> np.ndarray:
+    """Contravariant direction-dependent metric ``g^ij``."""
+    return _Direction(sample, y, sector).g_contra
+
+
+def determinant_ratio(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> float:
+    """Closed form for ``det(g_ij) / det(a_ij)``."""
+    return _Direction(sample, y, sector).det_ratio
+
+
+def cartan_vector(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contracted cubic form, covariant and contravariant (zeros at zero charge)."""
+    return _Direction(sample, y, sector).C_vectors
+
+
+def cartan_norm(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> float:
+    """Closed form for the squared norm ``C_h C^h`` of the contracted cubic form."""
+    return _Direction(sample, y, sector).CC
+
+
+def angular_metric(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> np.ndarray:
+    """Angular metric: the metric projected orthogonally to the direction."""
+    return _Direction(sample, y, sector).h_ang
+
+
+def cartan_tensor(
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
+) -> np.ndarray:
+    """Full cubic form ``C_ijk``.
+
+    Raises
+    ------
+    NullCartan
+        Where the normalised assembly divides by a vanishing squared norm of
+        the contracted form: at zero charge (the exact limit value is zero),
+        and on rays where the contracted form itself vanishes.
+    """
+    return _Direction(sample, y, sector).cartan
+
+
 def indicatrix_curvature(
     sample: BackgroundSample,
     y: Sequence[float],
@@ -313,94 +397,31 @@ def indicatrix_curvature(
     """
     if not sample.c_is_unit:
         raise CNotUnit("indicatrix curvature is implemented at unit preferred-direction norm")
-    y_arr, scal = _chain(sample, y, sector)
-    eps = scal.eps
-    if abs(sample.g) <= G_NULL_TOL:
-        return -float(eps)
-    g_cov = metric_tensor(sample, y_arr, sector)
-    g_contra = inverse_metric(sample, y_arr, sector)
-    h_ang = angular_metric(sample, y_arr, sector)
-    cartan = cartan_tensor(sample, y_arr, sector)
-    f2 = scal.B * scal.J * scal.J
-
-    c_mixed = np.einsum("ha,ian->ihn", g_contra, cartan)  # C_i{}^h{}_n
-    riem = np.einsum("inh,jhm->ijmn", cartan, c_mixed) - np.einsum(
-        "imh,jhn->ijmn", cartan, c_mixed
-    )
-
-    u, v = _projected_pair(g_cov, h_ang, y_arr, f2, seeds)
-    numerator = f2 * float(np.einsum("ijmn,i,j,m,n->", riem, u, v, u, v))
-    huu = float(u @ h_ang @ u)
-    hvv = float(v @ h_ang @ v)
-    huv = float(u @ h_ang @ v)
-    kappa = numerator / (huu * hvv - huv * huv)
-    return -eps * (1.0 + kappa)
-
-
-# --- adapted frame -----------------------------------------------------------
+    return _Direction(sample, y, sector).curvature(seeds)
 
 
 def frame_components(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> FrameComponents:
     """Direction and metric in the adapted frame, from closed frame formulas."""
-    y_arr, scal = _chain(sample, y, sector)
-    scale = float(np.linalg.norm(y_arr))
-    _require_q(scal, scale, "frame metric")
-    r = sample.frame @ y_arr
-    dim = sample.dim
-    g, q, b, eps, c = sample.g, scal.q, scal.b, scal.eps, sample.c
-    j2 = scal.J * scal.J
-    big_b = scal.B
-    z = r[dim - 1]
-    trans = np.concatenate([[1.0], -np.ones(dim - 2)])  # frame metric block diag(+1, -1, ...)
-    er = trans * r[: dim - 1]  # e_ad R^d over transverse legs
-    s2 = q * q - eps * b * b
-
-    g_frame = np.zeros((dim, dim))
-    g_frame[: dim - 1, : dim - 1] = np.diag(trans) + eps * g * (b / (big_b * q)) * np.outer(
-        er, er
-    )
-    edge = (g / (big_b * q)) * (-eps * b * z - s2 * c) * er
-    g_frame[dim - 1, : dim - 1] = edge
-    g_frame[: dim - 1, dim - 1] = edge
-    g_frame[dim - 1, dim - 1] = -1.0 + (g / (big_b * q)) * (
-        (g * q**3 - b * s2) * c * c + eps * b * z * z + 2.0 * s2 * b
-    )
-    return FrameComponents(R=r, g_frame=g_frame * j2)
-
-
-# --- one-pass assembly -------------------------------------------------------
+    return _Direction(sample, y, sector).frame
 
 
 def metric_bundle(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> MetricBundle:
-    """Assemble the full metric stack at one direction."""
-    y_arr, scal = _chain(sample, y, sector)
-    if sector is None:
-        sector = classify(sample, y_arr)
-    f2 = scal.B * scal.J * scal.J
-    y_cov = covariant_momentum(sample, y_arr, sector)
-    g_cov = metric_tensor(sample, y_arr, sector)
-    g_contra = inverse_metric(sample, y_arr, sector)
-    det_ratio = determinant_ratio(sample, y_arr, sector)
-    c_cov, c_contra = cartan_vector(sample, y_arr, sector)
-    cc = cartan_norm(sample, y_arr, sector)
-    h_ang = g_cov - np.outer(y_cov, y_cov) / f2
-    if abs(sample.g) <= G_NULL_TOL:
-        cartan = np.zeros((sample.dim,) * 3)
-    else:
-        cartan = cartan_tensor(sample, y_arr, sector)
+    """Assemble the full metric stack at one direction from one scalar chain."""
+    d = _Direction(sample, y, sector)
+    # pieces are read in stack order, so the first failing guard names the error
     return MetricBundle(
-        F2=f2,
-        y_cov=y_cov,
-        g_cov=g_cov,
-        g_contra=g_contra,
-        det_ratio=det_ratio,
-        C_cov=c_cov,
-        C_contra=c_contra,
-        CC=cc,
-        cartan=cartan,
-        h_ang=h_ang,
+        F2=d.f2,
+        y_cov=d.y_cov,
+        g_cov=d.g_cov,
+        g_contra=d.g_contra,
+        det_ratio=d.det_ratio,
+        C_cov=d.C_vectors[0],
+        C_contra=d.C_vectors[1],
+        CC=d.CC,
+        h_ang=d.h_ang,
+        cartan=np.zeros((sample.dim,) * 3) if d.null_charge else d.cartan,
     )

@@ -254,6 +254,16 @@ class TestCheckCommand:
         assert result.returncode == 0, result.stderr
         assert parse_records(result.stdout)["status"] == "ok"
 
+    @pytest.mark.parametrize("seed", ["16", "19", "21"])
+    def test_angle_pair_skips_direction_outside_sector(self, seed):
+        # these seeds paired a direction with an earlier one that is unsupported
+        # (16, 19) or in the other sector (21) at the new point
+        result = run_cli(
+            "check", "--config", config_path("desk_curved_a"), "--samples", "40", "--seed", seed
+        )
+        assert result.returncode == 0, result.stderr
+        assert parse_records(result.stdout)["status"] == "ok"
+
     def test_strict_profile_tightens_exact_identities(self):
         result = run_cli(
             "check", "--config", DESK, "--samples", "8", "--seed", "1",

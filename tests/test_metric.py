@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsleroid import metric
 from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
 from finsleroid.kinematics import classify, random_admissible, scalars
@@ -284,20 +287,32 @@ class TestFrame:
 
 
 class TestBundle:
-    def test_bundle_matches_individual_routes(self, desk):
-        y = Y_TIME
-        bundle = metric_bundle(desk, y)
-        assert bundle.F2 == metric_function(desk, y)
-        assert np.array_equal(bundle.y_cov, covariant_momentum(desk, y))
-        assert np.allclose(bundle.g_cov, metric_tensor(desk, y), rtol=0, atol=0)
-        assert np.allclose(bundle.g_contra, inverse_metric(desk, y), rtol=0, atol=0)
-        assert bundle.det_ratio == determinant_ratio(desk, y)
-        assert bundle.CC == cartan_norm(desk, y)
-        c_cov, c_contra = cartan_vector(desk, y)
-        assert np.array_equal(bundle.C_cov, c_cov)
-        assert np.array_equal(bundle.C_contra, c_contra)
-        assert np.max(np.abs(bundle.h_ang - angular_metric(desk, y))) < 1e-15
-        assert np.max(np.abs(bundle.cartan - cartan_tensor(desk, y))) == 0.0
+    def test_bundle_matches_individual_routes(self):
+        """Every bundle field is bit-equal to its single-function route."""
+        configs = ("desk", "desk_c09", "desk_curved_a", "desk_shifted_b", "desk_variable_g")
+        for config_name in configs:
+            here = sample(load_config(config_path(config_name)), np.array([0.3, 0.1, 0.2, 0.4]))
+            rng = np.random.default_rng(5)
+            draws = [
+                random_admissible(here, rng, tag, 3, margin=0.05)
+                for tag in ("time-future", "space-like")
+            ]
+            for y in np.concatenate(draws):
+                bundle = metric_bundle(here, y)
+                c_cov, c_contra = cartan_vector(here, y)
+                assert bundle.F2 == metric_function(here, y)
+                assert np.array_equal(bundle.y_cov, covariant_momentum(here, y))
+                assert np.array_equal(bundle.g_cov, metric_tensor(here, y))
+                assert np.array_equal(bundle.g_contra, inverse_metric(here, y))
+                assert bundle.det_ratio == determinant_ratio(here, y)
+                assert np.array_equal(bundle.C_cov, c_cov)
+                assert np.array_equal(bundle.C_contra, c_contra)
+                assert bundle.CC == cartan_norm(here, y)
+                assert np.array_equal(bundle.h_ang, angular_metric(here, y))
+                if here.g == 0.0:
+                    assert np.all(bundle.cartan == 0.0)
+                else:
+                    assert np.array_equal(bundle.cartan, cartan_tensor(here, y))
 
     def test_bundle_zero_charge_cartan_block(self):
         field = BackgroundField.constant([1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 1.0], 0.0)
@@ -305,6 +320,40 @@ class TestBundle:
         bundle = metric_bundle(flat, Y_TIME)
         assert np.all(bundle.cartan == 0.0)
         assert bundle.CC == 0.0
+
+
+class TestSharedChain:
+    """Every metric-stack function reads one scalar chain per direction."""
+
+    def test_one_chain_per_call(self, desk, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return scalars(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "scalars", counted)
+        metric_bundle(desk, Y_TIME)
+        assert len(calls) == 1
+        calls.clear()
+        indicatrix_curvature(desk, Y_SPACE)
+        assert len(calls) == 1
+
+    def test_bundle_axis_ray_names_metric_tensor(self, desk):
+        message = "^metric tensor divides by the transverse radius, zero on the axis ray$"
+        with pytest.raises(DegenerateQ, match=message):
+            metric_bundle(desk, AXIS)
+
+    def test_vanishing_contracted_form_raises_null_cartan(self, c09):
+        """On the preferred axis below unit norm the contracted form is zero."""
+        y = -c09.b_contra
+        assert cartan_norm(c09, y) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NullCartan):
+                cartan_tensor(c09, y)
+            with pytest.raises(NullCartan):
+                metric_bundle(c09, y)
 
 
 class TestGuards:
