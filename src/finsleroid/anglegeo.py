@@ -35,7 +35,7 @@ import numpy as np
 
 from .background import BackgroundSample
 from .errors import ChartDomain, CNotUnit, DomainError, MixedSectors, UnsupportedSector
-from .kinematics import KinematicScalars, Q_MIN_REL, Sector, classify, scalars
+from .kinematics import KinematicScalars, Q_MIN_REL, classify, scalars
 from .metric import metric_tensor
 
 __all__ = [
@@ -234,8 +234,11 @@ def uar_to_angles(sample: BackgroundSample, y: Sequence[float]) -> UarPoint:
     _require_unit(sample, "the angular chart")
     _require_dim4(sample, "the angular chart")
     y_arr = np.asarray(y, dtype=float)
-    sector = classify(sample, y_arr)
-    scal = scalars(sample, y_arr, sector)
+    return _uar_point(sample, y_arr, scalars(sample, y_arr))
+
+
+def _uar_point(sample: BackgroundSample, y_arr: np.ndarray, scal: KinematicScalars) -> UarPoint:
+    """Chart coordinates of ``y_arr`` from its scalar chain."""
     f2 = scal.B * scal.J * scal.J
     z0 = math.sqrt(abs(f2))
     r = sample.frame @ y_arr
@@ -260,11 +263,11 @@ def angle_closed_form(
     """Angle via chart coordinates of the two directions."""
     _require_unit(sample, "the closed-form angle")
     _require_dim4(sample, "the closed-form angle")
-    y1_arr, y2_arr, k1, _ = _paired_chains(sample, y1, y2)
+    y1_arr, y2_arr, k1, k2 = _paired_chains(sample, y1, y2)
     if positively_parallel(y1_arr, y2_arr):
         return 0.0
-    p1 = uar_to_angles(sample, y1_arr)
-    p2 = uar_to_angles(sample, y2_arr)
+    p1 = _uar_point(sample, y1_arr, k1)
+    p2 = _uar_point(sample, y2_arr, k2)
     h = k1.h
     f1, f2 = h * p1.chi, h * p2.chi
     dphi = p1.phi - p2.phi

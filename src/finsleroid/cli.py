@@ -40,13 +40,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anglegeo import angle as angle_direct
-from .anglegeo import angle_closed_form, scalar_product, uar_from_angles, uar_to_angles
+from .anglegeo import _uar_point, angle_closed_form, scalar_product, uar_from_angles
 from .background import BackgroundField, load_config, sample as sample_background
-from .conformal import factor_space_angle, pushforward_metric_check, zeta_inverse, zeta_map
+from .conformal import (
+    _pushforward_residual,
+    _zeta,
+    factor_space_angle,
+    pushforward_metric_check,
+    zeta_inverse,
+    zeta_map,
+)
 from .dual import covector_stack, hamiltonian, hamiltonian_numeric, hj_residual
 from .errors import (
     ChartDomain,
-    CNotUnit,
     ConfigError,
     DegenerateNu,
     DegenerateQ,
@@ -56,18 +62,8 @@ from .errors import (
     NullCartan,
 )
 from .expressions import FieldExpression
-from .kinematics import classify, random_admissible, scalars
-from .metric import (
-    cartan_norm,
-    cartan_vector,
-    covariant_momentum,
-    determinant_ratio,
-    frame_components,
-    indicatrix_curvature,
-    inverse_metric,
-    metric_function,
-    metric_tensor,
-)
+from .kinematics import classify, random_admissible
+from .metric import _Direction
 from .numdiff import (
     TOL_ANGLE_ROUTES,
     TOL_CARTAN_NORM,
@@ -85,10 +81,9 @@ from .numdiff import (
     TOL_SPRAY_ORACLE,
     TOL_UAR_F2,
     TOL_UAR_ROUNDTRIP,
-    fd_gradient,
     fd_jacobian,
 )
-from .spray import ORACLE_FD, geodesic_integrate, spray_coefficients, spray_oracle
+from .spray import ORACLE_FD, _spray, geodesic_integrate, spray_oracle
 
 __all__ = ["main", "RunReport"]
 
@@ -151,24 +146,25 @@ def _eval_records(field_: BackgroundField, args) -> tuple[list[tuple[str, object
     if not sector.supported:
         return records, 2
 
-    records.append(("F2", metric_function(here, y, sector)))
-    y_cov = covariant_momentum(here, y, sector)
-    for i, value in enumerate(y_cov):
+    d = _Direction(here, y, sector)
+    records.append(("F2", d.f2))
+    for i, value in enumerate(d.y_cov):
         records.append((f"y_cov.{i}", value))
     try:
-        records.append(("det_ratio", determinant_ratio(here, y, sector)))
+        records.append(("det_ratio", d.det_ratio))
+    except (DegenerateQ, DegenerateNu):
+        pass
+    if here.c_is_unit:  # the indicatrix curvature is closed only at unit norm
+        try:
+            records.append(("indicatrix_curvature", d.curvature(None)))
+        except (DegenerateQ, DegenerateNu, NullCartan):
+            pass
+    try:
+        records.append(("CC", d.CC))
     except (DegenerateQ, DegenerateNu):
         pass
     try:
-        records.append(("indicatrix_curvature", indicatrix_curvature(here, y, sector)))
-    except (CNotUnit, DegenerateQ, DegenerateNu, NullCartan):
-        pass
-    try:
-        records.append(("CC", cartan_norm(here, y, sector)))
-    except (DegenerateQ, DegenerateNu):
-        pass
-    try:
-        frame = frame_components(here, y, sector)
+        frame = d.frame
         for p, value in enumerate(frame.R):
             records.append((f"R.{p}", value))
         for p in range(field_.dim):
@@ -303,7 +299,6 @@ class RunReport:
     worst: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     worst_at: dict[str, str] = field(default_factory=dict)
-    wall_s: float = 0.0
 
 
 def _relmax(difference: np.ndarray, reference: np.ndarray) -> float:
@@ -336,16 +331,15 @@ def _check_shard(
                 counts[name] = counts.get(name, 0) + 1
 
             y = random_admissible(here, rng, tag, 1, margin=0.05)[0]
-            scal = scalars(here, y)
-            f2 = metric_function(here, y)
-            y_cov = covariant_momentum(here, y)
-            g_cov = metric_tensor(here, y)
-            g_contra = inverse_metric(here, y)
+            d = _Direction(here, y, None)  # every identity below reads this record
+            scal, f2, y_cov, g_cov, g_contra = d.scal, d.f2, d.y_cov, d.g_cov, d.g_contra
 
-            grad = 0.5 * fd_gradient(lambda yy: metric_function(here, yy), y, ORACLE_FD)
-            record("euler_momentum", _relmax(grad - y_cov, y_cov))
-            jac = fd_jacobian(lambda yy: covariant_momentum(here, yy), y, ORACLE_FD)
-            record("euler_metric", _relmax(jac - g_cov, g_cov))
+            # one difference of [F^2, y_cov] gives the momentum and metric routes
+            euler = fd_jacobian(
+                lambda yy: _Direction(here, yy, None).f2_and_momentum(), y, ORACLE_FD
+            )
+            record("euler_momentum", _relmax(0.5 * euler[0] - y_cov, y_cov))
+            record("euler_metric", _relmax(euler[1:] - g_cov, g_cov))
 
             record(
                 "metric_inverse",
@@ -353,29 +347,22 @@ def _check_shard(
             )
             record("momentum_contraction", _relmax(g_cov @ y - y_cov, y_cov))
             record("norm_trace", abs(float(y @ y_cov) - f2) / abs(f2))
-            closed = determinant_ratio(here, y)
+            closed = d.det_ratio
             numeric = float(np.linalg.det(g_cov) / np.linalg.det(here.a))
             record("det_ratio", abs(closed - numeric) / abs(closed))
 
-            c_cov, c_contra = cartan_vector(here, y)
-            record(
-                "cartan_norm",
-                abs(float(c_cov @ c_contra) - cartan_norm(here, y)),
-            )
+            c_cov, c_contra = d.C_vectors
+            record("cartan_norm", abs(float(c_cov @ c_contra) - d.CC))
 
             if here.c_is_unit:
                 expected = -scal.eps - here.g * here.g / 4.0
-                record(
-                    "indicatrix",
-                    abs(indicatrix_curvature(here, y) - expected),
-                )
+                record("indicatrix", abs(d.curvature(None) - expected))
 
-            frame = frame_components(here, y)
             congruence = here.frame_inv.T @ g_cov @ here.frame_inv
-            record("frame", float(np.max(np.abs(frame.g_frame - congruence))))
+            record("frame", float(np.max(np.abs(d.frame.g_frame - congruence))))
 
             oracle = spray_oracle(field_, x, y)
-            closed_spray = spray_coefficients(here, y).G
+            closed_spray = _spray(d).G
             scale = max(1.0, float(np.max(np.abs(oracle))))
             record("spray_oracle", float(np.max(np.abs(closed_spray - oracle))) / scale)
 
@@ -384,7 +371,7 @@ def _check_shard(
             record("dual_newton", abs(hamiltonian_numeric(here, y_cov) - f2) / abs(f2))
 
             if here.c_is_unit and field_.dim == 4:
-                point = uar_to_angles(here, y)
+                point = _uar_point(here, y, scal)
                 back = uar_from_angles(here, point, tag)
                 record("uar_roundtrip", _relmax(back - y, y))
                 record("uar_norm", abs(f2 - scal.eps * point.z0 * point.z0) / abs(f2))
@@ -407,8 +394,8 @@ def _check_shard(
                 previous[key] = y
 
             if here.c_is_unit:
-                record("conformal_pushforward", pushforward_metric_check(here, y))
-                image = zeta_map(here, y)
+                record("conformal_pushforward", _pushforward_residual(d))
+                image = _zeta(d)
                 power = abs(f2) ** scal.h
                 record("conformal_power", abs(abs(image.S2) - power) / power)
                 back = zeta_inverse(here, image.zeta)
@@ -417,9 +404,7 @@ def _check_shard(
     return worst, counts, worst_at
 
 
-def run_check(
-    field_: BackgroundField, config_path: str, samples: int, seed: int, profile: str
-) -> RunReport:
+def run_check(field_: BackgroundField, config_path: str, samples: int, seed: int) -> RunReport:
     """Execute the check battery and assemble its deterministic report."""
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
@@ -459,7 +444,7 @@ def _profile_tols(field_: BackgroundField, profile: str) -> dict[str, float]:
 
 def cmd_check(args) -> int:
     field_ = load_config(args.config)
-    report = run_check(field_, args.config, args.samples, args.seed, args.tol_profile)
+    report = run_check(field_, args.config, args.samples, args.seed)
     tols = _profile_tols(field_, args.tol_profile)
 
     _emit("command", "check")

@@ -30,20 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from .background import BackgroundSample
-from .errors import (
-    ChartDomain,
-    CNotUnit,
-    DegenerateQ,
-    DomainError,
-    MixedSectors,
-    UnsupportedImage,
-    UnsupportedSector,
-)
-from .kinematics import Q_MIN_REL, Sector, aux_vectors, classify, scalars
+from .errors import DegenerateQ, DomainError, MixedSectors, UnsupportedImage
+from .kinematics import Q_MIN_REL, Sector, classify
+from .metric import _Direction
 from .anglegeo import (
     CLAMP_TOL,
     UarPoint,
     _chart_jacobian,
+    _require_dim4,
+    _require_unit,
     positively_parallel,
     uar_from_angles,
 )
@@ -76,22 +71,20 @@ class ConformalImage:
     p: float
 
 
-def _require_unit(sample: BackgroundSample, what: str) -> None:
-    if not sample.c_is_unit:
-        raise CNotUnit(f"{what} requires unit preferred-direction norm")
-
-
 def zeta_map(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> ConformalImage:
     """Map a supported direction to its conformal image."""
     _require_unit(sample, "the conformal map")
-    y_arr = np.asarray(y, dtype=float)
-    scal = scalars(sample, y_arr, sector)
+    return _zeta(_Direction(sample, y, sector))
+
+
+def _zeta(d: _Direction) -> ConformalImage:
+    """Conformal image read from one direction record (unit norm checked)."""
+    sample, scal = d.sample, d.scal
     h = scal.h
-    f2 = scal.B * scal.J * scal.J
-    kappa = (1.0 / h) * abs(f2) ** (0.5 * (1.0 - h))
-    v_contra = y_arr + scal.b * sample.b_contra
+    kappa = (1.0 / h) * abs(d.f2) ** (0.5 * (1.0 - h))
+    v_contra = d.y + scal.b * sample.b_contra
     zeta = (h * v_contra - scal.A * sample.b_contra) * (scal.J / (kappa * h))
     s2 = float(zeta @ sample.a @ zeta)
     return ConformalImage(zeta=zeta, kappa=kappa, S2=s2, p=kappa * kappa)
@@ -102,14 +95,17 @@ def zeta_jacobian(
 ) -> np.ndarray:
     """Fibre derivative ``Z[i, m] = d zeta^i / d y^m`` (off the axis)."""
     _require_unit(sample, "the conformal map derivative")
-    y_arr = np.asarray(y, dtype=float)
-    scal = scalars(sample, y_arr, sector)
-    if scal.q <= Q_MIN_REL * float(np.linalg.norm(y_arr)):
+    return _zeta_jacobian(_Direction(sample, y, sector))
+
+
+def _zeta_jacobian(d: _Direction) -> np.ndarray:
+    """Fibre derivative of the map read from one direction record."""
+    sample, scal = d.sample, d.scal
+    if scal.q <= Q_MIN_REL * d.scale:
         raise DegenerateQ("conformal map derivative undefined on the preferred axis")
-    aux = aux_vectors(sample, y_arr, scal)
+    aux = d.aux
     h = scal.h
-    f2 = scal.B * scal.J * scal.J
-    image = zeta_map(sample, y_arr, sector)
+    image = _zeta(d)
     kappa = image.kappa
     scale = scal.J / (kappa * h)
     b_contra = sample.b_contra
@@ -121,7 +117,7 @@ def zeta_jacobian(
         )
     ) * scale
     y_cov = (aux.u - sample.g * scal.q * sample.b_cov) * scal.J**2
-    weight = (sample.g * scal.q / (2.0 * scal.B)) * aux.e - (1.0 - h) * y_cov / f2
+    weight = (sample.g * scal.q / (2.0 * scal.B)) * aux.e - (1.0 - h) * y_cov / d.f2
     return core + np.outer(image.zeta, weight)
 
 
@@ -130,13 +126,16 @@ def pushforward_metric_check(
 ) -> float:
     """Relative residual of conformality: the pulled-back seed form times the
     conformal multiplier must reproduce the direction-dependent metric."""
-    from .metric import metric_tensor
+    _require_unit(sample, "the conformal map")
+    return _pushforward_residual(_Direction(sample, y, sector))
 
-    y_arr = np.asarray(y, dtype=float)
-    image = zeta_map(sample, y_arr, sector)
-    jac = zeta_jacobian(sample, y_arr, sector)
-    reconstructed = image.p * jac.T @ sample.a @ jac
-    g_cov = metric_tensor(sample, y_arr, sector)
+
+def _pushforward_residual(d: _Direction) -> float:
+    """Conformality residual read from one direction record (unit norm checked)."""
+    image = _zeta(d)
+    jac = _zeta_jacobian(d)
+    reconstructed = image.p * jac.T @ d.sample.a @ jac
+    g_cov = d.g_cov
     return float(
         np.max(np.abs(reconstructed - g_cov)) / max(np.max(np.abs(g_cov)), 1e-300)
     )
@@ -193,25 +192,15 @@ def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:
 # --- factor space ------------------------------------------------------------
 
 
-def _factor_frame(
-    sample: BackgroundSample, m: Sequence[float], tag: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Image vector and its analytic derivatives along the unit-shell factor
-    coordinates ``m = (eta, phi, chi)``."""
+def _factor_metric(sample: BackgroundSample, m: Sequence[float], tag: str) -> np.ndarray:
+    """Seed form pulled back along the image vector's analytic derivatives in
+    the unit-shell factor coordinates ``m = (eta, phi, chi)``."""
     eta, phi, chi = (float(component) for component in m)
     point = UarPoint(z0=1.0, eta=eta, phi=phi, chi=chi)
     y = uar_from_angles(sample, point, tag)
     h = sample.h_time if tag == "time-future" else sample.h_space
-    chart_jac = _chart_jacobian(point, sample.g, h, tag)
-    dy_dm = sample.frame_inv @ chart_jac[:, 1:]
-    zeta = zeta_map(sample, y).zeta
-    legs = zeta_jacobian(sample, y) @ dy_dm
-    return zeta, legs
-
-
-def _factor_metric(sample: BackgroundSample, m: Sequence[float], tag: str) -> np.ndarray:
-    h = sample.h_time if tag == "time-future" else sample.h_space
-    _, legs = _factor_frame(sample, m, tag)
+    dy_dm = sample.frame_inv @ _chart_jacobian(point, sample.g, h, tag)[:, 1:]
+    legs = _zeta_jacobian(_Direction(sample, y, None)) @ dy_dm
     return (legs.T @ sample.a @ legs) / (h * h)
 
 
@@ -225,8 +214,7 @@ def factor_space_curvature(
     constant is the sectional curvature.
     """
     _require_unit(sample, "the factor-space curvature")
-    if sample.dim != 4:
-        raise ChartDomain("the factor-space curvature is implemented for dimension 4")
+    _require_dim4(sample, "the factor-space curvature")
     m_arr = np.asarray(m, dtype=float)
     step = FACTOR_FD_STEP
 

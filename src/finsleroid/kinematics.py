@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .background import BackgroundSample
-from .errors import DegenerateNu, DegenerateQ, UnsupportedSector
+from .errors import DegenerateNu, DegenerateQ, NoConvergence, UnsupportedSector
 
 __all__ = [
     "Sector",
@@ -299,6 +299,11 @@ def random_admissible(
     norm), which keeps finite-difference probes from crossing sector walls.
     Below unit preferred-direction norm, space-like draws whose dual radius
     ``nu`` is not positive (see :func:`scalars`) are rejected as well.
+
+    Raises
+    ------
+    NoConvergence
+        If ``max_tries`` draws yield fewer than ``count`` directions.
     """
     if tag not in ("time-future", "space-like"):
         raise ValueError(f"can only sample supported sectors, not {tag!r}")
@@ -339,7 +344,7 @@ def random_admissible(
         out[found] = y
         found += 1
     if found < count:
-        raise RuntimeError(
+        raise NoConvergence(
             f"rejection sampling exhausted {max_tries} tries with {found}/{count} accepted"
         )
     return out

@@ -6,10 +6,13 @@ verifies that these closed forms really are the derivative chain of the
 squared norm (momentum = half gradient, metric = momentum Jacobian, cubic
 form = half metric slope).
 
-One private record, ``_Direction``, holds the stack at one (point, direction):
-it computes the scalar chain once and ``F^2`` when built, and every other piece
-on first access, each behind its own guard. Each public function is a view of
-one record, so :func:`metric_bundle` computes the scalar chain once.
+One package-private record, ``_Direction``, holds the stack at one (point,
+direction): it computes the scalar chain once and ``F^2`` when built, and every
+other piece on first access, each behind its own guard. It is the package's
+one per-direction object: each public function here is a view of one record,
+and the spray, the integrator, the oracle, the conformal map and the CLI build
+one record per (sample, direction) and read it instead of recomputing the
+chain.
 
 Key entry points
 ----------------
@@ -102,7 +105,12 @@ class FrameComponents:
 
 
 class _Direction:
-    """The metric stack at one (sample, direction, sector), each piece computed once."""
+    """The metric stack at one (sample, direction, sector), each piece computed once.
+
+    The package's one per-direction object: a consumer that holds a direction
+    builds one record and reads ``scal``, ``f2``, ``y_cov``, ``g_cov``,
+    ``g_contra`` and the rest from it. Package-private; not exported.
+    """
 
     def __init__(self, sample: BackgroundSample, y: Sequence[float], sector: Sector | None):
         self.sample = sample
@@ -136,6 +144,11 @@ class _Direction:
         sample, scal = self.sample, self.scal
         u = sample.a @ self.y
         return (u - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J)
+
+    def f2_and_momentum(self) -> np.ndarray:
+        """``[F^2, y_cov]`` as one vector, so one finite difference gives both
+        the squared-norm gradient and the momentum Jacobian."""
+        return np.concatenate([[self.f2], self.y_cov])
 
     @cached_property
     def g_cov(self) -> np.ndarray:

@@ -7,6 +7,7 @@ and the base-metric connection term. The oracle route never touches the
 closed forms: it differentiates the squared norm and the momentum with
 respect to position by central differences and raises the index with the
 inverse metric, so the two routes are independent down to the scalar chain.
+Both routes read one ``metric._Direction`` record per (sample, direction).
 
 Key entry points
 ----------------
@@ -29,9 +30,9 @@ import numpy as np
 
 from .background import BackgroundField, BackgroundSample, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
-from .kinematics import Sector, classify, scalars
-from .metric import covariant_momentum, inverse_metric, metric_function
-from .numdiff import FDConfig, fd_gradient, fd_jacobian
+from .kinematics import Sector, classify
+from .metric import _Direction
+from .numdiff import FDConfig, fd_jacobian
 
 __all__ = [
     "SprayData",
@@ -103,8 +104,12 @@ def spray_coefficients(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> SprayData:
     """Closed-form spray coefficients ``G^i`` at a sampled point."""
-    y_arr = np.asarray(y, dtype=float)
-    scal = scalars(sample, y_arr, sector)
+    return _spray(_Direction(sample, y, sector))
+
+
+def _spray(d: _Direction) -> SprayData:
+    """Closed-form spray coefficients read from one direction record."""
+    sample, y_arr, scal = d.sample, d.y, d.scal
     g, eps, q = sample.g, scal.eps, scal.q
     j2 = scal.J * scal.J
 
@@ -131,9 +136,8 @@ def spray_coefficients(
 
     e_vec = np.zeros(sample.dim)
     if np.any(sample.dg != 0.0):
-        g_contra = inverse_metric(sample, y_arr, sector)
-        u = sample.a @ y_arr
-        y_cov = (u - g * q * sample.b_cov) * j2
+        g_contra = d.g_contra
+        y_cov = d.y_cov
         dy_dg_cov = -q * sample.b_cov * j2 + w * y_cov
         yg = float(y_arr @ sample.dg)
         e_vec = yg * (g_contra @ dy_dg_cov) - 0.5 * mbar * f2 * (g_contra @ sample.dg)
@@ -151,31 +155,20 @@ def spray_oracle(
     y: Sequence[float],
     config: FDConfig = ORACLE_FD,
 ) -> np.ndarray:
-    """Finite-difference spray: position-differentiate momentum and squared
-    norm at fixed direction, then raise the index with the inverse metric.
-    Each probe position is sampled once and shared by both differences."""
+    """Finite-difference spray: position-differentiate squared norm and
+    momentum at fixed direction, then raise the index with the inverse metric.
+    One difference runs over the stacked vector ``[F^2, y_cov]``, so each probe
+    position is sampled once and read through one direction record."""
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    probes: dict[bytes, BackgroundSample] = {}
 
-    def sample_at(position: np.ndarray) -> BackgroundSample:
-        key = position.tobytes()
-        if key not in probes:
-            probes[key] = sample_background(field, position)
-        return probes[key]
+    def stacked_at(position: np.ndarray) -> np.ndarray:
+        return _Direction(sample_background(field, position), y_arr, None).f2_and_momentum()
 
-    def momentum_at(position: np.ndarray) -> np.ndarray:
-        return covariant_momentum(sample_at(position), y_arr)
-
-    def f2_at(position: np.ndarray) -> float:
-        return metric_function(sample_at(position), y_arr)
-
-    jac = fd_jacobian(momentum_at, x_arr, config)  # jac[k, m] = d y_k / d x^m
-    grad = fd_gradient(f2_at, x_arr, config)
+    stacked = fd_jacobian(stacked_at, x_arr, config)  # stacked[1 + k, m] = d y_k / d x^m
+    grad, jac = stacked[0], stacked[1:]
     g_cov_low = jac @ y_arr - 0.5 * grad
-
-    here = sample_at(x_arr)
-    return inverse_metric(here, y_arr) @ g_cov_low
+    return _Direction(sample_background(field, x_arr), y_arr, None).g_contra @ g_cov_low
 
 
 # --- integration -------------------------------------------------------------
@@ -201,15 +194,29 @@ def _rhs(
     field: BackgroundField,
     state: np.ndarray,
     dim: int,
-    here: BackgroundSample | None = None,
+    d: _Direction | None = None,
 ) -> np.ndarray:
-    """Spray right-hand side; ``here`` is the sample at ``state[:dim]`` when
-    the caller already holds it."""
+    """Spray right-hand side; ``d`` is the record of ``state`` when the
+    caller already holds it."""
     velocity = state[dim:]
-    if here is None:
+    if d is None:
+        d = _Direction(sample_background(field, state[:dim]), velocity, None)
+    return np.concatenate([velocity, -_spray(d).G])
+
+
+def _accept_node(
+    field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float
+) -> tuple[_Direction | None, str | None]:
+    """Sample and classify the node ``state`` reached at ``s_next``; return its
+    record, or ``None`` and the reason the run stops short of it."""
+    try:
         here = sample_background(field, state[:dim])
-    spray = spray_coefficients(here, velocity)
-    return np.concatenate([velocity, -spray.G])
+        sector = classify(here, state[dim:])
+        if sector.tag != start_tag:
+            return None, f"sector exit at s = {s_next:.9g}: velocity became {sector.tag}"
+        return _Direction(here, state[dim:], sector), None
+    except GeometryError as exc:
+        return None, f"geometry degenerated at s = {s_next:.9g}: {exc}"
 
 
 def geodesic_integrate(
@@ -229,8 +236,9 @@ def geodesic_integrate(
     (adaptive embedded pair controlled by ``tol``). After every accepted
     substep the velocity is re-classified; leaving the initial sector (or
     entering a degenerate configuration) truncates the trajectory at the last
-    good node and records the reason. In the rk4 loop the sample taken to
-    classify a node is reused as the next step's first stage.
+    good node and records the reason. Each accepted node gets one direction
+    record, which gives its squared norm and, in the rk4 loop, the next
+    step's first stage.
 
     Raises
     ------
@@ -248,8 +256,10 @@ def geodesic_integrate(
     dim = x_arr.size
 
     start = sample_background(field, x_arr)
-    start_tag = classify(start, y_arr).tag
-    f2_start = metric_function(start, y_arr)
+    sector = classify(start, y_arr)
+    start_tag = sector.tag
+    node = _Direction(start, y_arr, sector)  # the record at the current node
+    f2_start = node.f2
 
     rows: list[np.ndarray] = [
         np.concatenate([[0.0], x_arr, y_arr, [f2_start]])
@@ -263,32 +273,26 @@ def geodesic_integrate(
         n_steps = max(1, math.ceil(length / h - 1e-12))
         h = length / n_steps
         step_used = h
-        here = start  # sample at the current node, reused as the next k1 stage
         for _ in range(n_steps):
             try:
-                k1 = _rhs(field, state, dim, here)
+                k1 = _rhs(field, state, dim, node)
                 k2 = _rhs(field, state + 0.5 * h * k1, dim)
                 k3 = _rhs(field, state + 0.5 * h * k2, dim)
                 k4 = _rhs(field, state + h * k3, dim)
                 candidate = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                here = sample_background(field, candidate[:dim])
-                tag = classify(here, candidate[dim:]).tag
-                if tag != start_tag:
-                    exit_reason = (
-                        f"sector exit at s = {s_now + h:.9g}: velocity became {tag}"
-                    )
-                    break
-                f2_here = metric_function(here, candidate[dim:])
             except GeometryError as exc:
                 exit_reason = f"geometry degenerated at s = {s_now + h:.9g}: {exc}"
                 break
+            node, exit_reason = _accept_node(field, candidate, dim, start_tag, s_now + h)
+            if node is None:
+                break
             state = candidate
             s_now += h
-            rows.append(np.concatenate([[s_now], state, [f2_here]]))
+            rows.append(np.concatenate([[s_now], state, [node.f2]]))
     else:
         h = float(step) if step is not None else length / 100.0
         step_used = h
-        k_cache = _rhs(field, state, dim)
+        k_cache = _rhs(field, state, dim, node)
         accepted = 0
         while s_now < length - 1e-14 * length:
             if accepted >= max_steps:
@@ -314,22 +318,13 @@ def geodesic_integrate(
             if err > 1.0:
                 h *= max(0.2, 0.9 * err ** (-0.2))
                 continue
-            try:
-                here = sample_background(field, order5[:dim])
-                tag = classify(here, order5[dim:]).tag
-                if tag != start_tag:
-                    exit_reason = (
-                        f"sector exit at s = {s_now + h:.9g}: velocity became {tag}"
-                    )
-                    break
-                f2_here = metric_function(here, order5[dim:])
-            except GeometryError as exc:
-                exit_reason = f"geometry degenerated at s = {s_now + h:.9g}: {exc}"
+            node, exit_reason = _accept_node(field, order5, dim, start_tag, s_now + h)
+            if node is None:
                 break
             state = order5
             s_now += h
             accepted += 1
-            rows.append(np.concatenate([[s_now], state, [f2_here]]))
+            rows.append(np.concatenate([[s_now], state, [node.f2]]))
             k_cache = stages[6]  # first-same-as-last
             if err > 0.0:
                 h *= min(5.0, 0.9 * err ** (-0.2))

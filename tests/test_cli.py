@@ -306,6 +306,20 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert "line 2: syntax error at column 9" in result.stderr
 
+    def test_sampler_exhaustion_exits_three(self, tmp_path):
+        # a valid Lorentzian base whose time-future cone is too thin to hit
+        thin = tmp_path / "thin_cone.cfg"
+        thin.write_text(
+            "dim = 4\na.0.0 = 0.0001\na.1.1 = -1\na.2.2 = -1\na.3.3 = -1\n"
+            "b.3 = 1\ng = 0.6\n"
+        )
+        result = run_cli("check", "--config", str(thin), "--samples", "1", "--seed", "0")
+        assert result.returncode == 3
+        assert result.stderr.startswith(
+            "geometry error: rejection sampling exhausted 100000 tries with 0/1 accepted\n"
+        )
+        assert "Traceback" not in result.stderr
+
 
 class TestAngleCommand:
     def test_reference_pair_records(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsleroid.background import load_config, sample
-from finsleroid.errors import DegenerateQ, UnsupportedSector
+from finsleroid.errors import DegenerateQ, GeometryError, NoConvergence, UnsupportedSector
 from finsleroid.kinematics import NU_MIN_REL, aux_vectors, classify, random_admissible, scalars
 
 from _reference import REF
@@ -253,6 +253,15 @@ class TestRandomAdmissible:
         assert np.array_equal(kept, plain[keep])
         for y in kept:
             assert scalars(c09, y).nu > 0.0
+
+    def test_exhaustion_raises_no_convergence(self, desk):
+        # no unit direction clears a margin of 2, so every try is rejected
+        message = "^rejection sampling exhausted 50 tries with 0/1 accepted$"
+        with pytest.raises(NoConvergence, match=message) as caught:
+            random_admissible(
+                desk, np.random.default_rng(0), "time-future", 1, margin=2.0, max_tries=50
+            )
+        assert isinstance(caught.value, GeometryError)
 
 
 SHIPPED = ["desk", "desk_shifted_b", "desk_variable_g", "desk_curved_a", "desk_c09"]

@@ -1,0 +1,89 @@
+"""One scalar chain per (sample, direction) across the package.
+
+Every module binding of ``kinematics.scalars`` is replaced by one counter, so
+a consumer that rebuilt the chain for a direction it already holds would
+show up as an extra call.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+from finsleroid import cli, kinematics
+from finsleroid.anglegeo import angle_closed_form
+from finsleroid.background import load_config, sample
+from finsleroid.conformal import pushforward_metric_check
+from finsleroid.spray import geodesic_integrate, spray_coefficients, spray_oracle
+
+from conftest import config_path
+
+X_PROBE = np.array([0.1, 0.2, 0.3, 0.4])
+Y_TIME = np.array([1.0, 0.1, -0.05, 0.12])
+Y_TIME_2 = np.array([1.0, -0.2, 0.1, 0.3])
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """Scalar-chain calls made through any module of the package."""
+    calls: list[int] = []
+    original = kinematics.scalars
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finsleroid":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def variable_g():
+    return load_config(config_path("desk_variable_g"))
+
+
+def test_spray_coefficients_reads_one_chain(variable_g, chains):
+    spray = spray_coefficients(sample(variable_g, X_PROBE), Y_TIME)
+    assert np.any(spray.E != 0.0)  # the charge-gradient part, which needs g^ij, ran
+    assert len(chains) == 1
+
+
+def test_spray_oracle_one_chain_per_probe(variable_g, chains):
+    spray_oracle(variable_g, X_PROBE, Y_TIME)
+    # Richardson central differences: 4 probes per coordinate, plus the point
+    assert len(chains) == 4 * 4 + 1
+
+
+def test_pushforward_metric_check_reads_one_chain(desk, chains):
+    pushforward_metric_check(desk, Y_TIME)
+    assert len(chains) == 1
+
+
+def test_angle_closed_form_reads_two_chains(desk, chains):
+    angle_closed_form(desk, Y_TIME, Y_TIME_2)
+    assert len(chains) == 2
+
+
+@pytest.mark.parametrize("config_name", ["desk", "desk_variable_g"])
+def test_rk4_one_chain_per_sample(config_name, chains):
+    field = load_config(config_path(config_name))
+    n = 8
+    traj = geodesic_integrate(field, X_PROBE, Y_TIME, 0.1, method="rk4", step=0.1 / n)
+    assert traj.exit_reason is None and traj.samples.shape[0] == n + 1
+    # the start node, then three stages and the new node per step
+    assert len(chains) == 4 * n + 1
+
+
+def test_eval_reads_one_chain(chains, capsys):
+    code = cli.main(
+        ["eval", "--config", config_path("desk"), "--vector", *map(str, Y_TIME)]
+    )
+    assert code == 0
+    assert "indicatrix_curvature = " in capsys.readouterr().out
+    assert len(chains) == 1
