@@ -243,8 +243,7 @@ def _uar_point(sample: BackgroundSample, y_arr: np.ndarray, scal: KinematicScala
     z0 = math.sqrt(abs(f2))
     r = sample.frame @ y_arr
     rho = math.hypot(r[1], r[2])
-    scale = float(np.linalg.norm(y_arr))
-    if scal.q <= Q_MIN_REL * scale:
+    if scal.q <= Q_MIN_REL * scal.scale:
         eta, phi = 0.0, 0.0
     else:
         phi = math.atan2(r[2], r[1])

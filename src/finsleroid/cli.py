@@ -311,11 +311,11 @@ def _check_shard(
     seed_seq: np.random.SeedSequence,
     shard_index: int,
     count: int,
-) -> tuple[dict[str, float], dict[str, int], dict[str, str]]:
+    report: RunReport,
+) -> None:
+    """Run one shard's draws, recording every residual into ``report``."""
     rng = np.random.default_rng(seed_seq)
-    worst: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    worst_at: dict[str, str] = {}
+    worst, counts, worst_at = report.worst, report.counts, report.worst_at
     previous: dict[str, np.ndarray] = {}
 
     for draw in range(count):
@@ -401,34 +401,23 @@ def _check_shard(
                 back = zeta_inverse(here, image.zeta)
                 record("conformal_roundtrip", _relmax(back - y, y))
 
-    return worst, counts, worst_at
-
 
 def run_check(field_: BackgroundField, config_path: str, samples: int, seed: int) -> RunReport:
     """Execute the check battery and assemble its deterministic report."""
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     shards = min(CHECK_SHARDS, samples)
-    base = np.random.SeedSequence(seed)
-    children = base.spawn(shards)
+    children = np.random.SeedSequence(seed).spawn(shards)
     per_shard = [samples // shards] * shards
     for k in range(samples % shards):
         per_shard[k] += 1
 
-    results = [
-        _check_shard(field_, children[k], k, per_shard[k])
-        for k in range(shards)
-        if per_shard[k] > 0
-    ]
-
+    # shard-then-draw order with a strict ">" keeps each identity's first maximum
     report = RunReport(command="check", config=config_path, seed=seed)
-    for shard_worst, shard_counts, shard_at in results:
-        for name, value in shard_worst.items():
-            if value > report.worst.get(name, -1.0):
-                report.worst[name] = value
-                report.worst_at[name] = shard_at[name]
-        for name, value in shard_counts.items():
-            report.counts[name] = report.counts.get(name, 0) + value
+    for k in range(shards):
+        _check_shard(field_, children[k], k, per_shard[k], report)
     return report
 
 
@@ -526,6 +515,8 @@ def cmd_hamiltonian(args) -> int:
     if args.action is not None:
         if args.mass is None:
             raise ConfigError("--action requires --mass")
+        if not math.isfinite(args.mass):
+            raise ConfigError(f"--mass must be finite, got {args.mass!r}")
         expression = FieldExpression.parse(args.action)
         if expression.max_var_index >= field_.dim:
             raise ConfigError(

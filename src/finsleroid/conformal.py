@@ -101,7 +101,7 @@ def zeta_jacobian(
 def _zeta_jacobian(d: _Direction) -> np.ndarray:
     """Fibre derivative of the map read from one direction record."""
     sample, scal = d.sample, d.scal
-    if scal.q <= Q_MIN_REL * d.scale:
+    if scal.q <= Q_MIN_REL * scal.scale:
         raise DegenerateQ("conformal map derivative undefined on the preferred axis")
     aux = d.aux
     h = scal.h

@@ -1,10 +1,10 @@
 """Momentum-space dual: covector chain, Hamiltonian, and the action residual.
 
-The covector chain mirrors the direction chain with the anisotropy charge
-flipped in sign: the dual support scalar and dual radius fed through the
-primal closed forms at charge ``-g`` reproduce the squared co-norm exactly at
-unit preferred-direction norm. Below unit norm the duality is no longer
-closed-form; a damped Newton iteration inverts the momentum map instead.
+The covector chain is the direction chain at the flipped charge ``-g``: a
+covector is measured with ``a_inv`` and ``b_contra``, and its ``(b, gamma)`` go
+through ``kinematics._chain`` at ``-g``, which reproduces the squared co-norm
+exactly at unit preferred-direction norm. Below unit norm the duality is no
+longer closed-form; a damped Newton iteration inverts the momentum map instead.
 
 Key entry points
 ----------------
@@ -31,7 +31,7 @@ import numpy as np
 from .background import BackgroundField, BackgroundSample, sample as sample_background
 from .errors import CNotUnit, NoConvergence, UnsupportedCovector
 from .expressions import FieldExpression
-from .kinematics import GAMMA_TOL_REL, MARGIN_TOL_REL
+from .kinematics import GAMMA_TOL_REL, MARGIN_TOL_REL, _chain, _margins, _measure
 
 __all__ = [
     "CovectorStack",
@@ -70,21 +70,14 @@ def covector_stack(sample: BackgroundSample, y_cov: Sequence[float]) -> Covector
         orientation, the gap region, and the positive-support null ray).
     """
     p = np.asarray(y_cov, dtype=float)
-    scale = float(np.linalg.norm(p))
+    scale, b_hat, gamma_hat = _measure(sample.a_inv, sample.b_contra, p)
     tol_gamma = GAMMA_TOL_REL * scale * scale
     tol_margin = MARGIN_TOL_REL * scale
-    g = sample.g
-
-    b_hat = float(p @ sample.b_contra)
-    gamma_hat = float(p @ sample.a_inv @ p) + b_hat * b_hat
-    q_hat = math.sqrt(abs(gamma_hat))
 
     if gamma_hat > tol_gamma:
-        h = sample.h_time
-        g_plus = -0.5 * g + h
-        g_minus = -0.5 * g - h
-        margin_low = b_hat + g_plus * q_hat
-        margin_high = -g_minus * q_hat - b_hat
+        margin_low, margin_high = _margins(
+            b_hat, math.sqrt(gamma_hat), -sample.g, sample.h_time
+        )
         if abs(margin_low) <= tol_margin or abs(margin_high) <= tol_margin:
             raise UnsupportedCovector("covector lies on the dual cone (isotropic)")
         if margin_low < 0.0 or margin_high < 0.0:
@@ -92,20 +85,14 @@ def covector_stack(sample: BackgroundSample, y_cov: Sequence[float]) -> Covector
         time_component = float(p @ sample.time_leg)
         if time_component <= 0.0:
             raise UnsupportedCovector("covector lies in the past dual cone")
-        eps = 1
-        f_hat = 0.5 * math.log(margin_low / margin_high)
+        eps, h = 1, sample.h_time
     elif gamma_hat < -tol_gamma or b_hat < -tol_margin:
-        eps = -1
-        h = sample.h_space
-        a_hat = b_hat - 0.5 * g * q_hat
-        f_hat = math.atan2(h * q_hat, a_hat) - math.pi
+        eps, h = -1, sample.h_space
     else:
         detail = "positive-support null ray" if b_hat > tol_margin else "isotropic"
         raise UnsupportedCovector(f"covector is {detail}")
 
-    big_b_hat = gamma_hat + g * b_hat * q_hat - b_hat * b_hat
-    big_g = g / h
-    j_hat = math.exp(0.5 * big_g * f_hat)
+    q_hat, big_b_hat, _, f_hat, j_hat = _chain(b_hat, gamma_hat, -sample.g, h, eps)
     return CovectorStack(
         y_cov=p,
         b_hat=b_hat,
@@ -138,10 +125,7 @@ def _primal_chain(b: float, q: float, g: float, eps: int, h: float) -> tuple[flo
     """Return ``(B, J^2)`` of the primal chain in the ``(b, q)`` half-plane."""
     big_b = eps * q * q - g * b * q - b * b
     if eps > 0:
-        g_plus = -0.5 * g + h
-        g_minus = -0.5 * g - h
-        low = b - g_minus * q
-        high = g_plus * q - b
+        low, high = _margins(b, q, g, h)
         if low <= 0.0 or high <= 0.0:
             raise ValueError("left the time cone")
         f = 0.5 * math.log(low / high)

@@ -6,6 +6,11 @@ support scalar ``b = b_i y^i``, the augmented quadratic form
 and the derived chain (half-charge roots, cone margins, angular variable,
 anisotropy weight) that every closed-form tensor in the package is built from.
 
+Three private pieces are written once: ``_measure`` (a vector's ``|y|``,
+``b`` and ``gamma``, measured once per chain), ``_margins`` (the time-cone
+margins) and ``_chain`` (the sector chain at a charge). Directions read them at
+``g``, and the covector chain of :mod:`finsleroid.dual` at ``-g``.
+
 Supported directions fall into two open cones:
 
 * ``time-future`` — inside the future metric cone (``gamma > 0``, both cone
@@ -100,7 +105,8 @@ class KinematicScalars:
     radius, ``eps`` sector sign, ``h`` half-charge root, ``g_plus``/``g_minus``
     cone-slope roots, ``B`` cone quadratic, ``L``/``A`` shifted radii, ``f``
     angular variable, ``J`` anisotropy weight, ``chi`` normalised angular
-    variable, ``nu`` dual radius, ``X`` trace weight.
+    variable, ``nu`` dual radius, ``X`` trace weight, ``scale`` the Euclidean
+    length ``|y|`` that the relative guards scale with.
     """
 
     b: float
@@ -118,6 +124,7 @@ class KinematicScalars:
     chi: float
     nu: float
     X: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -131,18 +138,50 @@ class AuxVectors:
     e: np.ndarray
 
 
+# --- the three pieces every chain reads ---------------------------------------
+
+
+def _measure(a: np.ndarray, b_vec: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    """``(|v|, b, v.a.v + b^2)`` with ``b = b_vec . v``; covectors pass ``(a_inv, b_contra)``."""
+    b = float(b_vec @ v)
+    return float(np.linalg.norm(v)), b, float(v @ a @ v) + b * b
+
+
+def _margins(b: float, q: float, g: float, h: float) -> tuple[float, float]:
+    """Time-cone margins ``(b - g_minus q, g_plus q - b)``, positive inside the cone."""
+    return b - (-0.5 * g - h) * q, (-0.5 * g + h) * q - b
+
+
+def _chain(
+    b: float, gamma: float, g: float, h: float, eps: int
+) -> tuple[float, float, float, float, float]:
+    """``(q, B, A, f, J)`` of the sector-``eps`` chain at charge ``g``."""
+    q = math.sqrt(abs(gamma))
+    big_b = gamma - g * b * q - b * b
+    big_a = b + 0.5 * g * q
+    if eps > 0:
+        low, high = _margins(b, q, g, h)
+        f = 0.5 * math.log(low / high)
+    else:
+        f = math.atan2(h * q, big_a) - math.pi
+    return q, big_b, big_a, f, math.exp(-0.5 * (g / h) * f)
+
+
 # --- classification ----------------------------------------------------------
 
 
 def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
     """Classify direction ``y`` at the sampled point with relative tolerances."""
     y_arr = np.asarray(y, dtype=float)
-    scale = float(np.linalg.norm(y_arr))
+    return _sector(sample, y_arr, *_measure(sample.a, sample.b_cov, y_arr))
+
+
+def _sector(
+    sample: BackgroundSample, y_arr: np.ndarray, scale: float, b: float, gamma: float
+) -> Sector:
+    """The classification decision on a measured direction."""
     tol_gamma = GAMMA_TOL_REL * scale * scale
     tol_margin = MARGIN_TOL_REL * scale
-
-    b = float(sample.b_cov @ y_arr)
-    gamma = float(y_arr @ sample.a @ y_arr) + b * b
 
     if b > tol_margin:
         side = "right"
@@ -152,12 +191,7 @@ def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
         side = "boundary"
 
     if gamma > tol_gamma:
-        q = math.sqrt(gamma)
-        h = sample.h_time
-        g_minus = -0.5 * sample.g - h
-        g_plus = -0.5 * sample.g + h
-        margin_low = b - g_minus * q
-        margin_high = g_plus * q - b
+        margin_low, margin_high = _margins(b, math.sqrt(gamma), sample.g, sample.h_time)
         if abs(margin_low) <= tol_margin or abs(margin_high) <= tol_margin:
             return Sector("isotropic", side)
         if margin_low > 0.0 and margin_high > 0.0:
@@ -197,33 +231,19 @@ def scalars(
         divides by ``q`` and ``nu``.
     """
     y_arr = np.asarray(y, dtype=float)
+    scale, b, gamma = _measure(sample.a, sample.b_cov, y_arr)
     if sector is None:
-        sector = classify(sample, y_arr)
+        sector = _sector(sample, y_arr, scale, b, gamma)
     if not sector.supported:
         raise UnsupportedSector(
             f"direction {tuple(y_arr)} is {sector.tag} (side {sector.side})"
         )
     eps = sector.eps
 
-    scale = float(np.linalg.norm(y_arr))
-    b = float(sample.b_cov @ y_arr)
-    gamma = float(y_arr @ sample.a @ y_arr) + b * b
-    q = math.sqrt(abs(gamma))
     g = sample.g
     h = sample.h_time if eps > 0 else sample.h_space
-    g_plus = -0.5 * g + h
-    g_minus = -0.5 * g - h
-    big_b = gamma - g * b * q - b * b
-    big_a = b + 0.5 * g * q
+    q, big_b, big_a, f, j = _chain(b, gamma, g, h, eps)
     big_l = q - eps * 0.5 * g * b
-
-    if eps > 0:
-        f = 0.5 * math.log((b - g_minus * q) / (g_plus * q - b))
-    else:
-        f = math.atan2(h * q, big_a) - math.pi
-
-    big_g = g / h
-    j = math.exp(-0.5 * big_g * f)
     chi = f / h
 
     one_minus_c2 = 1.0 - sample.c * sample.c
@@ -243,8 +263,8 @@ def scalars(
         q=q,
         eps=eps,
         h=h,
-        g_plus=g_plus,
-        g_minus=g_minus,
+        g_plus=-0.5 * g + h,
+        g_minus=-0.5 * g - h,
         B=big_b,
         L=big_l,
         A=big_a,
@@ -253,6 +273,7 @@ def scalars(
         chi=chi,
         nu=nu,
         X=x_weight,
+        scale=scale,
     )
 
 
@@ -270,11 +291,10 @@ def aux_vectors(
         ``q^2``.
     """
     y_arr = np.asarray(y, dtype=float)
-    scale = float(np.linalg.norm(y_arr))
     u = sample.a @ y_arr
     v_contra = y_arr + scal.b * sample.b_contra
     v_cov = u + scal.b * sample.b_cov
-    if scal.q <= Q_MIN_REL * scale:
+    if scal.q <= Q_MIN_REL * scal.scale:
         raise DegenerateQ("angular gradient direction is undefined on the axis ray")
     e = -sample.b_cov + scal.eps * (scal.b / (scal.q * scal.q)) * v_cov
     return AuxVectors(u=u, v_cov=v_cov, v_contra=v_contra, e=e)
@@ -318,27 +338,18 @@ def random_admissible(
         if norm < 1e-12:
             continue
         y /= norm
-        sector = classify(sample, y)
-        if sector.tag != tag:
+        if classify(sample, y).tag != tag:
             continue
+        _, b, gamma = _measure(sample.a, sample.b_cov, y)
+        q = math.sqrt(abs(gamma))
         if margin > 0.0:
-            b = float(sample.b_cov @ y)
-            gamma = float(y @ sample.a @ y) + b * b
             if tag == "time-future":
-                q = math.sqrt(max(gamma, 0.0))
-                h = sample.h_time
-                if gamma <= margin * margin:
+                low, high = _margins(b, q, sample.g, sample.h_time)
+                if gamma <= margin * margin or low <= margin or high <= margin:
                     continue
-                if b - (-0.5 * sample.g - h) * q <= margin:
-                    continue
-                if (-0.5 * sample.g + h) * q - b <= margin:
-                    continue
-            else:
-                if gamma >= -margin * margin:
-                    continue
+            elif gamma >= -margin * margin:
+                continue
         if tag == "space-like" and abs(one_minus_c2) > 1e-15:
-            b = float(sample.b_cov @ y)
-            q = math.sqrt(abs(float(y @ sample.a @ y) + b * b))
             if q + one_minus_c2 * sample.g * b <= NU_MIN_REL:
                 continue  # the dual radius nu vanishes: no trace weight here
         out[found] = y

@@ -118,17 +118,12 @@ class _Direction:
         self.scal = scal = scalars(sample, self.y, sector)
         self.f2 = scal.B * scal.J * scal.J
 
-    @cached_property
-    def scale(self) -> float:
-        """Length of ``y``: the scale of the guards' relative thresholds."""
-        return float(np.linalg.norm(self.y))
-
     def require_q(self, what: str) -> None:
-        if self.scal.q <= Q_MIN_REL * self.scale:
+        if self.scal.q <= Q_MIN_REL * self.scal.scale:
             raise DegenerateQ(f"{what} divides by the transverse radius, zero on the axis ray")
 
     def require_nu(self, what: str) -> None:
-        if self.scal.nu <= NU_MIN_REL * self.scale:
+        if self.scal.nu <= NU_MIN_REL * self.scal.scale:
             raise DegenerateNu(f"{what} divides by the dual radius nu = {self.scal.nu!r}")
 
     @property

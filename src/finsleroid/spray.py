@@ -238,13 +238,16 @@ def geodesic_integrate(
     entering a degenerate configuration) truncates the trajectory at the last
     good node and records the reason. Each accepted node gets one direction
     record, which gives its squared norm and, in the rk4 loop, the next
-    step's first stage.
+    step's first stage. ``max_steps`` bounds the rk4 step count and the rk45
+    accepted steps.
 
     Raises
     ------
     ValueError
         Unknown ``method``, or a ``length`` or ``step`` that is not positive
         and finite.
+    NoConvergence
+        If the run needs more than ``max_steps`` steps.
     """
     if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown integration method {method!r}")
@@ -270,7 +273,12 @@ def geodesic_integrate(
 
     if method == "rk4":
         h = float(step) if step is not None else length / 4096.0
-        n_steps = max(1, math.ceil(length / h - 1e-12))
+        steps_needed = length / h - 1e-12  # compared unrounded, so an infinite count raises too
+        if steps_needed > max_steps:
+            raise NoConvergence(
+                f"fixed-step integrator needs more than {max_steps} steps of {h!r}"
+            )
+        n_steps = max(1, math.ceil(steps_needed))
         h = length / n_steps
         step_used = h
         for _ in range(n_steps):

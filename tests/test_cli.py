@@ -399,6 +399,13 @@ class TestHamiltonianCommand:
         assert result.returncode == 3
         assert "positive-support null ray" in result.stderr
 
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_mass_exits_two(self, mass):
+        result = run_cli("hamiltonian", "--config", DESK, "--action", "x0", "--mass", mass)
+        assert result.returncode == 2
+        assert "configuration error: --mass must be finite" in result.stderr
+        assert result.stdout == ""
+
 
 class TestConformalCommand:
     def test_time_unit_image_records(self):
@@ -506,3 +513,17 @@ class TestInputContracts:
         assert result.returncode == 2
         assert "configuration error: --samples" in result.stderr
         assert "status" not in result.stdout
+
+    def test_check_rejects_negative_seed(self):
+        result = run_cli("check", "--config", DESK, "--samples", "1", "--seed", "-1")
+        assert result.returncode == 2
+        assert "configuration error: --seed must be non-negative" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_geodesic_step_budget_exits_three(self):
+        # 10**6 steps exceed the 200000-step budget, so the run stops at once
+        result = run_cli(*self.GEO, "--length", "1", "--step", "1e-6")
+        assert result.returncode == 3
+        assert "geometry error: fixed-step integrator needs more than 200000 steps" in result.stderr
+        assert result.stdout == ""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsleroid.background import load_config, sample
+from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.dual import covector_stack, hamiltonian, hamiltonian_numeric, hj_residual
 from finsleroid.errors import CNotUnit, NoConvergence, UnsupportedCovector
 from finsleroid.expressions import FieldExpression
@@ -138,6 +138,25 @@ class TestActionResidual:
         here = sample(c09_field, x)
         direct = hamiltonian_numeric(here, [1.1, 0.0, 0.0, 0.0])
         assert abs(hj_residual(c09_field, expr, 1.0, x) - (direct - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("tag", ["time-future", "space-like"])
+def test_covector_chain_is_primal_chain_at_flipped_charge(desk, tag):
+    """The dual chain of ``p`` is the direction chain of ``p`` on the background
+    with ``a`` and ``b`` raised and the charge negated, bit for bit."""
+    flipped = sample(BackgroundField.constant(desk.a_inv, desk.b_contra, -desk.g), np.zeros(4))
+    rng = np.random.default_rng(17)
+    for y in random_admissible(desk, rng, tag, 40):
+        p = covariant_momentum(desk, y)
+        stack, k = covector_stack(desk, p), scalars(flipped, p)
+        assert stack.eps == k.eps == (1 if tag == "time-future" else -1)
+        assert (stack.b_hat, stack.q_hat, stack.B_hat, stack.f_hat, stack.J_hat) == (
+            k.b,
+            k.q,
+            k.B,
+            k.f,
+            k.J,
+        )
 
 
 @pytest.fixture(scope="module")

@@ -283,6 +283,45 @@ def test_orientation_matches_adapted_frame(config_name):
             assert tag != "time-future" or future
 
 
+def _null_shell(here, rng, count):
+    """Directions on the augmented null shell ``gamma = 0``, both support sides."""
+    m = here.a + np.outer(here.b_cov, here.b_cov)
+    u = here.time_leg
+    out = []
+    while len(out) < 2 * count:
+        v = rng.standard_normal(4)
+        mvv, muv, muu = v @ m @ v, u @ m @ v, u @ m @ u
+        if mvv >= 0.0:
+            continue
+        for s in np.roots([mvv, 2.0 * muv, muu]):
+            out.append(u + s * v)
+    return out + [-y for y in out]
+
+
+def _chain_or_error(here, y, sector=None):
+    try:
+        return scalars(here, y, sector)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("config_name", SHIPPED)
+def test_default_sector_chain_equals_classified_chain(config_name):
+    """``scalars`` classifies its own measurement exactly as ``classify`` does:
+    every field, or the exception and its message, is the same."""
+    field = load_config(config_path(config_name))
+    rng = np.random.default_rng(41)
+    for x in (np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4])):
+        here = sample(field, x)
+        axis = [here.b_contra, -here.b_contra, np.eye(4)[0], np.eye(4)[3], -np.eye(4)[3]]
+        shell = _null_shell(here, rng, 10)
+        shell_sectors = {(classify(here, y).tag, classify(here, y).side) for y in shell}
+        assert ("space-like", "left") in shell_sectors
+        assert ("unsupported", "right") in shell_sectors
+        for y in [*axis, *shell, *rng.standard_normal((200, 4))]:
+            assert _chain_or_error(here, y) == _chain_or_error(here, y, classify(here, y))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     components=st.tuples(

@@ -1,8 +1,8 @@
 """One scalar chain per (sample, direction) across the package.
 
-Every module binding of ``kinematics.scalars`` is replaced by one counter, so
-a consumer that rebuilt the chain for a direction it already holds would
-show up as an extra call.
+Every module binding of ``kinematics.scalars`` (or ``kinematics.classify``) is
+replaced by one counter, so a consumer that rebuilt the chain, or classified
+a direction again, would show up as an extra call.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ Y_TIME = np.array([1.0, 0.1, -0.05, 0.12])
 Y_TIME_2 = np.array([1.0, -0.2, 0.1, 0.3])
 
 
-@pytest.fixture
-def chains(monkeypatch):
-    """Scalar-chain calls made through any module of the package."""
+def _count_calls(monkeypatch, original) -> list[int]:
+    """Replace every package binding of ``original`` with one counter."""
     calls: list[int] = []
-    original = kinematics.scalars
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -41,6 +39,18 @@ def chains(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """Scalar-chain calls made through any module of the package."""
+    return _count_calls(monkeypatch, kinematics.scalars)
+
+
+@pytest.fixture
+def classifications(monkeypatch):
+    """``classify`` calls made through any module of the package."""
+    return _count_calls(monkeypatch, kinematics.classify)
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +97,19 @@ def test_eval_reads_one_chain(chains, capsys):
     assert code == 0
     assert "indicatrix_curvature = " in capsys.readouterr().out
     assert len(chains) == 1
+
+
+@pytest.mark.parametrize("config_name", ["desk", "desk_variable_g"])
+def test_rk4_classifies_each_node_once(config_name, classifications):
+    field = load_config(config_path(config_name))
+    n = 8
+    traj = geodesic_integrate(field, X_PROBE, Y_TIME, 0.1, method="rk4", step=0.1 / n)
+    assert traj.exit_reason is None and traj.samples.shape[0] == n + 1
+    # the start node and each accepted node; the stages' chains classify
+    # their own measurement
+    assert len(classifications) == n + 1
+
+
+def test_spray_oracle_classifies_nothing(variable_g, classifications):
+    spray_oracle(variable_g, X_PROBE, Y_TIME)
+    assert len(classifications) == 0

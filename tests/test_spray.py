@@ -199,6 +199,13 @@ class TestInterface:
                 field, [0.0, 0.1, 0.0, 0.0], Y_TIME, 5.0, method="rk45", tol=1e-13, max_steps=3
             )
 
+    def test_fixed_step_budget(self, desk_field):
+        # eight steps of 1/8 against a budget of three: refused before any step
+        with pytest.raises(NoConvergence, match="more than 3 steps"):
+            geodesic_integrate(
+                desk_field, np.zeros(4), Y_TIME, 1.0, method="rk4", step=1 / 8, max_steps=3
+            )
+
     @pytest.mark.parametrize(
         "length,step",
         [(0.0, None), (-1.0, None), (np.inf, None), (np.nan, None), (1.0, 0.0), (1.0, -0.1)],
