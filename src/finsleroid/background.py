@@ -25,7 +25,17 @@ Symbolic differentiation of the configured expressions is the normative
 derivative route; the finite-difference layer only cross-checks it. Each
 field caches a flat evaluation layout on first use: constant entries are
 evaluated once, and ``sample`` calls only the closures of entries that vary
-with position. The adapted frame is built by Gram-Schmidt in a fixed
+with position. ``sample`` then runs three stages, each reading its own
+entries: the base-metric stage (``a``, ``da``; the inverse, the inertia
+eigenvalues and the connection), the direction stage (``b_cov``, ``db`` and
+the base stage; ``b_contra``, ``c``, ``nabla_b`` and the time leg) and the
+charge stage (``g``, ``dg``). A stage whose entries are all constant runs
+once per field, at the first ``sample`` it completes in, and its read-only
+arrays are shared by every later sample; no other stage is reused. A stage
+that raises is never stored, so it runs again at the next point and its
+error names that point, and the per-point checks run at every call in a
+fixed order: singular base metric, preferred-direction norm, charge,
+inertia, time leg. The adapted frame is built by Gram-Schmidt in a fixed
 deterministic order (last leg first, then the time leg, then the space legs)
 with each leg's sign pinned so results are reproducible across runs and
 platforms. ``sample`` stores only the time leg, which is all that orientation
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -172,6 +182,28 @@ class BackgroundField:
             slots.append(slot)
             closures.append(expr.compiled)
         return template, np.array(slots, dtype=np.intp), tuple(closures)
+
+    @cached_property
+    def _stage_cache(self) -> dict[str, tuple | None]:
+        """Results of the stages of :func:`sample` that read only constants.
+
+        Built at the first ``sample``. There is one key per stage whose input
+        slots are all constant in ``_layout``: ``"base"`` reads ``a`` and
+        ``da``, ``"direction"`` reads ``b_cov``, ``db`` and the base stage,
+        ``"charge"`` reads ``g`` and ``dg``. Its value is ``None`` until the
+        stage first completes; a stage that raises is never stored. Stages
+        are deterministic, so two threads that race to store one store equal
+        values.
+        """
+        flat = _flat_slices(self.dim)
+        inputs = {"base": ("a", "da"), "direction": ("b_cov", "db"), "charge": ("g", "dg")}
+        varying = set(self._layout[1].tolist())
+        constant = {
+            stage: all(varying.isdisjoint(range(flat[n].start, flat[n].stop)) for n in names)
+            for stage, names in inputs.items()
+        }
+        constant["direction"] = constant["direction"] and constant["base"]
+        return {stage: None for stage, const in constant.items() if const}
 
 
 # --- sampled values ----------------------------------------------------------
@@ -462,6 +494,84 @@ def _build_frame(a: np.ndarray, b_contra: np.ndarray, c: float) -> np.ndarray:
     return legs
 
 
+@cache
+def _flat_slices(dim: int) -> dict[str, slice]:
+    """Where ``a``, ``b_cov``, ``g``, ``da``, ``db`` and ``dg`` sit in the flat
+    order of ``BackgroundField._layout``."""
+    sizes = {"a": dim * dim, "b_cov": dim, "g": 1, "da": dim**3, "db": dim * dim, "dg": dim}
+    slices, start = {}, 0
+    for name, size in sizes.items():
+        slices[name] = slice(start, start + size)
+        start += size
+    return slices
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...]) -> tuple:
+    """``(a, da, a_inv, eigenvalues, christoffel)`` from the base metric.
+
+    Raises the singular-metric error; the inertia check waits for the caller.
+    """
+    flat = _flat_slices(dim)
+    a = values[flat["a"]].reshape(dim, dim).copy()
+    da = values[flat["da"]].reshape(dim, dim, dim).copy()
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"base metric is singular at x = {coords}") from exc
+    a_inv = 0.5 * (a_inv + a_inv.T)
+    try:
+        eigenvalues = np.linalg.eigvalsh(a)  # ascending
+    except np.linalg.LinAlgError:  # non-finite entries: fails the inertia check
+        eigenvalues = np.full(dim, np.nan)
+
+    # connection coefficients of the base metric, upper index first
+    christoffel = 0.5 * np.einsum("kn,jni->kij", a_inv, da)
+    christoffel = christoffel + 0.5 * np.einsum("kn,inj->kij", a_inv, da)
+    christoffel -= 0.5 * np.einsum("kn,nij->kij", a_inv, da)
+    _read_only(a, da, a_inv, eigenvalues, christoffel)
+    return a, da, a_inv, eigenvalues, christoffel
+
+
+def _preferred_direction(
+    values: np.ndarray, dim: int, a_inv: np.ndarray, coords: tuple[float, ...]
+) -> tuple:
+    """``(b_cov, db, b_contra, c)``: the direction stage up to its norm check.
+
+    ``sample`` adds ``nabla_b`` and the time leg after the charge and inertia
+    checks, which come first in the order of the per-point checks.
+    """
+    flat = _flat_slices(dim)
+    b_cov = values[flat["b_cov"]].copy()
+    db = values[flat["db"]].reshape(dim, dim).copy()
+    b_contra = a_inv @ b_cov
+    c_sq = float(-(b_cov @ b_contra))
+    if c_sq <= 1e-15:
+        raise DomainError(
+            f"preferred direction has non-positive norm squared {c_sq!r} at x = {coords}"
+        )
+    if c_sq > 1.0 + 1e-12:
+        raise DomainError(
+            f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}) at x = {coords}"
+        )
+    return b_cov, db, b_contra, min(math.sqrt(c_sq), 1.0)
+
+
+def _charge_stage(values: np.ndarray, dim: int, coords: tuple[float, ...]) -> tuple:
+    """``(g, dg, h_time, h_space)``; raises the charge-range error."""
+    flat = _flat_slices(dim)
+    g = float(values[flat["g"].start])
+    dg = values[flat["dg"]].copy()
+    if not abs(g) < 2.0:
+        raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2) at x = {coords}")
+    _read_only(dg)
+    return g, dg, math.sqrt(1.0 + 0.25 * g * g), math.sqrt(1.0 - 0.25 * g * g)
+
+
 def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
     """Evaluate the background and its derived structure at chart point ``x``.
 
@@ -479,76 +589,56 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
     if not all(math.isfinite(v) for v in coords):
         raise DomainError(f"non-finite chart point x = {coords}")
 
-    template, slots, closures = field._layout
-    values = template.copy()
-    values[slots] = [fn(coords) for fn in closures]
-    n2, n3 = dim * dim, dim**3
-    a = values[:n2].reshape(dim, dim).copy()
-    b_cov = values[n2 : n2 + dim].copy()
-    g = float(values[n2 + dim])
-    offset = n2 + dim + 1
-    da = values[offset : offset + n3].reshape(dim, dim, dim).copy()
-    db = values[offset + n3 : offset + n3 + n2].reshape(dim, dim).copy()
-    dg = values[offset + n3 + n2 :].copy()
+    # a stage found in the cache read only constants and completed once
+    cache = field._stage_cache
+    base, direction, charge = cache.get("base"), cache.get("direction"), cache.get("charge")
+    if base is None or direction is None or charge is None:
+        template, slots, closures = field._layout
+        values = template.copy()
+        values[slots] = [fn(coords) for fn in closures]
+    if base is None:
+        base = _base_stage(values, dim, coords)
+        if "base" in cache:
+            cache["base"] = base
+    a, da, a_inv, eigenvalues, christoffel = base
+    if direction is None:
+        b_cov, db, b_contra, c = _preferred_direction(values, dim, a_inv, coords)
+    else:
+        b_cov, db, b_contra, c, nabla_b, time_leg = direction
+    if charge is None:
+        charge = _charge_stage(values, dim, coords)
+        if "charge" in cache:
+            cache["charge"] = charge
+    g, dg, h_time, h_space = charge
 
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"base metric is singular at x = {coords}") from exc
-    a_inv = 0.5 * (a_inv + a_inv.T)
-
-    b_contra = a_inv @ b_cov
-    c_sq = float(-(b_cov @ b_contra))
-    if c_sq <= 1e-15:
-        raise DomainError(
-            f"preferred direction has non-positive norm squared {c_sq!r} at x = {coords}"
-        )
-    if c_sq > 1.0 + 1e-12:
-        raise DomainError(
-            f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}) at x = {coords}"
-        )
-    c = min(math.sqrt(c_sq), 1.0)
-
-    if not abs(g) < 2.0:
-        raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2) at x = {coords}")
-    h_time = math.sqrt(1.0 + 0.25 * g * g)
-    h_space = math.sqrt(1.0 - 0.25 * g * g)
-
-    eigenvalues = np.linalg.eigvalsh(a)  # ascending
     if not eigenvalues[-2] < 0.0 < eigenvalues[-1]:
         raise DomainError(
             f"base metric is not Lorentzian at x = {coords} (eigenvalues {eigenvalues})"
         )
-    # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
-    time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
+    if direction is None:
+        # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
+        time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
+        nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
+        _read_only(b_cov, db, b_contra, nabla_b, time_leg)
+        if "direction" in cache:
+            cache["direction"] = (b_cov, db, b_contra, c, nabla_b, time_leg)
 
-    # connection coefficients of the base metric, upper index first
-    christoffel = 0.5 * np.einsum("kn,jni->kij", a_inv, da)
-    christoffel = christoffel + 0.5 * np.einsum("kn,inj->kij", a_inv, da)
-    christoffel -= 0.5 * np.einsum("kn,nij->kij", a_inv, da)
-
-    nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
-
-    arrays = dict(
-        x=x_arr.copy(),
+    x_arr = x_arr.copy()
+    _read_only(x_arr)
+    return BackgroundSample(
+        x=x_arr,
         a=a,
         a_inv=a_inv,
         b_cov=b_cov,
         b_contra=b_contra,
+        c=c,
+        g=g,
+        h_time=h_time,
+        h_space=h_space,
         da=da,
         db=db,
         dg=dg,
         christoffel=christoffel,
         nabla_b=nabla_b,
         time_leg=time_leg,
-    )
-    for arr in arrays.values():
-        arr.flags.writeable = False
-
-    return BackgroundSample(
-        c=c,
-        g=g,
-        h_time=h_time,
-        h_space=h_space,
-        **arrays,
     )

@@ -32,6 +32,7 @@ counts are input errors (exit 2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -205,39 +206,42 @@ def cmd_geodesic(args) -> int:
     _positive_arg(args.length, "--length")
     if args.step is not None:
         _positive_arg(args.step, "--step")
-    trajectory = geodesic_integrate(
-        field_,
-        x0,
-        y0,
-        args.length,
-        method=args.method,
-        step=args.step,
-    )
-    dim = field_.dim
-    header = (
-        "s,"
-        + ",".join(f"x{i}" for i in range(dim))
-        + ","
-        + ",".join(f"v{i}" for i in range(dim))
-        + ",F2"
-    )
-    lines = [header]
-    for row in trajectory.samples:
-        lines.append(",".join(_fmt(value) for value in row))
-    if trajectory.exit_reason is not None:
-        lines.append(f"# truncated: {trajectory.exit_reason}")
-    text = "\n".join(lines) + "\n"
+    # open the output first, so that an unwritable path fails before integrating
+    with contextlib.nullcontext() if args.out is None else open(
+        args.out, "w", encoding="utf-8"
+    ) as handle:
+        trajectory = geodesic_integrate(
+            field_,
+            x0,
+            y0,
+            args.length,
+            method=args.method,
+            step=args.step,
+        )
+        dim = field_.dim
+        header = (
+            "s,"
+            + ",".join(f"x{i}" for i in range(dim))
+            + ","
+            + ",".join(f"v{i}" for i in range(dim))
+            + ",F2"
+        )
+        lines = [header]
+        for row in trajectory.samples:
+            lines.append(",".join(_fmt(value) for value in row))
+        if trajectory.exit_reason is not None:
+            lines.append(f"# truncated: {trajectory.exit_reason}")
+        text = "\n".join(lines) + "\n"
 
-    if args.out is None:
-        sys.stdout.write(text)
-        print(f"F2_drift = {_fmt(trajectory.F2_drift)}", file=sys.stderr)
-        print(f"length = {_fmt(trajectory.length)}", file=sys.stderr)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        if handle is None:
+            sys.stdout.write(text)
+            print(f"F2_drift = {_fmt(trajectory.F2_drift)}", file=sys.stderr)
+            print(f"length = {_fmt(trajectory.length)}", file=sys.stderr)
+        else:
             handle.write(text)
-        _emit("F2_drift", trajectory.F2_drift)
-        _emit("length", trajectory.length)
-        _emit("rows", trajectory.samples.shape[0])
+            _emit("F2_drift", trajectory.F2_drift)
+            _emit("length", trajectory.length)
+            _emit("rows", trajectory.samples.shape[0])
     if trajectory.exit_reason is not None:
         print(f"truncated: {trajectory.exit_reason}", file=sys.stderr)
         return 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from finsleroid.errors import (
     ConfigValueError,
     DomainError,
 )
+from finsleroid.expressions import FieldExpression
 
 from conftest import config_path
 
@@ -261,3 +264,81 @@ class TestCheapSampling:
     def test_non_finite_point_raises(self, desk_field, bad):
         with pytest.raises(DomainError, match="non-finite"):
             sample(desk_field, np.array([0.0, bad, 0.0, 0.0]))
+
+
+# points inside the valid region of every shipped configuration
+POINTS = [np.array(p) for p in ([0.1, 0.4, 0.2, 0.3], [0.3, 0.05, -0.2, 0.1], [0.0, 0.6, 0.5, -0.4])]
+SAMPLE_FIELDS = (
+    "x", "a", "a_inv", "b_cov", "b_contra", "c", "g", "h_time", "h_space",
+    "da", "db", "dg", "christoffel", "nabla_b", "time_leg",
+)
+
+
+class TestStagedSampling:
+    """Stages that read only constants run once per field and change no bit."""
+
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_warm_sample_equals_first_sample(self, config_name):
+        warm = load_config(config_path(config_name))
+        sample(warm, np.array([0.2, 0.3, 0.1, 0.0]))
+        for x in POINTS:
+            first = sample(load_config(config_path(config_name)), x)
+            again = sample(warm, x)
+            for name in SAMPLE_FIELDS:
+                expected, got = np.asarray(getattr(first, name)), np.asarray(getattr(again, name))
+                assert got.tobytes() == expected.tobytes(), name
+                if isinstance(getattr(again, name), np.ndarray):
+                    assert not got.flags.writeable, name
+            assert again.frame_inv.tobytes() == first.frame_inv.tobytes()
+
+    @pytest.mark.parametrize(
+        "config_name, per_point",
+        [("desk", False), ("desk_c09", False), ("desk_shifted_b", False),
+         ("desk_variable_g", False), ("desk_curved_a", True)],
+    )
+    def test_base_metric_work_runs_once_per_field(self, config_name, per_point, monkeypatch):
+        field = load_config(config_path(config_name))
+        counts = {"inv": 0, "eigvalsh": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        for x in POINTS:
+            sample(field, x)
+        expected = len(POINTS) if per_point else 1
+        assert counts == {"inv": expected, "eigvalsh": expected}
+
+    def test_varying_charge_fails_at_its_point_after_warm_samples(self):
+        field = parse_config(DESK_TEXT.replace("g = 0.6", "g = x0"))
+        assert set(field._stage_cache) == {"base", "direction"}
+        for x0 in (0.0, 0.5, -1.5):
+            sample(field, np.array([x0, 0.1, 0.2, 0.3]))
+        with pytest.raises(DomainError, match=r"g = 2\.5 outside \(-2, 2\) at x = \(2\.5, 0\.1, 0\.2, 0\.3\)"):
+            sample(field, np.array([2.5, 0.1, 0.2, 0.3]))
+        assert sample(field, np.array([1.0, 0.1, 0.2, 0.3])).g == 1.0
+
+    def test_stage_that_raises_is_not_stored(self):
+        # built directly, so the load-time check of the constant norm is skipped
+        valid = parse_config(DESK_TEXT)
+        too_long = valid.b_cov[:3] + (FieldExpression.constant(2.0),)
+        field = BackgroundField(dim=4, a=valid.a, b_cov=too_long, g=valid.g)
+        for x in POINTS:
+            coords = tuple(float(v) for v in x)
+            with pytest.raises(DomainError, match=rf"norm exceeds 1 .* at x = {re.escape(str(coords))}"):
+                sample(field, x)
+        assert field._stage_cache["direction"] is None
+
+    def test_non_finite_base_metric_is_a_domain_error(self):
+        field = parse_config(
+            "dim = 4\na.0.0 = 1\na.1.1 = -1 - x0*x0\na.2.2 = -1\na.3.3 = -1\nb.3 = 1\ng = 0.6\n"
+        )
+        with pytest.raises(DomainError, match=r"not Lorentzian at x = \(1e\+200, 0\.0, 0\.0, 0\.0\)"):
+            sample(field, np.array([1e200, 0.0, 0.0, 0.0]))

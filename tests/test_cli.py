@@ -219,6 +219,16 @@ class TestGeodesicCommand:
         assert lines[-1].startswith("# truncated: ")
         assert "degenerated" in lines[-1]
 
+    def test_unwritable_out_fails_before_integrating(self, tmp_path, monkeypatch, capsys):
+        from finsleroid import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "geodesic_integrate", lambda *a, **k: calls.append(a))
+        code = cli.main([*self.ARGS, "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert calls == []
+
 
 class TestCheckCommand:
     def test_desk_suite_passes(self):

@@ -3,8 +3,9 @@
 ``data/golden/cases.json`` maps each case name to its argument list and exit
 code, and ``data/golden/<name>.out`` holds its stdout. The cases cover the
 ``check`` battery on all five shipped configurations at two seeds, rk4 and
-rk45 geodesics (truncated runs included), ``eval``, ``conformal`` and
-``angle`` records, and ``hamiltonian`` on the closed and Newton routes, the
+rk45 geodesics on all five (truncated runs included), so that
+``background.sample`` reuses all, some or none of its stages, ``eval``,
+``conformal`` and ``angle`` records, and ``hamiltonian`` on the closed and Newton routes, the
 dual gap and the action residual. A refactor must leave every byte as it is; a case is
 rewritten only for an intended change of output, and the change log says so.
 """
