@@ -22,25 +22,27 @@ sample
 Design choices
 --------------
 Symbolic differentiation of the configured expressions is the normative
-derivative route; the finite-difference layer only cross-checks it. Each
-field caches a flat evaluation layout on first use: constant entries are
+derivative route; the finite-difference layer only cross-checks it. A field
+builds a flat evaluation layout when it is constructed: constant entries are
 evaluated once, and ``sample`` calls only the closures of entries that vary
-with position. ``sample`` then runs three stages, each reading its own
-entries: the base-metric stage (``a``, ``da``; the inverse, the inertia
-eigenvalues and the connection), the direction stage (``b_cov``, ``db`` and
-the base stage; ``b_contra``, ``c``, ``nabla_b`` and the time leg) and the
-charge stage (``g``, ``dg``). A stage whose entries are all constant runs
-once per field, at the first ``sample`` it completes in, and its read-only
-arrays are shared by every later sample; no other stage is reused. A stage
-that raises is never stored, so it runs again at the next point and its
-error names that point, and the per-point checks run at every call in a
-fixed order: singular base metric, preferred-direction norm, charge,
-inertia, time leg. The adapted frame is built by Gram-Schmidt in a fixed
-deterministic order (last leg first, then the time leg, then the space legs)
-with each leg's sign pinned so results are reproducible across runs and
-platforms. ``sample`` stores only the time leg, which is all that orientation
-tests need; the space legs, ``frame`` and ``frame_inv`` are built on first
-access and are bit-identical to an eager build.
+with position. ``sample`` runs three stages, each reading its own entries and
+running all its own checks: the base-metric stage (``a``, ``da``; singular,
+then inertia; the inverse and the connection), the direction stage
+(``b_cov``, ``db`` and the base stage; the norm ``c``, then the time leg;
+``b_contra`` and ``nabla_b``) and the charge stage (``g``, ``dg``; the range
+of ``g``). A stage whose entries are all constant runs once, when the field
+is built, and its read-only arrays are shared by every sample; that run is
+the load-time validation, and its errors name no point and become
+``ConfigValueError``; a constant entry that cannot be evaluated raises its
+``DomainError`` there too. The other stages run at every ``sample``, with
+their checks in the fixed order singular, inertia, norm, time leg, charge;
+each of their errors but the time leg's names the point. The adapted frame
+is built by Gram-Schmidt in a fixed deterministic order (last leg first,
+then the time leg, then the space legs) with each leg's sign pinned so
+results are reproducible across runs and platforms. ``sample`` stores only
+the time leg, which is all that orientation tests need; the space legs,
+``frame`` and ``frame_inv`` are built on first access and are bit-identical
+to an eager build.
 """
 
 from __future__ import annotations
@@ -114,96 +116,82 @@ class BackgroundField:
         rows = tuple(
             tuple(FieldExpression.constant(a_arr[i, j]) for j in range(dim)) for i in range(dim)
         )
-        field = cls(
+        return cls(
             dim=dim,
             a=rows,
             b_cov=tuple(FieldExpression.constant(v) for v in b_cov),
             g=FieldExpression.constant(g),
         )
-        _validate_constant_parts(field)
-        return field
+
+    def __post_init__(self) -> None:
+        # a constant that cannot be evaluated raises its DomainError here;
+        # a constant stage that fails its checks is a configuration error
+        self._layout
+        try:
+            self._constant_stages
+        except DomainError as exc:
+            raise ConfigValueError(str(exc)) from None
 
     @property
     def is_constant(self) -> bool:
-        exprs = [e for row in self.a for e in row] + list(self.b_cov) + [self.g]
-        return all(e.is_constant for e in exprs)
-
-    # cached symbolic first-derivative tables -------------------------------
-
-    @cached_property
-    def _da(self) -> tuple[tuple[tuple[FieldExpression, ...], ...], ...]:
-        """``_da[k][i][j]`` is the exact derivative of ``a[i][j]`` along ``x{k}``."""
-        return tuple(
-            tuple(tuple(self.a[i][j].differentiate(k) for j in range(self.dim)) for i in range(self.dim))
-            for k in range(self.dim)
-        )
-
-    @cached_property
-    def _db(self) -> tuple[tuple[FieldExpression, ...], ...]:
-        """``_db[k][j]`` is the exact derivative of ``b_cov[j]`` along ``x{k}``."""
-        return tuple(
-            tuple(self.b_cov[j].differentiate(k) for j in range(self.dim))
-            for k in range(self.dim)
-        )
-
-    @cached_property
-    def _dg(self) -> tuple[FieldExpression, ...]:
-        return tuple(self.g.differentiate(k) for k in range(self.dim))
+        return self._layout[1].size == 0
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray, tuple[Callable[[Sequence[float]], float], ...]]:
         """Flat evaluation plan for :func:`sample`.
 
-        The flat order is ``a``, ``b_cov``, ``g``, ``da``, ``db``, ``dg``, each
-        row-major. Returns the template with every constant entry filled in,
-        the flat slots of the varying entries, and their closures. A constant
-        that cannot be evaluated stays varying, so that ``sample`` raises its
-        error at the same point as a full evaluation would.
+        The flat order is ``a``, ``b_cov``, ``g`` and their exact symbolic
+        first derivatives ``da[k][i][j]``, ``db[k][j]``, ``dg[k]`` along
+        ``x{k}``, each row-major. Returns the template with every constant
+        entry filled in, the flat slots of the varying entries, and their
+        closures.
         """
+        dim = self.dim
+        a = [e for row in self.a for e in row]
         exprs = (
-            [e for row in self.a for e in row]
+            a
             + list(self.b_cov)
             + [self.g]
-            + [e for plane in self._da for row in plane for e in row]
-            + [e for row in self._db for e in row]
-            + list(self._dg)
+            + [e.differentiate(k) for k in range(dim) for e in a]
+            + [e.differentiate(k) for k in range(dim) for e in self.b_cov]
+            + [self.g.differentiate(k) for k in range(dim)]
         )
-        origin = (0.0,) * self.dim
+        origin = (0.0,) * dim
         template = np.zeros(len(exprs))
         slots: list[int] = []
         closures: list[Callable[[Sequence[float]], float]] = []
         for slot, expr in enumerate(exprs):
             if expr.is_constant:
-                try:
-                    template[slot] = expr.compiled(origin)
-                    continue
-                except DomainError:
-                    pass
-            slots.append(slot)
-            closures.append(expr.compiled)
+                template[slot] = expr.compiled(origin)
+            else:
+                slots.append(slot)
+                closures.append(expr.compiled)
         return template, np.array(slots, dtype=np.intp), tuple(closures)
 
     @cached_property
-    def _stage_cache(self) -> dict[str, tuple | None]:
+    def _constant_stages(self) -> dict[str, tuple]:
         """Results of the stages of :func:`sample` that read only constants.
 
-        Built at the first ``sample``. There is one key per stage whose input
-        slots are all constant in ``_layout``: ``"base"`` reads ``a`` and
-        ``da``, ``"direction"`` reads ``b_cov``, ``db`` and the base stage,
-        ``"charge"`` reads ``g`` and ``dg``. Its value is ``None`` until the
-        stage first completes; a stage that raises is never stored. Stages
-        are deterministic, so two threads that race to store one store equal
-        values.
+        There is one key per stage whose input slots are all constant in
+        ``_layout``: ``"base"`` reads ``a`` and ``da``, ``"direction"`` reads
+        ``b_cov``, ``db`` and the base stage, ``"charge"`` reads ``g`` and
+        ``dg``. Each ran once, on the template, when the field was built.
         """
+        template, slots, _ = self._layout
         flat = _flat_slices(self.dim)
-        inputs = {"base": ("a", "da"), "direction": ("b_cov", "db"), "charge": ("g", "dg")}
-        varying = set(self._layout[1].tolist())
-        constant = {
-            stage: all(varying.isdisjoint(range(flat[n].start, flat[n].stop)) for n in names)
-            for stage, names in inputs.items()
-        }
-        constant["direction"] = constant["direction"] and constant["base"]
-        return {stage: None for stage, const in constant.items() if const}
+        varying = set(slots.tolist())
+
+        def constant(*names: str) -> bool:
+            return all(varying.isdisjoint(range(flat[n].start, flat[n].stop)) for n in names)
+
+        stages: dict[str, tuple] = {}
+        if constant("a", "da"):
+            stages["base"] = _base_stage(template, self.dim, None)
+            if constant("b_cov", "db"):
+                stages["direction"] = _direction_stage(template, self.dim, stages["base"], None)
+        if constant("g", "dg"):
+            stages["charge"] = _charge_stage(template, self.dim, None)
+        return stages
 
 
 # --- sampled values ----------------------------------------------------------
@@ -375,53 +363,12 @@ def parse_config(text: str) -> BackgroundField:
         else:
             g_expr = expr
 
-    field = BackgroundField(
+    return BackgroundField(
         dim=dim,
         a=tuple(tuple(row) for row in a_rows),
         b_cov=tuple(b_rows),
         g=g_expr,
     )
-    _validate_constant_parts(field)
-    return field
-
-
-def _validate_constant_parts(field: BackgroundField) -> None:
-    """Reject invalid position-independent values at load time.
-
-    Position-dependent entries can only be judged where they are evaluated;
-    those are checked when the background is sampled.
-    """
-    dim = field.dim
-    origin = (0.0,) * dim
-    a_const = all(e.is_constant for row in field.a for e in row)
-    if a_const:
-        a = np.array(
-            [[field.a[i][j].compiled(origin) for j in range(dim)] for i in range(dim)]
-        )
-        eigenvalues = np.linalg.eigvalsh(a)
-        positive = int(np.sum(eigenvalues > 0.0))
-        negative = int(np.sum(eigenvalues < 0.0))
-        if positive != 1 or negative != dim - 1:
-            raise ConfigValueError(
-                "base metric must have Lorentzian signature "
-                f"(one positive and {dim - 1} negative eigenvalues; "
-                f"got {positive} positive, {negative} negative)"
-            )
-        if all(e.is_constant for e in field.b_cov):
-            b_cov = np.array([field.b_cov[i].compiled(origin) for i in range(dim)])
-            c_sq = float(-(b_cov @ np.linalg.solve(a, b_cov)))
-            if c_sq <= 1e-15:
-                raise ConfigValueError(
-                    f"preferred direction has non-positive norm squared {c_sq!r}"
-                )
-            if c_sq > 1.0 + 1e-12:
-                raise ConfigValueError(
-                    f"preferred direction norm exceeds 1 (c^2 = {c_sq!r})"
-                )
-    if field.g.is_constant:
-        g = float(field.g.compiled(origin))
-        if not abs(g) < 2.0:
-            raise ConfigValueError(f"anisotropy charge g = {g!r} outside (-2, 2)")
 
 
 def load_config(path: str | Path) -> BackgroundField:
@@ -511,63 +458,74 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
-def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...]) -> tuple:
-    """``(a, da, a_inv, eigenvalues, christoffel)`` from the base metric.
+def _at(coords: tuple[float, ...] | None) -> str:
+    """Where a check failed: the chart point, or nothing for a constant stage."""
+    return "" if coords is None else f" at x = {coords}"
 
-    Raises the singular-metric error; the inertia check waits for the caller.
-    """
+
+def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> tuple:
+    """``(a, da, a_inv, christoffel)``; raises the singular and inertia errors."""
     flat = _flat_slices(dim)
     a = values[flat["a"]].reshape(dim, dim).copy()
     da = values[flat["da"]].reshape(dim, dim, dim).copy()
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise DomainError(f"base metric is singular at x = {coords}") from exc
-    a_inv = 0.5 * (a_inv + a_inv.T)
+        raise DomainError(f"base metric is singular{_at(coords)}") from exc
     try:
         eigenvalues = np.linalg.eigvalsh(a)  # ascending
     except np.linalg.LinAlgError:  # non-finite entries: fails the inertia check
         eigenvalues = np.full(dim, np.nan)
+    if not eigenvalues[-2] < 0.0 < eigenvalues[-1]:
+        raise DomainError(
+            f"base metric is not Lorentzian{_at(coords)} (need one positive and "
+            f"{dim - 1} negative eigenvalues; got {int(np.sum(eigenvalues > 0.0))} "
+            f"positive, {int(np.sum(eigenvalues < 0.0))} negative)"
+        )
+    a_inv = 0.5 * (a_inv + a_inv.T)
 
     # connection coefficients of the base metric, upper index first
     christoffel = 0.5 * np.einsum("kn,jni->kij", a_inv, da)
     christoffel = christoffel + 0.5 * np.einsum("kn,inj->kij", a_inv, da)
     christoffel -= 0.5 * np.einsum("kn,nij->kij", a_inv, da)
-    _read_only(a, da, a_inv, eigenvalues, christoffel)
-    return a, da, a_inv, eigenvalues, christoffel
+    _read_only(a, da, a_inv, christoffel)
+    return a, da, a_inv, christoffel
 
 
-def _preferred_direction(
-    values: np.ndarray, dim: int, a_inv: np.ndarray, coords: tuple[float, ...]
+def _direction_stage(
+    values: np.ndarray, dim: int, base: tuple, coords: tuple[float, ...] | None
 ) -> tuple:
-    """``(b_cov, db, b_contra, c)``: the direction stage up to its norm check.
-
-    ``sample`` adds ``nabla_b`` and the time leg after the charge and inertia
-    checks, which come first in the order of the per-point checks.
-    """
+    """``(b_cov, db, b_contra, c, nabla_b, time_leg)`` over the base stage;
+    raises the norm and time-leg errors."""
+    a, _, a_inv, christoffel = base
     flat = _flat_slices(dim)
     b_cov = values[flat["b_cov"]].copy()
     db = values[flat["db"]].reshape(dim, dim).copy()
     b_contra = a_inv @ b_cov
     c_sq = float(-(b_cov @ b_contra))
+    if math.isnan(c_sq):
+        raise DomainError(f"preferred direction has undefined norm squared {c_sq!r}{_at(coords)}")
     if c_sq <= 1e-15:
         raise DomainError(
-            f"preferred direction has non-positive norm squared {c_sq!r} at x = {coords}"
+            f"preferred direction has non-positive norm squared {c_sq!r}{_at(coords)}"
         )
     if c_sq > 1.0 + 1e-12:
-        raise DomainError(
-            f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}) at x = {coords}"
-        )
-    return b_cov, db, b_contra, min(math.sqrt(c_sq), 1.0)
+        raise DomainError(f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}){_at(coords)}")
+    c = min(math.sqrt(c_sq), 1.0)
+    # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
+    time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
+    nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
+    _read_only(b_cov, db, b_contra, nabla_b, time_leg)
+    return b_cov, db, b_contra, c, nabla_b, time_leg
 
 
-def _charge_stage(values: np.ndarray, dim: int, coords: tuple[float, ...]) -> tuple:
+def _charge_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> tuple:
     """``(g, dg, h_time, h_space)``; raises the charge-range error."""
     flat = _flat_slices(dim)
     g = float(values[flat["g"].start])
     dg = values[flat["dg"]].copy()
     if not abs(g) < 2.0:
-        raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2) at x = {coords}")
+        raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2){_at(coords)}")
     _read_only(dg)
     return g, dg, math.sqrt(1.0 + 0.25 * g * g), math.sqrt(1.0 - 0.25 * g * g)
 
@@ -585,43 +543,25 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
     dim = field.dim
     if x_arr.shape != (dim,):
         raise ConfigDimensionError(f"expected {dim} coordinates, got shape {x_arr.shape}")
-    coords = tuple(float(v) for v in x_arr)
-    if not all(math.isfinite(v) for v in coords):
+    coords = tuple(x_arr.tolist())
+    if not all(map(math.isfinite, coords)):
         raise DomainError(f"non-finite chart point x = {coords}")
 
-    # a stage found in the cache read only constants and completed once
-    cache = field._stage_cache
-    base, direction, charge = cache.get("base"), cache.get("direction"), cache.get("charge")
-    if base is None or direction is None or charge is None:
+    # the stages that read only constants ran when the field was built
+    stages = field._constant_stages
+    if len(stages) < 3:
         template, slots, closures = field._layout
         values = template.copy()
         values[slots] = [fn(coords) for fn in closures]
-    if base is None:
-        base = _base_stage(values, dim, coords)
-        if "base" in cache:
-            cache["base"] = base
-    a, da, a_inv, eigenvalues, christoffel = base
-    if direction is None:
-        b_cov, db, b_contra, c = _preferred_direction(values, dim, a_inv, coords)
-    else:
-        b_cov, db, b_contra, c, nabla_b, time_leg = direction
-    if charge is None:
-        charge = _charge_stage(values, dim, coords)
-        if "charge" in cache:
-            cache["charge"] = charge
+    base = stages["base"] if "base" in stages else _base_stage(values, dim, coords)
+    direction = (
+        stages["direction"] if "direction" in stages
+        else _direction_stage(values, dim, base, coords)
+    )
+    charge = stages["charge"] if "charge" in stages else _charge_stage(values, dim, coords)
+    a, da, a_inv, christoffel = base
+    b_cov, db, b_contra, c, nabla_b, time_leg = direction
     g, dg, h_time, h_space = charge
-
-    if not eigenvalues[-2] < 0.0 < eigenvalues[-1]:
-        raise DomainError(
-            f"base metric is not Lorentzian at x = {coords} (eigenvalues {eigenvalues})"
-        )
-    if direction is None:
-        # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
-        time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
-        nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
-        _read_only(b_cov, db, b_contra, nabla_b, time_leg)
-        if "direction" in cache:
-            cache["direction"] = (b_cov, db, b_contra, c, nabla_b, time_leg)
 
     x_arr = x_arr.copy()
     _read_only(x_arr)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 
@@ -140,6 +138,10 @@ class TestEagerValidation:
     def test_charge_out_of_range_rejected(self):
         with pytest.raises(ConfigValueError, match="outside"):
             parse_config("dim = 2\na.0.0 = 1\na.1.1 = -1\nb.1 = 1\ng = 2\n")
+
+    def test_singular_constant_base_rejected(self):
+        with pytest.raises(ConfigValueError, match="base metric is singular$"):
+            BackgroundField.constant(a=[1.0, 0.0], b_cov=[0.0, 1.0], g=0.1)
 
     def test_position_dependent_norm_validated_at_sample(self):
         field = load_config(config_path("desk_shifted_b"))
@@ -297,7 +299,6 @@ class TestStagedSampling:
          ("desk_variable_g", False), ("desk_curved_a", True)],
     )
     def test_base_metric_work_runs_once_per_field(self, config_name, per_point, monkeypatch):
-        field = load_config(config_path(config_name))
         counts = {"inv": 0, "eigvalsh": 0}
 
         def counted(name):
@@ -311,6 +312,8 @@ class TestStagedSampling:
 
         for name in counts:
             monkeypatch.setattr(np.linalg, name, counted(name))
+        # a constant base metric is inverted and checked when the field is built
+        field = load_config(config_path(config_name))
         for x in POINTS:
             sample(field, x)
         expected = len(POINTS) if per_point else 1
@@ -318,23 +321,31 @@ class TestStagedSampling:
 
     def test_varying_charge_fails_at_its_point_after_warm_samples(self):
         field = parse_config(DESK_TEXT.replace("g = 0.6", "g = x0"))
-        assert set(field._stage_cache) == {"base", "direction"}
+        assert set(field._constant_stages) == {"base", "direction"}
         for x0 in (0.0, 0.5, -1.5):
             sample(field, np.array([x0, 0.1, 0.2, 0.3]))
         with pytest.raises(DomainError, match=r"g = 2\.5 outside \(-2, 2\) at x = \(2\.5, 0\.1, 0\.2, 0\.3\)"):
             sample(field, np.array([2.5, 0.1, 0.2, 0.3]))
         assert sample(field, np.array([1.0, 0.1, 0.2, 0.3])).g == 1.0
 
-    def test_stage_that_raises_is_not_stored(self):
-        # built directly, so the load-time check of the constant norm is skipped
+    def test_direct_construction_runs_the_constant_stages(self):
         valid = parse_config(DESK_TEXT)
         too_long = valid.b_cov[:3] + (FieldExpression.constant(2.0),)
-        field = BackgroundField(dim=4, a=valid.a, b_cov=too_long, g=valid.g)
-        for x in POINTS:
-            coords = tuple(float(v) for v in x)
-            with pytest.raises(DomainError, match=rf"norm exceeds 1 .* at x = {re.escape(str(coords))}"):
-                sample(field, x)
-        assert field._stage_cache["direction"] is None
+        with pytest.raises(ConfigValueError, match=r"norm exceeds 1 \(c\^2 = 4\.0\)$"):
+            BackgroundField(dim=4, a=valid.a, b_cov=too_long, g=valid.g)
+
+    def test_base_metric_is_checked_before_the_norm(self):
+        # at x0 = 2 the base metric has signature (+ + - -) and c^2 = -3
+        field = parse_config(DESK_TEXT.replace("a.1.1 = -1", "a.1.1 = -1 + x0") + "b.0 = x0\n")
+        sample(field, np.zeros(4))
+        with pytest.raises(DomainError, match=r"not Lorentzian at x = \(2\.0, 0\.0, 0\.0, 0\.0\) .*got 2 positive, 2 negative"):
+            sample(field, np.array([2.0, 0.0, 0.0, 0.0]))
+
+    def test_undefined_norm_names_its_point(self):
+        field = parse_config(DESK_TEXT.replace("b.3 = 1", "b.3 = 1 + x0*x0 - x0*x0"))
+        assert sample(field, np.array([1.0, 0.0, 0.0, 0.0])).c == 1.0
+        with pytest.raises(DomainError, match=r"undefined norm squared nan at x = \(1e\+200, 0\.0, 0\.0, 0\.0\)"):
+            sample(field, np.array([1e200, 0.0, 0.0, 0.0]))
 
     def test_non_finite_base_metric_is_a_domain_error(self):
         field = parse_config(
