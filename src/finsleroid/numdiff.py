@@ -39,6 +39,7 @@ __all__ = [
     "TOL_SPRAY_ORACLE",
     "TOL_BERWALD",
     "TOL_GEODESIC_F2",
+    "TOL_NOETHER_DRIFT",
     "TOL_DUAL_CLOSED",
     "TOL_DUAL_NUMERIC",
     "TOL_ANGLE_ROUTES",
@@ -80,6 +81,9 @@ TOL_SPRAY_ORACLE = 1e-5
 TOL_BERWALD = 1e-8
 #: Squared-norm drift along an integrated geodesic of unit parameter length.
 TOL_GEODESIC_F2 = 1e-6
+#: Drift of a conserved covariant momentum component along an integrated
+#: geodesic, relative to the largest momentum component at the start.
+TOL_NOETHER_DRIFT = 1e-11
 #: Closed-form duality round trip at unit preferred-direction norm, relative.
 TOL_DUAL_CLOSED = 1e-9
 #: Newton duality round trip below unit norm, relative.

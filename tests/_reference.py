@@ -9,11 +9,18 @@ or mistyped literal cannot silently gate the suite.
 The reference background is four-dimensional: base metric
 ``diag(1, -1, -1, -1)``, covariant preferred direction ``(0, 0, 0, 1)``
 (unit spatial norm), anisotropy charge ``0.6``.
+
+One float64 piece sits apart at the end: ``spray_float64``, the closed spray
+with every term evaluated in its original order, kept so that a test can
+hold the package's spray, which skips terms that are exactly zero, to the
+same bits. It reads a direction record by attribute and imports nothing from
+the package either.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -182,3 +189,55 @@ def _selfcheck():
 _selfcheck()
 
 REF = FROZEN
+
+
+# --- float64 spray with every term evaluated -------------------------------
+
+
+def spray_float64(d):
+    """``(G, E, Mbar, f2, riem)`` of the closed spray at the record ``d``.
+
+    ``d`` is read by attribute: ``sample``, ``y``, ``scal``, ``g_contra`` and
+    ``y_cov``. Every term is evaluated, zero or not, in the order of the
+    arithmetic it pins; raises ``ArithmeticError`` where the drift term
+    divides by a vanishing dual radius.
+    """
+    sample, y_arr, scal = d.sample, d.y, d.scal
+    g, eps, q = sample.g, scal.eps, scal.q
+    j2 = scal.J * scal.J
+
+    riem = np.einsum("inm,n,m->i", sample.christoffel, y_arr, y_arr)
+    total = riem.copy()
+
+    f2 = scal.B * j2
+    h, b, big_b, f = scal.h, scal.b, scal.B, scal.f
+    big_g = g / h
+    df_dg = (q / big_b) * (q / (2.0 * h) - eps * big_g * b / 4.0)
+    w = -f / h**3 - big_g * df_dg
+    mbar = -b * q / big_b + w
+
+    drift = float(y_arr @ sample.nabla_b @ y_arr)
+    curl = sample.db - sample.db.T
+    curl_low = curl @ y_arr
+    curl_up = sample.a_inv @ curl_low
+    b_curl = float(sample.b_contra @ curl_low)
+
+    coeff = drift - g * q * b_curl
+    if g != 0.0 and coeff != 0.0:
+        if scal.nu <= 1e-300:
+            raise ArithmeticError("spray drift term divides by the dual radius nu = 0")
+        v_contra = y_arr + scal.b * sample.b_contra
+        total += -eps * (g / scal.nu) * coeff * v_contra
+    if g != 0.0:
+        total += g * q * curl_up
+
+    e_vec = np.zeros(sample.dim)
+    if np.any(sample.dg != 0.0):
+        g_contra = d.g_contra
+        y_cov = d.y_cov
+        dy_dg_cov = -q * sample.b_cov * j2 + w * y_cov
+        yg = float(y_arr @ sample.dg)
+        e_vec = yg * (g_contra @ dy_dg_cov) - 0.5 * mbar * f2 * (g_contra @ sample.dg)
+        total += e_vec
+
+    return total, e_vec, mbar, f2, riem

@@ -6,7 +6,9 @@ code, and ``data/golden/<name>.out`` holds its stdout. Where
 ``wall_time_s`` line that every run prints. The cases cover the
 ``check`` battery on all five shipped configurations at two seeds, rk4 and
 rk45 geodesics on all five (truncated runs included), so that
-``background.sample`` reuses all, some or none of its stages, ``eval``,
+``background.sample`` reuses all, some or none of its stages, geodesics
+whose exact zero components (of both signs) and space-like velocities reach
+the terms of the spray that vanish, ``eval``,
 ``conformal`` and ``angle`` records, and ``hamiltonian`` on the closed and Newton routes, the
 dual gap and the action residual. The ``eval_err_*`` cases cover the error paths of
 loading and sampling: constants rejected at load, a constant that cannot be

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from finsleroid import spray
 from finsleroid.background import BackgroundField, load_config, sample
-from finsleroid.errors import NoConvergence
+from finsleroid.errors import GeometryError, NoConvergence
 from finsleroid.kinematics import classify, random_admissible, scalars
-from finsleroid.metric import covariant_momentum, metric_function
+from finsleroid.metric import _Direction, covariant_momentum, metric_function
 from finsleroid.numdiff import TOL_BERWALD, TOL_GEODESIC_F2, TOL_SPRAY_ORACLE, fd_hessian
 from finsleroid.spray import (
     charge_slope_scalars,
@@ -20,6 +20,7 @@ from finsleroid.spray import (
     spray_oracle,
 )
 
+from _reference import spray_float64
 from conftest import config_path
 
 X_PROBE = np.array([0.1, 0.2, 0.3, 0.4])
@@ -263,3 +264,71 @@ def test_spray_routes_agree_property(shifted_field, seed, tag):
     closed = spray_coefficients(here, y).G
     oracle = spray_oracle(shifted_field, x, y)
     assert np.max(np.abs(closed - oracle)) < TOL_SPRAY_ORACLE
+
+
+# --- bit equality with every term evaluated ----------------------------------
+
+ALL_CONFIGS = ["desk", "desk_c09", "desk_curved_a", "desk_shifted_b", "desk_variable_g"]
+ALL_FIELDS = {name: load_config(config_path(name)) for name in ALL_CONFIGS}
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def assert_spray_matches_reference(here, y):
+    """``_spray``, which skips the terms that are exactly zero here, gives the
+    bits of the spray with every term evaluated; both refuse alike."""
+    sector = classify(here, y)
+    try:
+        got = spray._spray(_Direction(here, y, sector))
+    except GeometryError as exc:
+        with pytest.raises((type(exc), ArithmeticError)):
+            spray_float64(_Direction(here, y, sector))
+        return
+    want = spray_float64(_Direction(here, y, sector))
+    for piece, expected in zip((got.G, got.E, got.Mbar, got.f2, got.riem), want):
+        assert_same_bits(piece, expected)
+
+
+AXIS_DIRECTIONS = [
+    (1.0, 0.0, 0.0, 0.2),
+    (1.0, -0.0, 0.0, -0.2),
+    (0.3, 1.0, 0.0, -0.2),
+    (0.0, 1.0, -0.0, 0.0),
+    (-0.0, 0.0, 0.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+@pytest.mark.parametrize("y", AXIS_DIRECTIONS)
+@pytest.mark.parametrize("x", [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.2, -0.0, 0.1)])
+def test_spray_bits_on_axis_directions(name, x, y):
+    here = sample(ALL_FIELDS[name], x)
+    assert classify(here, y).supported
+    assert_spray_matches_reference(here, np.array(y))
+
+
+# exact zeros of both signs, and magnitudes whose squares do not underflow
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(0.05, 1.0), st.floats(-1.0, -0.05)
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(ALL_CONFIGS),
+    x=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+    # a long time component puts about a third of the draws in the time-future cone
+    y=st.tuples(st.one_of(_component, st.floats(1.5, 3.0)), _component, _component, _component),
+)
+@example(name="desk", x=[0.0, 0.0, 0.0, 0.0], y=(1.0, 0.0, 0.0, 0.2))
+def test_spray_bits_property(name, x, y):
+    here = sample(ALL_FIELDS[name], x)
+    y_arr = np.array(y)
+    tag = classify(here, y_arr).tag
+    assume(tag in ("time-future", "space-like"))
+    event(f"{name} {tag}")
+    assert_spray_matches_reference(here, y_arr)
