@@ -29,20 +29,22 @@ with position. ``sample`` runs three stages, each reading its own entries and
 running all its own checks: the base-metric stage (``a``, ``da``; singular,
 then inertia; the inverse and the connection), the direction stage
 (``b_cov``, ``db`` and the base stage; the norm ``c``, then the time leg;
-``b_contra`` and ``nabla_b``) and the charge stage (``g``, ``dg``; the range
-of ``g``). A stage whose entries are all constant runs once, when the field
-is built, and its read-only arrays are shared by every sample; that run is
-the load-time validation, and its errors name no point and become
+``b_contra``, ``nabla_b`` and the curl of ``b``) and the charge stage (``g``,
+``dg``; the range of ``g``). Each stage also records which of its fields
+are exactly zero (the connection; ``nabla_b`` with the curl; ``dg``), so that
+the spray reads these facts instead of testing them on every call. A stage
+whose entries are all constant runs once, when the field is built, and its
+read-only arrays and facts are shared by every sample; that run is the
+load-time validation, and its errors name no point and become
 ``ConfigValueError``; a constant entry that cannot be evaluated raises its
-``DomainError`` there too. The other stages run at every ``sample``, with
-their checks in the fixed order singular, inertia, norm, time leg, charge;
-each of their errors but the time leg's names the point. The adapted frame
-is built by Gram-Schmidt in a fixed deterministic order (last leg first,
-then the time leg, then the space legs) with each leg's sign pinned so
-results are reproducible across runs and platforms. ``sample`` stores only
-the time leg, which is all that orientation tests need; the space legs,
-``frame`` and ``frame_inv`` are built on first access and are bit-identical
-to an eager build.
+``DomainError`` there too. The other stages run at every ``sample``, with their checks in the fixed order
+singular, inertia, norm, time leg, charge; each of their errors but the time
+leg's names the point. The adapted frame is built by Gram-Schmidt in a fixed
+deterministic order (last leg first, then the time leg, then the space legs)
+with each leg's sign pinned so results are reproducible across runs and
+platforms. ``sample`` stores only the time leg, which is all that orientation
+tests need; the space legs, ``frame`` and ``frame_inv`` are built on first
+access and are bit-identical to an eager build.
 """
 
 from __future__ import annotations
@@ -208,6 +210,13 @@ class BackgroundSample:
     sampling time. ``frame[p, i]`` maps vectors to frame components ``R^p``;
     ``frame_inv[i, p]`` maps back, with ``frame_inv = inv(frame)``. Both are
     built on first access; ``frame_inv[:, 0]`` equals ``time_leg``.
+    ``curl[i, j] = db[i, j] - db[j, i]`` is the curl of ``b``; the connection
+    parts of ``nabla_b`` cancel in it.
+
+    The stage facts: ``christoffel_zero`` says that no entry of
+    ``christoffel`` is nonzero, ``b_parallel`` the same of ``nabla_b`` and
+    ``curl`` together, and ``dg_zero`` of ``dg``. A stage that reads only
+    constants records them once per field.
     """
 
     x: np.ndarray
@@ -225,6 +234,10 @@ class BackgroundSample:
     christoffel: np.ndarray
     nabla_b: np.ndarray
     time_leg: np.ndarray
+    curl: np.ndarray
+    christoffel_zero: bool
+    b_parallel: bool
+    dg_zero: bool
 
     @cached_property
     def frame_inv(self) -> np.ndarray:
@@ -381,7 +394,7 @@ def load_config(path: str | Path) -> BackgroundField:
 
 def _first_significant_sign(w: np.ndarray) -> float:
     scale = float(np.linalg.norm(w))
-    for value in w:
+    for value in w.tolist():
         if abs(value) > 1e-12 * scale:
             return 1.0 if value > 0 else -1.0
     return 1.0
@@ -390,9 +403,7 @@ def _first_significant_sign(w: np.ndarray) -> float:
 def _seeds(a: np.ndarray) -> Iterator[np.ndarray]:
     """Gram-Schmidt seeds: coordinate axes, then eigenvectors by descending
     eigenvalue (decomposed only if no axis served)."""
-    dim = a.shape[0]
-    for k in range(dim):
-        yield np.eye(dim)[k]
+    yield from np.eye(a.shape[0])
     eigvals, eigvecs = np.linalg.eigh(a)
     for k in np.argsort(eigvals)[::-1]:
         yield eigvecs[:, k]
@@ -405,7 +416,7 @@ def _next_leg(
     has ``wanted_sign``, normalised with its first significant component
     positive."""
     for seed in _seeds(a):
-        w = seed.astype(float).copy()
+        w = seed.copy()
         for leg, sign in built:
             w -= sign * (w @ a @ leg) * leg
         norm2 = float(w @ a @ w)
@@ -464,7 +475,8 @@ def _at(coords: tuple[float, ...] | None) -> str:
 
 
 def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> tuple:
-    """``(a, da, a_inv, christoffel)``; raises the singular and inertia errors."""
+    """``(a, da, a_inv, christoffel, christoffel_zero)``; raises the singular
+    and inertia errors."""
     flat = _flat_slices(dim)
     a = values[flat["a"]].reshape(dim, dim).copy()
     da = values[flat["da"]].reshape(dim, dim, dim).copy()
@@ -489,15 +501,15 @@ def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) 
     christoffel = christoffel + 0.5 * np.einsum("kn,inj->kij", a_inv, da)
     christoffel -= 0.5 * np.einsum("kn,nij->kij", a_inv, da)
     _read_only(a, da, a_inv, christoffel)
-    return a, da, a_inv, christoffel
+    return a, da, a_inv, christoffel, not christoffel.any()
 
 
 def _direction_stage(
     values: np.ndarray, dim: int, base: tuple, coords: tuple[float, ...] | None
 ) -> tuple:
-    """``(b_cov, db, b_contra, c, nabla_b, time_leg)`` over the base stage;
-    raises the norm and time-leg errors."""
-    a, _, a_inv, christoffel = base
+    """``(b_cov, db, b_contra, c, nabla_b, time_leg, curl, b_parallel)`` over
+    the base stage; raises the norm and time-leg errors."""
+    a, _, a_inv, christoffel, _ = base
     flat = _flat_slices(dim)
     b_cov = values[flat["b_cov"]].copy()
     db = values[flat["db"]].reshape(dim, dim).copy()
@@ -515,19 +527,22 @@ def _direction_stage(
     # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
     time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
     nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
-    _read_only(b_cov, db, b_contra, nabla_b, time_leg)
-    return b_cov, db, b_contra, c, nabla_b, time_leg
+    curl = db - db.T
+    _read_only(b_cov, db, b_contra, nabla_b, time_leg, curl)
+    b_parallel = not (nabla_b.any() or curl.any())
+    return b_cov, db, b_contra, c, nabla_b, time_leg, curl, b_parallel
 
 
 def _charge_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> tuple:
-    """``(g, dg, h_time, h_space)``; raises the charge-range error."""
+    """``(g, dg, h_time, h_space, dg_zero)``; raises the charge-range error."""
     flat = _flat_slices(dim)
     g = float(values[flat["g"].start])
     dg = values[flat["dg"]].copy()
     if not abs(g) < 2.0:
         raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2){_at(coords)}")
     _read_only(dg)
-    return g, dg, math.sqrt(1.0 + 0.25 * g * g), math.sqrt(1.0 - 0.25 * g * g)
+    h_time, h_space = math.sqrt(1.0 + 0.25 * g * g), math.sqrt(1.0 - 0.25 * g * g)
+    return g, dg, h_time, h_space, not dg.any()
 
 
 def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
@@ -559,9 +574,9 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
         else _direction_stage(values, dim, base, coords)
     )
     charge = stages["charge"] if "charge" in stages else _charge_stage(values, dim, coords)
-    a, da, a_inv, christoffel = base
-    b_cov, db, b_contra, c, nabla_b, time_leg = direction
-    g, dg, h_time, h_space = charge
+    a, da, a_inv, christoffel, christoffel_zero = base
+    b_cov, db, b_contra, c, nabla_b, time_leg, curl, b_parallel = direction
+    g, dg, h_time, h_space, dg_zero = charge
 
     x_arr = x_arr.copy()
     _read_only(x_arr)
@@ -581,4 +596,8 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
         christoffel=christoffel,
         nabla_b=nabla_b,
         time_leg=time_leg,
+        curl=curl,
+        christoffel_zero=christoffel_zero,
+        b_parallel=b_parallel,
+        dg_zero=dg_zero,
     )

@@ -144,7 +144,8 @@ class AuxVectors:
 def _measure(a: np.ndarray, b_vec: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
     """``(|v|, b, v.a.v + b^2)`` with ``b = b_vec . v``; covectors pass ``(a_inv, b_contra)``."""
     b = float(b_vec @ v)
-    return float(np.linalg.norm(v)), b, float(v @ a @ v) + b * b
+    # np.linalg.norm of a 1-D array is sqrt(v.dot(v)); math.sqrt rounds alike
+    return math.sqrt(float(v.dot(v))), b, float(v @ a @ v) + b * b
 
 
 def _margins(b: float, q: float, g: float, h: float) -> tuple[float, float]:
@@ -170,10 +171,20 @@ def _chain(
 # --- classification ----------------------------------------------------------
 
 
-def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
-    """Classify direction ``y`` at the sampled point with relative tolerances."""
+def classify(
+    sample: BackgroundSample,
+    y: Sequence[float],
+    *,
+    measured: tuple[float, float, float] | None = None,
+) -> Sector:
+    """Classify direction ``y`` at the sampled point with relative tolerances.
+
+    ``measured`` is ``_measure`` of ``y`` where the caller already holds it.
+    """
     y_arr = np.asarray(y, dtype=float)
-    return _sector(sample, y_arr, *_measure(sample.a, sample.b_cov, y_arr))
+    if measured is None:
+        measured = _measure(sample.a, sample.b_cov, y_arr)
+    return _sector(sample, y_arr, *measured)
 
 
 def _sector(
@@ -219,8 +230,13 @@ def scalars(
     sample: BackgroundSample,
     y: Sequence[float],
     sector: Sector | None = None,
+    *,
+    measured: tuple[float, float, float] | None = None,
 ) -> KinematicScalars:
     """Compute the scalar chain for a supported direction.
+
+    ``measured`` is ``_measure`` of ``y`` where the caller already holds it,
+    as :func:`classify` takes it too, so that a node is measured once.
 
     Raises
     ------
@@ -231,7 +247,9 @@ def scalars(
         divides by ``q`` and ``nu``.
     """
     y_arr = np.asarray(y, dtype=float)
-    scale, b, gamma = _measure(sample.a, sample.b_cov, y_arr)
+    if measured is None:
+        measured = _measure(sample.a, sample.b_cov, y_arr)
+    scale, b, gamma = measured
     if sector is None:
         sector = _sector(sample, y_arr, scale, b, gamma)
     if not sector.supported:

@@ -35,8 +35,7 @@ metric_bundle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,18 +103,43 @@ class FrameComponents:
 # --- the stack at one direction ----------------------------------------------
 
 
+class _memo:
+    """A ``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first access: the first read stores the value in the instance
+    ``__dict__``, where every later read finds it before this descriptor."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Direction:
     """The metric stack at one (sample, direction, sector), each piece computed once.
 
     The package's one per-direction object: a consumer that holds a direction
     builds one record and reads ``scal``, ``f2``, ``y_cov``, ``g_cov``,
     ``g_contra`` and the rest from it. Package-private; not exported.
+    ``measured`` is ``kinematics._measure`` of ``y`` where the caller
+    already classified ``y`` with it.
     """
 
-    def __init__(self, sample: BackgroundSample, y: Sequence[float], sector: Sector | None):
+    def __init__(
+        self,
+        sample: BackgroundSample,
+        y: Sequence[float],
+        sector: Sector | None,
+        measured: tuple[float, float, float] | None = None,
+    ):
         self.sample = sample
         self.y = np.asarray(y, dtype=float)
-        self.scal = scal = scalars(sample, self.y, sector)
+        self.scal = scal = scalars(sample, self.y, sector, measured=measured)
         self.f2 = scal.B * scal.J * scal.J
 
     def require_q(self, what: str) -> None:
@@ -130,11 +154,11 @@ class _Direction:
     def null_charge(self) -> bool:
         return abs(self.sample.g) <= G_NULL_TOL
 
-    @cached_property
+    @_memo
     def aux(self) -> AuxVectors:  # read only after require_q
         return aux_vectors(self.sample, self.y, self.scal)
 
-    @cached_property
+    @_memo
     def y_cov(self) -> np.ndarray:
         sample, scal = self.sample, self.scal
         u = sample.a @ self.y
@@ -145,20 +169,20 @@ class _Direction:
         the squared-norm gradient and the momentum Jacobian."""
         return np.concatenate([[self.f2], self.y_cov])
 
-    @cached_property
+    @_memo
     def g_cov(self) -> np.ndarray:
         self.require_q("metric tensor")
         sample, scal = self.sample, self.scal
         g, q, b, eps = sample.g, scal.q, scal.b, scal.eps
         b_cov, v = sample.b_cov, self.aux.v_cov
         j2 = scal.J * scal.J
-        bb = np.outer(b_cov, b_cov)
-        bv = np.outer(b_cov, v) + np.outer(v, b_cov)
-        vv = np.outer(v, v)
+        bb = b_cov[:, None] * b_cov
+        bv = b_cov[:, None] * v + v[:, None] * b_cov
+        vv = v[:, None] * v
         inner = -q * (b + g * q) * bb + q * bv - eps * (b / q) * vv
         return (sample.a - (g / scal.B) * inner) * j2
 
-    @cached_property
+    @_memo
     def g_contra(self) -> np.ndarray:
         self.require_q("inverse metric")
         self.require_nu("inverse metric")
@@ -167,13 +191,13 @@ class _Direction:
         c2 = sample.c * sample.c
         b_up, v_up = sample.b_contra, self.aux.v_contra
         j2 = scal.J * scal.J
-        bb = np.outer(b_up, b_up)
-        bv = np.outer(b_up, v_up) + np.outer(v_up, b_up)
-        vv = np.outer(v_up, v_up)
+        bb = b_up[:, None] * b_up
+        bv = b_up[:, None] * v_up + v_up[:, None] * b_up
+        vv = v_up[:, None] * v_up
         inner = -b * q * bb + q * bv - eps * ((b + g * c2 * q) / scal.nu) * vv
         return (sample.a_inv + (g / scal.B) * inner) / j2
 
-    @cached_property
+    @_memo
     def det_ratio(self) -> float:
         sample, scal = self.sample, self.scal
         j_pow = scal.J ** (2 * sample.dim)
@@ -182,7 +206,7 @@ class _Direction:
         self.require_q("determinant ratio")
         return (scal.nu / scal.q) * j_pow
 
-    @cached_property
+    @_memo
     def C_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Contracted cubic form, covariant and contravariant."""
         sample, scal = self.sample, self.scal
@@ -200,18 +224,18 @@ class _Direction:
         )
         return c_cov, c_contra
 
-    @cached_property
+    @_memo
     def CC(self) -> float:
         if self.null_charge:
             return 0.0
         g, n, x = self.sample.g, self.sample.dim, self.scal.X
         return -self.scal.eps * (g**2 / 4.0) * (1.0 / (self.f2 * x * x)) * (n + 1.0 - 1.0 / x)
 
-    @cached_property
+    @_memo
     def h_ang(self) -> np.ndarray:
         return self.g_cov - np.outer(self.y_cov, self.y_cov) / self.f2
 
-    @cached_property
+    @_memo
     def cartan(self) -> np.ndarray:
         if self.null_charge:
             raise NullCartan("cubic-form assembly is degenerate at zero charge")
@@ -255,7 +279,7 @@ class _Direction:
         kappa = numerator / (huu * hvv - huv * huv)
         return -eps * (1.0 + kappa)
 
-    @cached_property
+    @_memo
     def frame(self) -> FrameComponents:
         self.require_q("frame metric")
         sample, scal = self.sample, self.scal

@@ -30,7 +30,7 @@ import numpy as np
 
 from .background import BackgroundField, BackgroundSample, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
-from .kinematics import Sector, classify
+from .kinematics import Sector, _measure, classify
 from .metric import _Direction
 from .numdiff import FDConfig, fd_jacobian
 
@@ -108,34 +108,47 @@ def spray_coefficients(
 
 
 def _spray(d: _Direction) -> SprayData:
-    """Closed-form spray coefficients read from one direction record."""
+    """Closed-form spray coefficients read from one direction record.
+
+    A term that the sample's stage facts show to be exactly zero is skipped:
+    the connection term where ``christoffel_zero`` (``riem`` is then +0.0,
+    the value of the einsum over zeros), the drift and rotation terms where
+    the charge is zero or ``b_parallel`` holds, and the charge-gradient term
+    where ``dg_zero``. Every skip leaves the bits of the result as they were.
+    A non-finite ``q`` turns the zero terms into NaN, so there they are kept.
+    """
     sample, y_arr, scal = d.sample, d.y, d.scal
     g, eps, q = sample.g, scal.eps, scal.q
     j2 = scal.J * scal.J
+    finite = q < math.inf
 
-    riem = np.einsum("inm,n,m->i", sample.christoffel, y_arr, y_arr)
+    if sample.christoffel_zero and finite:
+        riem = np.zeros(sample.dim)
+    else:
+        riem = np.einsum("inm,n,m->i", sample.christoffel, y_arr, y_arr)
     total = riem.copy()
 
     f2 = scal.B * j2
     _, w, mbar = charge_slope_scalars(sample, scal)
 
-    drift = float(y_arr @ sample.nabla_b @ y_arr)
-    curl = sample.db - sample.db.T  # f_mn, connection parts cancel
-    curl_low = curl @ y_arr  # f_j = f_jn y^n
-    curl_up = sample.a_inv @ curl_low
-    b_curl = float(sample.b_contra @ curl_low)
+    # with a parallel b both terms add zeros of either sign to a total that
+    # holds no -0.0, so they change no bit
+    if g != 0.0 and not (sample.b_parallel and finite):
+        drift = float(y_arr @ sample.nabla_b @ y_arr)
+        curl_low = sample.curl @ y_arr  # f_j = f_jn y^n
+        curl_up = sample.a_inv @ curl_low
+        b_curl = float(sample.b_contra @ curl_low)
 
-    coeff = drift - g * q * b_curl
-    if g != 0.0 and coeff != 0.0:
-        if scal.nu <= 1e-300:
-            raise DegenerateNu("spray drift term divides by the dual radius nu = 0")
-        v_contra = y_arr + scal.b * sample.b_contra
-        total += -eps * (g / scal.nu) * coeff * v_contra
-    if g != 0.0:
+        coeff = drift - g * q * b_curl
+        if coeff != 0.0:
+            if scal.nu <= 1e-300:
+                raise DegenerateNu("spray drift term divides by the dual radius nu = 0")
+            v_contra = y_arr + scal.b * sample.b_contra
+            total += -eps * (g / scal.nu) * coeff * v_contra
         total += g * q * curl_up
 
     e_vec = np.zeros(sample.dim)
-    if np.any(sample.dg != 0.0):
+    if not sample.dg_zero:
         g_contra = d.g_contra
         y_cov = d.y_cov
         dy_dg_cov = -q * sample.b_cov * j2 + w * y_cov
@@ -208,13 +221,16 @@ def _accept_node(
     field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float
 ) -> tuple[_Direction | None, str | None]:
     """Sample and classify the node ``state`` reached at ``s_next``; return its
-    record, or ``None`` and the reason the run stops short of it."""
+    record, or ``None`` and the reason the run stops short of it. The
+    velocity is measured once, for its sector and its chain."""
     try:
         here = sample_background(field, state[:dim])
-        sector = classify(here, state[dim:])
+        velocity = state[dim:]
+        measured = _measure(here.a, here.b_cov, velocity)
+        sector = classify(here, velocity, measured=measured)
         if sector.tag != start_tag:
             return None, f"sector exit at s = {s_next:.9g}: velocity became {sector.tag}"
-        return _Direction(here, state[dim:], sector), None
+        return _Direction(here, velocity, sector, measured), None
     except GeometryError as exc:
         return None, f"geometry degenerated at s = {s_next:.9g}: {exc}"
 

@@ -353,3 +353,28 @@ class TestStagedSampling:
         )
         with pytest.raises(DomainError, match=r"not Lorentzian at x = \(1e\+200, 0\.0, 0\.0, 0\.0\)"):
             sample(field, np.array([1e200, 0.0, 0.0, 0.0]))
+
+
+class TestStageFacts:
+    """What the spray reads of a sample: the curl of ``b`` and which fields are zero."""
+
+    @pytest.mark.parametrize(
+        "config_name, facts",
+        [
+            ("desk", (True, True, True)),
+            ("desk_c09", (True, True, True)),
+            ("desk_curved_a", (False, True, True)),
+            ("desk_shifted_b", (True, False, True)),
+            ("desk_variable_g", (True, True, False)),
+        ],
+    )
+    def test_facts_match_the_fields(self, config_name, facts):
+        field = load_config(config_path(config_name))
+        for x in POINTS:
+            here = sample(field, x)
+            assert (here.christoffel_zero, here.b_parallel, here.dg_zero) == facts
+            assert here.christoffel_zero == (not np.any(here.christoffel != 0.0))
+            assert here.b_parallel == (not np.any(here.nabla_b != 0.0) and not np.any(here.curl != 0.0))
+            assert here.dg_zero == (not np.any(here.dg != 0.0))
+            assert here.curl.tobytes() == (here.db - here.db.T).tobytes()
+            assert not here.curl.flags.writeable
