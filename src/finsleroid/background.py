@@ -36,8 +36,8 @@ the spray reads these facts instead of testing them on every call. A stage
 whose entries are all constant runs once, when the field is built, and its
 read-only arrays and facts are shared by every sample; that run is the
 load-time validation, and its errors name no point and become
-``ConfigValueError``; a constant entry that cannot be evaluated raises its
-``DomainError`` there too. The other stages run at every ``sample``, with their checks in the fixed order
+``ConfigValueError``, as does a constant entry that cannot be evaluated. The
+other stages run at every ``sample``, with their checks in the fixed order
 singular, inertia, norm, time leg, charge; each of their errors but the time
 leg's names the point. The adapted frame is built by Gram-Schmidt in a fixed
 deterministic order (last leg first, then the time leg, then the space legs)
@@ -126,8 +126,8 @@ class BackgroundField:
         )
 
     def __post_init__(self) -> None:
-        # a constant that cannot be evaluated raises its DomainError here;
-        # a constant stage that fails its checks is a configuration error
+        # a constant that cannot be evaluated, or a constant stage that fails
+        # its checks, is a configuration error
         self._layout
         try:
             self._constant_stages
@@ -146,7 +146,8 @@ class BackgroundField:
         first derivatives ``da[k][i][j]``, ``db[k][j]``, ``dg[k]`` along
         ``x{k}``, each row-major. Returns the template with every constant
         entry filled in, the flat slots of the varying entries, and their
-        closures.
+        closures. A constant that cannot be evaluated is a
+        ``ConfigValueError`` that names no point.
         """
         dim = self.dim
         a = [e for row in self.a for e in row]
@@ -164,7 +165,10 @@ class BackgroundField:
         closures: list[Callable[[Sequence[float]], float]] = []
         for slot, expr in enumerate(exprs):
             if expr.is_constant:
-                template[slot] = expr.compiled(origin)
+                try:
+                    template[slot] = expr.compiled(origin)
+                except DomainError:
+                    raise ConfigValueError(f"cannot evaluate the constant {expr}") from None
             else:
                 slots.append(slot)
                 closures.append(expr.compiled)

@@ -26,7 +26,9 @@ Exit codes: 0 success, 1 identity breach, 2 input/configuration error,
 3 runtime geometry error. All stdout records are deterministic for a fixed
 (configuration, arguments, seed); wall-clock time goes to stderr only.
 Non-finite vectors, zero directions, non-positive step, length or sample
-counts are input errors (exit 2).
+counts are input errors (exit 2). Python float arithmetic raises
+``OverflowError`` where numpy would give ``inf``; a command that overflows so
+ends in a ``DomainError`` (exit 3).
 """
 
 from __future__ import annotations
@@ -664,13 +666,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the subcommand; a float overflow is a geometry error of its input."""
+    try:
+        return args.fn(args)
+    except OverflowError as exc:
+        raise DomainError(f"floating-point overflow: {exc.args[-1]}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     code = 0
     try:
-        code = args.fn(args)
+        code = _run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         code = 2

@@ -179,7 +179,8 @@ def classify(
 ) -> Sector:
     """Classify direction ``y`` at the sampled point with relative tolerances.
 
-    ``measured`` is ``_measure`` of ``y`` where the caller already holds it.
+    ``measured`` is the ``(|y|, b, gamma)`` of ``y`` where the caller
+    already holds it.
     """
     y_arr = np.asarray(y, dtype=float)
     if measured is None:
@@ -235,8 +236,9 @@ def scalars(
 ) -> KinematicScalars:
     """Compute the scalar chain for a supported direction.
 
-    ``measured`` is ``_measure`` of ``y`` where the caller already holds it,
-    as :func:`classify` takes it too, so that a node is measured once.
+    ``measured`` is the ``(|y|, b, gamma)`` of ``y`` where the caller
+    already holds it; with :func:`classify` taking it too, a direction that
+    is classified and then chained is measured once.
 
     Raises
     ------

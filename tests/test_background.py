@@ -143,6 +143,11 @@ class TestEagerValidation:
         with pytest.raises(ConfigValueError, match="base metric is singular$"):
             BackgroundField.constant(a=[1.0, 0.0], b_cov=[0.0, 1.0], g=0.1)
 
+    def test_unevaluable_constant_rejected_without_a_point(self):
+        text = DESK_TEXT.replace("a.0.0 = 1", "a.0.0 = 1 + ln(0)")
+        with pytest.raises(ConfigValueError, match=r"^cannot evaluate the constant 1 \+ ln\(0\)$"):
+            parse_config(text)
+
     def test_position_dependent_norm_validated_at_sample(self):
         field = load_config(config_path("desk_shifted_b"))
         sample(field, np.zeros(4))  # fine at the origin

@@ -12,8 +12,9 @@ the terms of the spray that vanish, ``eval``,
 ``conformal`` and ``angle`` records, and ``hamiltonian`` on the closed and Newton routes, the
 dual gap and the action residual. The ``eval_err_*`` cases cover the error paths of
 loading and sampling: constants rejected at load, a constant that cannot be
-evaluated, and points where the base metric or the preferred-direction norm
-fails (their configurations are ``data/golden/err_*.cfg``). A refactor must
+evaluated, points where the base metric or the preferred-direction norm
+fails, and a frame metric that overflows (their configurations are
+``data/golden/err_*.cfg``). A refactor must
 leave every byte as it is; a case is rewritten only for an intended change of
 output, and the change log says so.
 """
