@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from finsleroid import spray
 from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.errors import GeometryError, NoConvergence
-from finsleroid.kinematics import classify, random_admissible, scalars
+from finsleroid.kinematics import Sector, classify, random_admissible, scalars
 from finsleroid.metric import _Direction, covariant_momentum, metric_function
 from finsleroid.numdiff import TOL_BERWALD, TOL_GEODESIC_F2, TOL_SPRAY_ORACLE, fd_hessian
 from finsleroid.spray import (
@@ -309,6 +309,17 @@ def test_spray_bits_on_axis_directions(name, x, y):
     here = sample(ALL_FIELDS[name], x)
     assert classify(here, y).supported
     assert_spray_matches_reference(here, np.array(y))
+
+
+@pytest.mark.parametrize("y", [(1e200, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 1.0)])
+def test_spray_keeps_the_zero_terms_where_q_is_not_finite(desk, y):
+    """With a sector passed in, a y whose q is not finite turns the zero terms
+    into NaN, and the spray keeps them."""
+    sector = Sector("time-future", "right")
+    with np.errstate(all="ignore"):
+        got = spray._spray(_Direction(desk, np.array(y), sector)).G
+        want = spray_float64(_Direction(desk, np.array(y), sector))[0]
+    assert np.isnan(want).all() and np.isnan(got).all()
 
 
 # exact zeros of both signs, and magnitudes whose squares do not underflow
