@@ -10,20 +10,32 @@ rk45 geodesics on all five (truncated runs included), so that
 whose exact zero components (of both signs) and space-like velocities reach
 the terms of the spray that vanish, ``eval``,
 ``conformal`` and ``angle`` records, and ``hamiltonian`` on the closed and Newton routes, the
-dual gap and the action residual. The ``eval_err_*`` cases cover the error paths of
+dual gap and the action residual. The ``angle`` cases include time-like,
+space-like, positively parallel and axis pairs on ``desk``, a mixed-sector pair,
+and the refusal of ``angle`` and ``conformal`` below unit preferred-direction
+norm; one ``check`` case runs the strict tolerance profile. The ``eval_err_*`` cases cover the error paths of
 loading and sampling: constants rejected at load, a constant that cannot be
 evaluated, points where the base metric or the preferred-direction norm
 fails, and a frame metric that overflows (their configurations are
 ``data/golden/err_*.cfg``). A refactor must
 leave every byte as it is; a case is rewritten only for an intended change of
 output, and the change log says so.
+
+The digest sweep pins many more runs than are worth storing: one sha256 over
+the outputs of 60 ``check`` runs and 900 seeded ``angle`` and ``conformal``
+runs. ``python tests/test_golden.py`` prints it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finsleroid import cli
@@ -50,3 +62,70 @@ def test_stdout_and_exit_code_match(name, monkeypatch, capsys):
             if not line.startswith("wall_time_s = ")
         )
         assert stderr.encode("utf-8") == err_path.read_bytes()
+
+
+# --- digest sweep -------------------------------------------------------------
+
+SWEEP_CONFIGS = ("desk", "desk_c09", "desk_curved_a", "desk_shifted_b", "desk_variable_g")
+SWEEP_DIGEST = "d49d3ac97ffdb9c2afda7e2c673c3042fa92b87e7740783aab317aa753b5831d"
+
+
+def _plain(values) -> list[str]:
+    # fixed notation: argparse would read "-1e-05" as an option
+    return [f"{float(v):.15f}" for v in values]
+
+
+def sweep_runs() -> list[list[str]]:
+    """Argument lists of the digest sweep: ``check --samples 9`` on every
+    shipped configuration at seeds 0-11, then 90 seeded ``angle`` pairs and
+    ``conformal`` directions per configuration. The second direction of a
+    pair is a perturbation of the first, so that both sectors, mixed pairs and
+    the sub-unit-norm refusal all occur."""
+    runs = []
+    for name in SWEEP_CONFIGS:
+        for seed in range(12):
+            runs.append(
+                ["check", "--config", f"configs/{name}.cfg", "--samples", "9", "--seed", str(seed)]
+            )
+    rng = np.random.default_rng(20081)
+    for name in SWEEP_CONFIGS:
+        config = ["--config", f"configs/{name}.cfg"]
+        for _ in range(90):
+            point = _plain(rng.uniform(0.0, 0.5, 4))
+            y1 = rng.standard_normal(4)
+            y2 = y1 + 0.6 * rng.standard_normal(4)
+            runs.append(
+                ["angle", *config, "--point", *point, "--y1", *_plain(y1), "--y2", *_plain(y2)]
+            )
+            runs.append(["conformal", *config, "--point", *point, "--vector", *_plain(y1)])
+    return runs
+
+
+def sweep_digest(runs: list[list[str]]) -> str:
+    """sha256 over (argv, exit code, stdout, stderr less ``wall_time_s``,
+    warnings raised) of each run, in order; run from the repository root."""
+    digest = hashlib.sha256()
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        stderr = "".join(
+            line for line in err.getvalue().splitlines(keepends=True)
+            if not line.startswith("wall_time_s = ")
+        )
+        raised = [f"{w.category.__name__}: {w.message}" for w in caught]
+        record = [argv, code, out.getvalue(), stderr, raised]
+        digest.update(json.dumps(record).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_sweep_digest(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert sweep_digest(sweep_runs()) == SWEEP_DIGEST
+
+
+if __name__ == "__main__":
+    # print the digest to pin: python tests/test_golden.py (from the root)
+    print(sweep_digest(sweep_runs()))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from finsleroid import cli, kinematics
-from finsleroid.anglegeo import angle_closed_form
+from finsleroid.anglegeo import angle_closed_form, uar_to_angles
 from finsleroid.background import load_config, sample
 from finsleroid.conformal import pushforward_metric_check
 from finsleroid.spray import geodesic_integrate, spray_coefficients, spray_oracle
@@ -78,6 +78,11 @@ def test_pushforward_metric_check_reads_one_chain(desk, chains):
 def test_angle_closed_form_reads_two_chains(desk, chains):
     angle_closed_form(desk, Y_TIME, Y_TIME_2)
     assert len(chains) == 2
+
+
+def test_uar_to_angles_reads_one_chain(desk, chains):
+    uar_to_angles(desk, Y_TIME)
+    assert len(chains) == 1
 
 
 @pytest.mark.parametrize("config_name", ["desk", "desk_variable_g"])
