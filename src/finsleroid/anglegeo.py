@@ -4,7 +4,10 @@ The angle between two directions of the same sector is invariant under the
 anisotropy: it is computed directly from the scalar chains, reproduced by a
 closed form in chart coordinates, and (in the conformal module) by mapping to
 the factor space — three genuinely different routes that the tests require to
-agree.
+agree. The routes read one ``metric._Direction`` record per direction, and
+each ends in the same inversion of its pair invariant: ``_clamped`` checks the
+invariant against the ``acosh`` (time) or ``acos`` (space) domain and clamps
+it, and ``_arc`` inverts it.
 
 The angular chart parameterises a supported direction by its norm ``z0``, a
 boost angle ``eta``, an azimuth ``phi``, and the normalised angular variable
@@ -15,7 +18,7 @@ conformally flat.
 Key entry points
 ----------------
 angle / scalar_product
-    Direct route from the two scalar chains.
+    Direct route from the two direction records.
 uar_from_angles / uar_to_angles
     The chart and its inverse (axis rays canonicalised).
 angle_closed_form
@@ -35,8 +38,8 @@ import numpy as np
 
 from .background import BackgroundSample
 from .errors import ChartDomain, CNotUnit, DomainError, MixedSectors, UnsupportedSector
-from .kinematics import KinematicScalars, Q_MIN_REL, classify, scalars
-from .metric import metric_tensor
+from .kinematics import Q_MIN_REL, classify
+from .metric import _Direction, metric_tensor
 
 __all__ = [
     "UarPoint",
@@ -80,9 +83,9 @@ def _require_dim4(sample: BackgroundSample, what: str) -> None:
         raise ChartDomain(f"{what} is implemented for dimension 4")
 
 
-def _paired_chains(
+def _paired_records(
     sample: BackgroundSample, y1: Sequence[float], y2: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, KinematicScalars, KinematicScalars]:
+) -> tuple[_Direction, _Direction]:
     y1_arr = np.asarray(y1, dtype=float)
     y2_arr = np.asarray(y2, dtype=float)
     s1 = classify(sample, y1_arr)
@@ -93,7 +96,25 @@ def _paired_chains(
         raise UnsupportedSector(f"second direction is {s2.tag}")
     if s1.tag != s2.tag:
         raise MixedSectors(f"directions lie in different sectors: {s1.tag} vs {s2.tag}")
-    return y1_arr, y2_arr, scalars(sample, y1_arr, s1), scalars(sample, y2_arr, s2)
+    return _Direction(sample, y1_arr, s1), _Direction(sample, y2_arr, s2)
+
+
+def _clamped(tau: float, eps: int, what: str) -> float:
+    """Pair invariant ``tau`` clamped into the ``acosh`` domain (``eps > 0``)
+    or the ``acos`` domain; beyond ``CLAMP_TOL`` it subtends no real angle."""
+    if eps > 0:
+        if tau < 1.0 - CLAMP_TOL:
+            raise DomainError(f"{what} {tau!r} below the hyperbolic domain")
+        return max(tau, 1.0)
+    if abs(tau) > 1.0 + CLAMP_TOL:
+        raise DomainError(f"{what} {tau!r} outside the circular domain")
+    return min(max(tau, -1.0), 1.0)
+
+
+def _arc(tau: float, eps: int, h: float) -> float:
+    """Angle of a clamped pair invariant: ``acosh`` in the time sector, ``acos``
+    in the space sector, over the half-charge root ``h``."""
+    return (math.acosh(tau) if eps > 0 else math.acos(tau)) / h
 
 
 # --- direct route ------------------------------------------------------------
@@ -117,38 +138,26 @@ def positively_parallel(y1: np.ndarray, y2: np.ndarray) -> bool:
     )
 
 
-def _pair_cosine(
-    sample: BackgroundSample,
-    y1_arr: np.ndarray,
-    y2_arr: np.ndarray,
-    k1: KinematicScalars,
-    k2: KinematicScalars,
-) -> float:
+def _pair_cosine(d1: _Direction, d2: _Direction) -> float:
     """Normalised pair invariant: hyperbolic cosine of ``h * angle`` in the
-    time sector, circular cosine in the space sector."""
-    if positively_parallel(y1_arr, y2_arr):
+    time sector, circular cosine in the space sector (clamped)."""
+    if positively_parallel(d1.y, d2.y):
         return 1.0
-    r12 = float(y1_arr @ sample.a @ y2_arr) + k1.b * k2.b
+    k1, k2 = d1.scal, d2.scal
+    r12 = float(d1.y @ d1.sample.a @ d2.y) + k1.b * k2.b
     h = k1.h
     if k1.eps > 0:
         tau = (h * h * r12 - k1.A * k2.A) / math.sqrt(k1.B * k2.B)
-        if tau < 1.0 - CLAMP_TOL:
-            raise DomainError(f"pair invariant {tau!r} below the hyperbolic domain")
-        return max(tau, 1.0)
-    tau = (k1.A * k2.A - h * h * r12) / math.sqrt(abs(k1.B) * abs(k2.B))
-    if abs(tau) > 1.0 + CLAMP_TOL:
-        raise DomainError(f"pair invariant {tau!r} outside the circular domain")
-    return min(max(tau, -1.0), 1.0)
+    else:
+        tau = (k1.A * k2.A - h * h * r12) / math.sqrt(abs(k1.B) * abs(k2.B))
+    return _clamped(tau, k1.eps, "pair invariant")
 
 
 def angle(sample: BackgroundSample, y1: Sequence[float], y2: Sequence[float]) -> float:
     """Anisotropic angle between two same-sector directions (direct route)."""
     _require_unit(sample, "the anisotropic angle")
-    y1_arr, y2_arr, k1, k2 = _paired_chains(sample, y1, y2)
-    tau = _pair_cosine(sample, y1_arr, y2_arr, k1, k2)
-    if k1.eps > 0:
-        return math.acosh(tau) / k1.h
-    return math.acos(tau) / k1.h
+    d1, d2 = _paired_records(sample, y1, y2)
+    return _arc(_pair_cosine(d1, d2), d1.scal.eps, d1.scal.h)
 
 
 def scalar_product(
@@ -156,13 +165,11 @@ def scalar_product(
 ) -> float:
     """Anisotropic scalar product; reduces to the squared norm on the diagonal."""
     _require_unit(sample, "the anisotropic scalar product")
-    y1_arr, y2_arr, k1, k2 = _paired_chains(sample, y1, y2)
-    tau = _pair_cosine(sample, y1_arr, y2_arr, k1, k2)
-    f2_1 = k1.B * k1.J * k1.J
-    f2_2 = k2.B * k2.J * k2.J
-    if k1.eps > 0:
-        return math.sqrt(f2_1) * math.sqrt(f2_2) * tau
-    return -math.sqrt(-f2_1) * math.sqrt(-f2_2) * tau
+    d1, d2 = _paired_records(sample, y1, y2)
+    tau = _pair_cosine(d1, d2)
+    if d1.scal.eps > 0:
+        return math.sqrt(d1.f2) * math.sqrt(d2.f2) * tau
+    return -math.sqrt(-d1.f2) * math.sqrt(-d2.f2) * tau
 
 
 # --- chart -------------------------------------------------------------------
@@ -233,15 +240,14 @@ def uar_to_angles(sample: BackgroundSample, y: Sequence[float]) -> UarPoint:
     ``eta = phi = 0``)."""
     _require_unit(sample, "the angular chart")
     _require_dim4(sample, "the angular chart")
-    y_arr = np.asarray(y, dtype=float)
-    return _uar_point(sample, y_arr, scalars(sample, y_arr))
+    return _uar_point(_Direction(sample, y, None))
 
 
-def _uar_point(sample: BackgroundSample, y_arr: np.ndarray, scal: KinematicScalars) -> UarPoint:
-    """Chart coordinates of ``y_arr`` from its scalar chain."""
-    f2 = scal.B * scal.J * scal.J
-    z0 = math.sqrt(abs(f2))
-    r = sample.frame @ y_arr
+def _uar_point(d: _Direction) -> UarPoint:
+    """Chart coordinates of a direction read from its record."""
+    scal = d.scal
+    z0 = math.sqrt(abs(d.f2))
+    r = d.sample.frame @ d.y
     rho = math.hypot(r[1], r[2])
     if scal.q <= Q_MIN_REL * scal.scale:
         eta, phi = 0.0, 0.0
@@ -262,29 +268,25 @@ def angle_closed_form(
     """Angle via chart coordinates of the two directions."""
     _require_unit(sample, "the closed-form angle")
     _require_dim4(sample, "the closed-form angle")
-    y1_arr, y2_arr, k1, k2 = _paired_chains(sample, y1, y2)
-    if positively_parallel(y1_arr, y2_arr):
+    d1, d2 = _paired_records(sample, y1, y2)
+    if positively_parallel(d1.y, d2.y):
         return 0.0
-    p1 = _uar_point(sample, y1_arr, k1)
-    p2 = _uar_point(sample, y2_arr, k2)
-    h = k1.h
+    p1 = _uar_point(d1)
+    p2 = _uar_point(d2)
+    eps, h = d1.scal.eps, d1.scal.h
     f1, f2 = h * p1.chi, h * p2.chi
     dphi = p1.phi - p2.phi
-    if k1.eps > 0:
+    if eps > 0:
         z12 = math.cosh(p1.eta) * math.cosh(p2.eta) - math.sinh(p1.eta) * math.sinh(
             p2.eta
         ) * math.cos(dphi)
         tau = math.cosh(f1) * math.cosh(f2) * z12 - math.sinh(f1) * math.sinh(f2)
-        if tau < 1.0 - CLAMP_TOL:
-            raise DomainError(f"chart pair invariant {tau!r} below the hyperbolic domain")
-        return math.acosh(max(tau, 1.0)) / h
-    z12 = math.cosh(p1.eta) * math.cosh(p2.eta) * math.cos(dphi) - math.sinh(
-        p1.eta
-    ) * math.sinh(p2.eta)
-    tau = math.sin(f1) * math.sin(f2) * z12 + math.cos(f1) * math.cos(f2)
-    if abs(tau) > 1.0 + CLAMP_TOL:
-        raise DomainError(f"chart pair invariant {tau!r} outside the circular domain")
-    return math.acos(min(max(tau, -1.0), 1.0)) / h
+    else:
+        z12 = math.cosh(p1.eta) * math.cosh(p2.eta) * math.cos(dphi) - math.sinh(
+            p1.eta
+        ) * math.sinh(p2.eta)
+        tau = math.sin(f1) * math.sin(f2) * z12 + math.cos(f1) * math.cos(f2)
+    return _arc(_clamped(tau, eps, "chart pair invariant"), eps, h)
 
 
 # --- chart metric ------------------------------------------------------------

@@ -25,10 +25,12 @@ conformal
 Exit codes: 0 success, 1 identity breach, 2 input/configuration error,
 3 runtime geometry error. All stdout records are deterministic for a fixed
 (configuration, arguments, seed); wall-clock time goes to stderr only.
-Non-finite vectors, zero directions, non-positive step, length or sample
-counts are input errors (exit 2). Python float arithmetic raises
-``OverflowError`` where numpy would give ``inf``; a command that overflows so
-ends in a ``DomainError`` (exit 3).
+Non-finite vectors, zero directions, directions whose squared length is not a
+normal float, non-positive step, length or sample counts are input errors
+(exit 2). Commands run with numpy raising on overflow and on invalid
+operations, as Python float arithmetic raises ``OverflowError``; a command
+that overflows or makes a NaN from numbers so ends in a ``DomainError``
+(exit 3).
 """
 
 from __future__ import annotations
@@ -43,16 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anglegeo import angle as angle_direct
-from .anglegeo import _uar_point, angle_closed_form, scalar_product, uar_from_angles
+from .anglegeo import _require_unit, _uar_point, angle_closed_form, scalar_product, uar_from_angles
 from .background import BackgroundField, load_config, sample as sample_background
-from .conformal import (
-    _pushforward_residual,
-    _zeta,
-    factor_space_angle,
-    pushforward_metric_check,
-    zeta_inverse,
-    zeta_map,
-)
+from .conformal import _pushforward_residual, _zeta, factor_space_angle, zeta_inverse
 from .dual import covector_stack, hamiltonian, hamiltonian_numeric, hj_residual
 from .errors import (
     ChartDomain,
@@ -124,6 +119,12 @@ def _direction_arg(raw: list[float] | None, dim: int, name: str) -> np.ndarray:
     vector = _vector_arg(raw, dim, name)
     if not np.any(vector):
         raise ConfigError(f"{name} is the zero vector; it has no direction")
+    # in Python floats, where an overflow gives inf without a numpy warning
+    squared = sum(component * component for component in raw)
+    if not sys.float_info.min <= squared <= sys.float_info.max:
+        raise ConfigError(
+            f"{name} has squared length {squared!r}, outside the normal float range"
+        )
     return vector
 
 
@@ -252,44 +253,28 @@ def cmd_geodesic(args) -> int:
 
 # --- check battery -----------------------------------------------------------
 
+#: Each identity's tolerance, and whether it is exact algebra (not limited by
+#: finite-difference steps); the strict profile tightens the exact ones tenfold.
 _CHECK_TOLS = {
-    "euler_momentum": TOL_EULER_CHAIN,
-    "euler_metric": TOL_EULER_CHAIN,
-    "metric_inverse": TOL_METRIC_INVERSE,
-    "momentum_contraction": TOL_METRIC_INVERSE,
-    "norm_trace": TOL_METRIC_INVERSE,
-    "det_ratio": TOL_DET_RATIO,
-    "cartan_norm": TOL_CARTAN_NORM,
-    "indicatrix": TOL_INDICATRIX,
-    "frame": TOL_FRAME_VARYING,
-    "spray_oracle": TOL_SPRAY_ORACLE,
-    "dual_closed": TOL_DUAL_CLOSED,
-    "dual_newton": TOL_DUAL_NUMERIC,
-    "angle_routes": TOL_ANGLE_ROUTES,
-    "uar_roundtrip": TOL_UAR_ROUNDTRIP,
-    "uar_norm": TOL_UAR_F2,
-    "conformal_pushforward": TOL_CONFORMAL_S,
-    "conformal_power": TOL_CONFORMAL_POWER,
-    "conformal_roundtrip": TOL_CONFORMAL_ROUNDTRIP,
+    "euler_momentum": (TOL_EULER_CHAIN, False),
+    "euler_metric": (TOL_EULER_CHAIN, False),
+    "metric_inverse": (TOL_METRIC_INVERSE, True),
+    "momentum_contraction": (TOL_METRIC_INVERSE, True),
+    "norm_trace": (TOL_METRIC_INVERSE, True),
+    "det_ratio": (TOL_DET_RATIO, True),
+    "cartan_norm": (TOL_CARTAN_NORM, True),
+    "indicatrix": (TOL_INDICATRIX, False),
+    "frame": (TOL_FRAME_VARYING, False),
+    "spray_oracle": (TOL_SPRAY_ORACLE, False),
+    "dual_closed": (TOL_DUAL_CLOSED, True),
+    "dual_newton": (TOL_DUAL_NUMERIC, False),
+    "angle_routes": (TOL_ANGLE_ROUTES, False),
+    "uar_roundtrip": (TOL_UAR_ROUNDTRIP, True),
+    "uar_norm": (TOL_UAR_F2, True),
+    "conformal_pushforward": (TOL_CONFORMAL_S, True),
+    "conformal_power": (TOL_CONFORMAL_POWER, True),
+    "conformal_roundtrip": (TOL_CONFORMAL_ROUNDTRIP, True),
 }
-
-#: Identities that are exact algebra (not limited by finite-difference steps);
-#: the strict profile tightens these tenfold.
-_EXACT_IDENTITIES = frozenset(
-    {
-        "metric_inverse",
-        "momentum_contraction",
-        "norm_trace",
-        "det_ratio",
-        "cartan_norm",
-        "dual_closed",
-        "uar_roundtrip",
-        "uar_norm",
-        "conformal_pushforward",
-        "conformal_power",
-        "conformal_roundtrip",
-    }
-)
 
 
 @dataclass
@@ -377,7 +362,7 @@ def _check_shard(
             record("dual_newton", abs(hamiltonian_numeric(here, y_cov) - f2) / abs(f2))
 
             if here.c_is_unit and field_.dim == 4:
-                point = _uar_point(here, y, scal)
+                point = _uar_point(d)
                 back = uar_from_angles(here, point, tag)
                 record("uar_roundtrip", _relmax(back - y, y))
                 record("uar_norm", abs(f2 - scal.eps * point.z0 * point.z0) / abs(f2))
@@ -428,12 +413,13 @@ def run_check(field_: BackgroundField, config_path: str, samples: int, seed: int
 
 
 def _profile_tols(field_: BackgroundField, profile: str) -> dict[str, float]:
-    tols = dict(_CHECK_TOLS)
+    strict = profile == "strict"
+    tols = {
+        name: tol * 0.1 if strict and exact else tol
+        for name, (tol, exact) in _CHECK_TOLS.items()
+    }
     if field_.is_constant:
         tols["frame"] = TOL_FRAME_CONSTANT
-    if profile == "strict":
-        for name in _EXACT_IDENTITIES:
-            tols[name] = tols[name] * 0.1
     return tols
 
 
@@ -567,7 +553,9 @@ def cmd_conformal(args) -> int:
     field_ = load_config(args.config)
     here = sample_background(field_, _position(args.point, field_, "--point"))
     y = _direction_arg(args.vector, field_.dim, "--vector")
-    image = zeta_map(here, y)
+    _require_unit(here, "the conformal map")
+    d = _Direction(here, y, None)  # the image and the residual read this record
+    image = _zeta(d)
     for i, value in enumerate(image.zeta):
         _emit(f"zeta.{i}", value)
     _emit("kappa", image.kappa)
@@ -575,7 +563,7 @@ def cmd_conformal(args) -> int:
     _emit("p", image.p)
     failed = False
     try:
-        s_residual = pushforward_metric_check(here, y)
+        s_residual = _pushforward_residual(d)
         _emit("s_residual", s_residual)
         if s_residual > TOL_CONFORMAL_S:
             failed = True
@@ -667,11 +655,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Run the subcommand; a float overflow is a geometry error of its input."""
+    """Run the subcommand; a float overflow or an invalid operation (a NaN
+    made from numbers) is a geometry error of its input."""
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except OverflowError as exc:
         raise DomainError(f"floating-point overflow: {exc.args[-1]}") from exc
+    except FloatingPointError as exc:
+        raise DomainError(f"floating-point {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

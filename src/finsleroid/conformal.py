@@ -30,13 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .background import BackgroundSample
-from .errors import DegenerateQ, DomainError, MixedSectors, UnsupportedImage
+from .errors import DegenerateQ, MixedSectors, UnsupportedImage
 from .kinematics import Q_MIN_REL, Sector, classify
 from .metric import _Direction
 from .anglegeo import (
-    CLAMP_TOL,
     UarPoint,
+    _arc,
     _chart_jacobian,
+    _clamped,
     _require_dim4,
     _require_unit,
     positively_parallel,
@@ -275,19 +276,10 @@ def factor_space_angle(
     if positively_parallel(y1_arr, y2_arr) and image1.S2 * image2.S2 > 0.0:
         return 0.0
     if image1.S2 > 0.0 and image2.S2 > 0.0:
-        h = sample.h_time
-        tau = float(image1.zeta @ sample.a @ image2.zeta) / math.sqrt(
-            image1.S2 * image2.S2
-        )
-        if tau < 1.0 - CLAMP_TOL:
-            raise DomainError(f"image pair invariant {tau!r} below the hyperbolic domain")
-        return math.acosh(max(tau, 1.0)) / h
-    if image1.S2 < 0.0 and image2.S2 < 0.0:
-        h = sample.h_space
-        tau = -float(image1.zeta @ sample.a @ image2.zeta) / math.sqrt(
-            image1.S2 * image2.S2
-        )
-        if abs(tau) > 1.0 + CLAMP_TOL:
-            raise DomainError(f"image pair invariant {tau!r} outside the circular domain")
-        return math.acos(min(max(tau, -1.0), 1.0)) / h
-    raise MixedSectors("image vectors lie on opposite sides of the seed cone")
+        eps, h = 1, sample.h_time
+    elif image1.S2 < 0.0 and image2.S2 < 0.0:
+        eps, h = -1, sample.h_space
+    else:
+        raise MixedSectors("image vectors lie on opposite sides of the seed cone")
+    tau = eps * float(image1.zeta @ sample.a @ image2.zeta) / math.sqrt(image1.S2 * image2.S2)
+    return _arc(_clamped(tau, eps, "image pair invariant"), eps, h)

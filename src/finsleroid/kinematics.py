@@ -358,9 +358,9 @@ def random_admissible(
         if norm < 1e-12:
             continue
         y /= norm
-        if classify(sample, y).tag != tag:
+        scale, b, gamma = _measure(sample.a, sample.b_cov, y)
+        if _sector(sample, y, scale, b, gamma).tag != tag:
             continue
-        _, b, gamma = _measure(sample.a, sample.b_cov, y)
         q = math.sqrt(abs(gamma))
         if margin > 0.0:
             if tag == "time-future":

@@ -10,9 +10,9 @@ One package-private record, ``_Direction``, holds the stack at one (point,
 direction): it computes the scalar chain once and ``F^2`` when built, and every
 other piece on first access, each behind its own guard. It is the package's
 one per-direction object: each public function here is a view of one record,
-and the spray, the integrator, the oracle, the conformal map and the CLI build
-one record per (sample, direction) and read it instead of recomputing the
-chain.
+and the spray, the integrator, the oracle, the conformal map, the angle routes
+and the CLI build one record per (sample, direction) and read it instead of
+recomputing the chain.
 
 Key entry points
 ----------------

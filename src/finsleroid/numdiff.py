@@ -167,12 +167,8 @@ def _first_derivative(fn, x: np.ndarray, i: int, h: float, richardson: bool):
 def fd_gradient(
     fn: Callable[[np.ndarray], float], x: Sequence[float], config: FDConfig = FDConfig()
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar map."""
-    x_arr = np.asarray(x, dtype=float)
-    steps = config.steps_first(x_arr)
-    return np.array(
-        [_first_derivative(fn, x_arr, i, steps[i], config.richardson) for i in range(x_arr.size)]
-    )
+    """Central-difference gradient of a scalar map (its :func:`fd_jacobian`)."""
+    return fd_jacobian(fn, x, config)
 
 
 def fd_jacobian(

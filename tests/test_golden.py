@@ -16,8 +16,11 @@ and the refusal of ``angle`` and ``conformal`` below unit preferred-direction
 norm; one ``check`` case runs the strict tolerance profile. The ``eval_err_*`` cases cover the error paths of
 loading and sampling: constants rejected at load, a constant that cannot be
 evaluated, points where the base metric or the preferred-direction norm
-fails, and a frame metric that overflows (their configurations are
-``data/golden/err_*.cfg``). A refactor must
+fails, a frame metric that overflows, and a metric stack that overflows
+before it can give a NaN curvature (their configurations are
+``data/golden/err_*.cfg``). The ``*_err_underflow``, ``eval_err_subnormal``
+and ``eval_err_huge_vector`` cases give directions whose squared length
+leaves the normal float range. A refactor must
 leave every byte as it is; a case is rewritten only for an intended change of
 output, and the change log says so.
 

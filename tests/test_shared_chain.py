@@ -80,6 +80,15 @@ def test_angle_closed_form_reads_two_chains(desk, chains):
     assert len(chains) == 2
 
 
+def test_conformal_command_reads_one_chain(chains, capsys):
+    code = cli.main(
+        ["conformal", "--config", config_path("desk"), "--vector", *map(str, Y_TIME)]
+    )
+    assert code == 0
+    assert "s_residual = " in capsys.readouterr().out
+    assert len(chains) == 1
+
+
 def test_uar_to_angles_reads_one_chain(desk, chains):
     uar_to_angles(desk, Y_TIME)
     assert len(chains) == 1
