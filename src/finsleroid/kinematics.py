@@ -256,7 +256,7 @@ def scalars(
         sector = _sector(sample, y_arr, scale, b, gamma)
     if not sector.supported:
         raise UnsupportedSector(
-            f"direction {tuple(y_arr)} is {sector.tag} (side {sector.side})"
+            f"direction {tuple(y_arr.tolist())} is {sector.tag} (side {sector.side})"
         )
     eps = sector.eps
 

@@ -70,7 +70,7 @@ def test_stdout_and_exit_code_match(name, monkeypatch, capsys):
 # --- digest sweep -------------------------------------------------------------
 
 SWEEP_CONFIGS = ("desk", "desk_c09", "desk_curved_a", "desk_shifted_b", "desk_variable_g")
-SWEEP_DIGEST = "d49d3ac97ffdb9c2afda7e2c673c3042fa92b87e7740783aab317aa753b5831d"
+SWEEP_DIGEST = "3c8da3d3f317d96cfe1a886ce0cf3578c921b04bfecac596e7b398cde6787bc7"
 
 
 def _plain(values) -> list[str]:

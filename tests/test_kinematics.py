@@ -109,6 +109,11 @@ class TestScalarChain:
         with pytest.raises(UnsupportedSector):
             scalars(desk, np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_unsupported_message_prints_plain_floats(self, desk):
+        message = r"^direction \(-1\.0, 0\.1, 0\.0, 0\.2\) is unsupported \(side right\)$"
+        with pytest.raises(UnsupportedSector, match=message):
+            scalars(desk, np.array([-1.0, 0.1, 0.0, 0.2]))
+
     def test_positive_homogeneity(self, desk):
         rng = np.random.default_rng(6)
         for tag in ("time-future", "space-like"):
