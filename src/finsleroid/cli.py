@@ -655,13 +655,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Run the subcommand; a float overflow or an invalid operation (a NaN
-    made from numbers) is a geometry error of its input."""
+    """Run the subcommand; a float overflow, a division by a quantity that
+    underflowed to zero, or an invalid operation (a NaN made from numbers) is
+    a geometry error of its input."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             return args.fn(args)
     except OverflowError as exc:
         raise DomainError(f"floating-point overflow: {exc.args[-1]}") from exc
+    except ZeroDivisionError as exc:
+        raise DomainError(str(exc)) from exc
     except FloatingPointError as exc:
         raise DomainError(f"floating-point {exc}") from exc
 

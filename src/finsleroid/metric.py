@@ -14,6 +14,13 @@ and the spray, the integrator, the oracle, the conformal map, the angle routes
 and the CLI build one record per (sample, direction) and read it instead of
 recomputing the chain.
 
+The public views (and ``spray.spray_coefficients``) share the last record
+they built: called again with the same sample object, the same direction
+bytes and an equal sector, a view reads that record, so ``metric_bundle``,
+``indicatrix_curvature`` and ``frame_components`` at one direction compute the
+chain and each piece once. Since the record is shared, every array a view
+returns is read-only, as the sample's arrays are; copy one to change it.
+
 Key entry points
 ----------------
 metric_function / covariant_momentum / metric_tensor / inverse_metric
@@ -35,11 +42,12 @@ metric_bundle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .background import BackgroundSample
+from .background import BackgroundSample, _read_only
 from .errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
 from .kinematics import (
     AuxVectors,
@@ -289,12 +297,12 @@ class _Direction:
         j2 = scal.J * scal.J
         big_b = scal.B
         z = r[dim - 1]
-        trans = np.concatenate([[1.0], -np.ones(dim - 2)])  # frame metric block diag(+1, -1, ...)
+        trans, trans_block = _frame_signature(dim)
         er = trans * r[: dim - 1]  # e_ad R^d over transverse legs
         s2 = q * q - eps * b * b
 
         g_frame = np.zeros((dim, dim))
-        g_frame[: dim - 1, : dim - 1] = np.diag(trans) + eps * g * (
+        g_frame[: dim - 1, : dim - 1] = trans_block + eps * g * (
             b / (big_b * q)
         ) * np.outer(er, er)
         edge = (g / (big_b * q)) * (-eps * b * z - s2 * c) * er
@@ -306,6 +314,16 @@ class _Direction:
         return FrameComponents(R=r, g_frame=g_frame * j2)
 
 
+@cache
+def _frame_signature(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frame metric's transverse signs ``(+1, -1, ...)`` and their
+    diagonal block, built once per dimension."""
+    trans = np.concatenate([[1.0], -np.ones(dim - 2)])
+    block = np.diag(trans)
+    _read_only(trans, block)
+    return trans, block
+
+
 def _projected_pair(
     g_cov: np.ndarray,
     h_ang: np.ndarray,
@@ -313,14 +331,14 @@ def _projected_pair(
     f2: float,
     seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    dim = y_arr.size
+    eye = np.eye(y_arr.size)
     if seeds is None:
-        candidates = [np.eye(dim)[k] for k in range(dim)]
+        candidates = list(eye)
     else:
         candidates = []
         for s in seeds:
             if isinstance(s, (int, np.integer)):
-                candidates.append(np.eye(dim)[int(s)])
+                candidates.append(eye[int(s)])
             else:
                 candidates.append(np.asarray(s, dtype=float))
     picked: list[np.ndarray] = []
@@ -343,61 +361,94 @@ def _projected_pair(
 
 # --- public views ------------------------------------------------------------
 
+# the last record a public view built, with its key: (record, sector, y key)
+_shared: tuple[_Direction, Sector | None, tuple] | None = None
+
+
+def _record(sample: BackgroundSample, y: Sequence[float], sector: Sector | None) -> _Direction:
+    """The record at (sample, y, sector) for the public views.
+
+    The views share one slot: a view called with the same ``sample`` object,
+    an equal ``sector`` and a ``y`` of the same shape and bytes (so ``-0.0``
+    and ``0.0`` differ) reads the record the last view built, so a run of
+    views at one direction computes each piece once. Otherwise a record is
+    built on a copy of ``y`` and takes the slot. A build that raises leaves
+    the slot as it was, and ``_memo`` stores no piece whose guard raised.
+    """
+    global _shared
+    y_arr = np.array(y, dtype=float)
+    key = (y_arr.shape, y_arr.tobytes())
+    last = _shared
+    if last is not None and last[0].sample is sample and last[1] == sector and last[2] == key:
+        return last[0]
+    d = _Direction(sample, y_arr, sector)
+    _shared = (d, sector, key)
+    return d
+
+
+def _shared_array(arr: np.ndarray) -> np.ndarray:
+    """A piece of a shared record, read-only so no caller can change it for
+    the next view."""
+    arr.flags.writeable = False
+    return arr
+
 
 def metric_function(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> float:
     """Squared anisotropic norm ``F^2`` (positive time-future, negative space-like)."""
-    return _Direction(sample, y, sector).f2
+    return _record(sample, y, sector).f2
 
 
 def covariant_momentum(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Lowered direction ``y_i`` (half gradient of the squared norm)."""
-    return _Direction(sample, y, sector).y_cov
+    return _shared_array(_record(sample, y, sector).y_cov)
 
 
 def metric_tensor(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Covariant direction-dependent metric ``g_ij``."""
-    return _Direction(sample, y, sector).g_cov
+    return _shared_array(_record(sample, y, sector).g_cov)
 
 
 def inverse_metric(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Contravariant direction-dependent metric ``g^ij``."""
-    return _Direction(sample, y, sector).g_contra
+    return _shared_array(_record(sample, y, sector).g_contra)
 
 
 def determinant_ratio(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> float:
     """Closed form for ``det(g_ij) / det(a_ij)``."""
-    return _Direction(sample, y, sector).det_ratio
+    return _record(sample, y, sector).det_ratio
 
 
 def cartan_vector(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Contracted cubic form, covariant and contravariant (zeros at zero charge)."""
-    return _Direction(sample, y, sector).C_vectors
+    c_cov, c_contra = _record(sample, y, sector).C_vectors
+    _read_only(c_cov, c_contra)
+    return c_cov, c_contra
 
 
 def cartan_norm(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> float:
     """Closed form for the squared norm ``C_h C^h`` of the contracted cubic form."""
-    return _Direction(sample, y, sector).CC
+    return _record(sample, y, sector).CC
 
 
 def angular_metric(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Angular metric: the metric projected orthogonally to the direction."""
-    return _Direction(sample, y, sector).h_ang
+    return _shared_array(_record(sample, y, sector).h_ang)
 
 
 def cartan_tensor(
@@ -412,7 +463,7 @@ def cartan_tensor(
         the contracted form: at zero charge (the exact limit value is zero),
         and on rays where the contracted form itself vanishes.
     """
-    return _Direction(sample, y, sector).cartan
+    return _shared_array(_record(sample, y, sector).cartan)
 
 
 def indicatrix_curvature(
@@ -429,23 +480,25 @@ def indicatrix_curvature(
     """
     if not sample.c_is_unit:
         raise CNotUnit("indicatrix curvature is implemented at unit preferred-direction norm")
-    return _Direction(sample, y, sector).curvature(seeds)
+    return _record(sample, y, sector).curvature(seeds)
 
 
 def frame_components(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> FrameComponents:
     """Direction and metric in the adapted frame, from closed frame formulas."""
-    return _Direction(sample, y, sector).frame
+    frame = _record(sample, y, sector).frame
+    _read_only(frame.R, frame.g_frame)
+    return frame
 
 
 def metric_bundle(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> MetricBundle:
     """Assemble the full metric stack at one direction from one scalar chain."""
-    d = _Direction(sample, y, sector)
+    d = _record(sample, y, sector)
     # pieces are read in stack order, so the first failing guard names the error
-    return MetricBundle(
+    bundle = MetricBundle(
         F2=d.f2,
         y_cov=d.y_cov,
         g_cov=d.g_cov,
@@ -457,3 +510,8 @@ def metric_bundle(
         h_ang=d.h_ang,
         cartan=np.zeros((sample.dim,) * 3) if d.null_charge else d.cartan,
     )
+    _read_only(
+        bundle.y_cov, bundle.g_cov, bundle.g_contra, bundle.C_cov, bundle.C_contra,
+        bundle.h_ang, bundle.cartan,
+    )
+    return bundle

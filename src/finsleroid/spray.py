@@ -31,7 +31,7 @@ import numpy as np
 from .background import BackgroundField, BackgroundSample, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
 from .kinematics import Sector, _measure, classify
-from .metric import _Direction
+from .metric import _Direction, _record
 from .numdiff import FDConfig, fd_jacobian
 
 __all__ = [
@@ -104,7 +104,7 @@ def spray_coefficients(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> SprayData:
     """Closed-form spray coefficients ``G^i`` at a sampled point."""
-    return _spray(_Direction(sample, y, sector))
+    return _spray(_record(sample, y, sector))
 
 
 def _spray(d: _Direction) -> SprayData:

@@ -20,7 +20,9 @@ fails, a frame metric that overflows, and a metric stack that overflows
 before it can give a NaN curvature (their configurations are
 ``data/golden/err_*.cfg``). The ``*_err_underflow``, ``eval_err_subnormal``
 and ``eval_err_huge_vector`` cases give directions whose squared length
-leaves the normal float range. A refactor must
+leaves the normal float range; ``eval_err_tiny_vector`` gives one whose squared
+length is normal but whose frame metric divides by a product that underflows
+to zero. A refactor must
 leave every byte as it is; a case is rewritten only for an intended change of
 output, and the change log says so.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from finsleroid import metric
 from finsleroid.background import BackgroundField, load_config, sample
-from finsleroid.errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
+from finsleroid.errors import (
+    CNotUnit,
+    DegenerateNu,
+    DegenerateQ,
+    GeometryError,
+    NullCartan,
+    UnsupportedSector,
+)
 from finsleroid.kinematics import classify, random_admissible, scalars
 from finsleroid.metric import (
     angular_metric,
@@ -27,6 +35,7 @@ from finsleroid.metric import (
     metric_function,
     metric_tensor,
 )
+from finsleroid.spray import _spray, spray_coefficients
 from finsleroid.numdiff import TOL_EULER_CHAIN, TOL_METRIC_INVERSE, TOL_DET_RATIO, fd_gradient, fd_jacobian
 
 from conftest import config_path
@@ -333,6 +342,7 @@ class TestSharedChain:
             return scalars(*args, **kwargs)
 
         monkeypatch.setattr(metric, "scalars", counted)
+        monkeypatch.setattr(metric, "_shared", None)  # no record left by an earlier test
         metric_bundle(desk, Y_TIME)
         assert len(calls) == 1
         calls.clear()
@@ -354,6 +364,131 @@ class TestSharedChain:
                 cartan_tensor(c09, y)
             with pytest.raises(NullCartan):
                 metric_bundle(c09, y)
+
+
+CONFIGS = ("desk", "desk_c09", "desk_curved_a", "desk_shifted_b", "desk_variable_g")
+
+
+@pytest.fixture(scope="module")
+def config_samples():
+    return {
+        name: sample(load_config(config_path(name)), np.array([0.3, 0.1, 0.2, 0.4]))
+        for name in CONFIGS
+    }
+
+
+def _bundle_of(d: metric._Direction) -> metric.MetricBundle:
+    """``metric_bundle`` read from a fresh record, in stack order."""
+    return metric.MetricBundle(
+        F2=d.f2,
+        y_cov=d.y_cov,
+        g_cov=d.g_cov,
+        g_contra=d.g_contra,
+        det_ratio=d.det_ratio,
+        C_cov=d.C_vectors[0],
+        C_contra=d.C_vectors[1],
+        CC=d.CC,
+        h_ang=d.h_ang,
+        cartan=np.zeros((d.sample.dim,) * 3) if d.null_charge else d.cartan,
+    )
+
+
+def _fresh(here, y) -> metric._Direction:
+    return metric._Direction(here, np.array(y), None)
+
+
+def _curvature_of(here, y) -> float:
+    if not here.c_is_unit:
+        raise CNotUnit("indicatrix curvature is implemented at unit preferred-direction norm")
+    return _fresh(here, y).curvature(None)
+
+
+#: every view that reads the shared record, with the same piece of a fresh one
+SHARED_VIEWS = (
+    (metric_function, lambda s, y: _fresh(s, y).f2),
+    (covariant_momentum, lambda s, y: _fresh(s, y).y_cov),
+    (metric_tensor, lambda s, y: _fresh(s, y).g_cov),
+    (inverse_metric, lambda s, y: _fresh(s, y).g_contra),
+    (determinant_ratio, lambda s, y: _fresh(s, y).det_ratio),
+    (cartan_vector, lambda s, y: _fresh(s, y).C_vectors),
+    (cartan_norm, lambda s, y: _fresh(s, y).CC),
+    (angular_metric, lambda s, y: _fresh(s, y).h_ang),
+    (cartan_tensor, lambda s, y: _fresh(s, y).cartan),
+    (indicatrix_curvature, _curvature_of),
+    (frame_components, lambda s, y: _fresh(s, y).frame),
+    (metric_bundle, lambda s, y: _bundle_of(_fresh(s, y))),
+    (spray_coefficients, lambda s, y: _spray(_fresh(s, y))),
+)
+
+
+def _bits(value):
+    """Shape and bytes of every number in a view's result."""
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    arr = np.asarray(value, dtype=float)
+    return arr.shape, arr.tobytes()
+
+
+def _outcome(fn):
+    """The bits of ``fn()``, or the type and message of the error it raises."""
+    try:
+        return _bits(fn())
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedRecord:
+    """The views read one shared record, and it gives the fresh record's bits."""
+
+    @staticmethod
+    def _directions(here):
+        rng = np.random.default_rng(13)
+        drawn = [
+            random_admissible(here, rng, tag, 3, margin=0.05)
+            for tag in ("time-future", "space-like")
+        ]
+        special = [
+            here.b_contra,  # the preferred axis; at unit norm its guards raise DegenerateQ
+            np.array([1.0, -0.0, 0.1, 0.2]),  # a signed zero
+            np.array([1.0, 0.0, 0.1, 0.2]),  # the same values, other bytes
+            np.array([-1.0, 0.1, 0.0, 0.2]),  # unsupported: building raises
+        ]
+        return [*np.concatenate(drawn), *special]
+
+    @pytest.mark.parametrize("config_name", CONFIGS)
+    def test_views_match_a_fresh_record_bit_for_bit(self, config_samples, config_name):
+        here = config_samples[config_name]
+        seen_errors = set()
+        for y in self._directions(here):
+            # forward, then backward: each view is met both building and hitting
+            for view, piece in (*SHARED_VIEWS, *reversed(SHARED_VIEWS)):
+                expected = _outcome(lambda: piece(here, y))
+                assert _outcome(lambda: view(here, y)) == expected, (view.__name__, y)
+                if isinstance(expected[0], type):
+                    seen_errors.add(expected[0])
+        guard = DegenerateQ if here.c_is_unit else CNotUnit
+        assert {UnsupportedSector, guard} <= seen_errors
+
+    def test_returned_arrays_are_read_only(self, desk):
+        y = np.array([1.0, 0.3, -0.1, 0.2])
+        fresh = _fresh(desk, y)
+        for view, _ in SHARED_VIEWS[:-1]:  # the spray builds new arrays per call
+            arrays = [v for v in _flat(view(desk, y)) if isinstance(v, np.ndarray)]
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 7.0
+        assert _bits(metric_bundle(desk, y)) == _bits(_bundle_of(fresh))
+        assert _bits(frame_components(desk, y)) == _bits(fresh.frame)
+
+
+def _flat(value) -> list:
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return [v for item in value for v in _flat(item)]
+    return [value]
 
 
 class TestGuards:

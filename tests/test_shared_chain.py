@@ -12,10 +12,18 @@ import sys
 import numpy as np
 import pytest
 
-from finsleroid import cli, kinematics
+from finsleroid import cli, kinematics, metric
 from finsleroid.anglegeo import angle_closed_form, uar_to_angles
 from finsleroid.background import load_config, sample
 from finsleroid.conformal import pushforward_metric_check
+from finsleroid.metric import (
+    frame_components,
+    indicatrix_curvature,
+    inverse_metric,
+    metric_bundle,
+    metric_function,
+    metric_tensor,
+)
 from finsleroid.spray import geodesic_integrate, spray_coefficients, spray_oracle
 
 from conftest import config_path
@@ -43,19 +51,84 @@ def _count_calls(monkeypatch, original) -> list[int]:
 
 @pytest.fixture
 def chains(monkeypatch):
-    """Scalar-chain calls made through any module of the package."""
+    """Scalar-chain calls made through any module of the package, counted
+    from an empty shared slot of the public views."""
+    monkeypatch.setattr(metric, "_shared", None)
     return _count_calls(monkeypatch, kinematics.scalars)
 
 
 @pytest.fixture
 def classifications(monkeypatch):
     """``classify`` calls made through any module of the package."""
+    monkeypatch.setattr(metric, "_shared", None)
     return _count_calls(monkeypatch, kinematics.classify)
 
 
 @pytest.fixture(scope="module")
 def variable_g():
     return load_config(config_path("desk_variable_g"))
+
+
+@pytest.fixture(scope="module")
+def desk_here(desk_field):
+    return sample(desk_field, X_PROBE)
+
+
+def test_eval_views_share_one_chain(desk_here, chains):
+    """The views the ``sweep`` benchmark calls per direction; 3 chains before
+    the views shared their record."""
+    metric_bundle(desk_here, Y_TIME)
+    indicatrix_curvature(desk_here, Y_TIME)
+    frame_components(desk_here, Y_TIME)
+    assert len(chains) == 1
+    spray_coefficients(desk_here, list(Y_TIME))  # equal bytes, given as a list
+    assert len(chains) == 1
+
+
+Y_ZEROS = np.array([1.0, 0.0, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("change", ["sample", "direction", "signed zero", "sector"])
+def test_a_changed_key_builds_a_new_chain(desk_field, desk_here, chains, change):
+    metric_tensor(desk_here, Y_ZEROS)
+    assert len(chains) == 1
+    args = {
+        "sample": (sample(desk_field, X_PROBE), Y_ZEROS, None),  # equal values, new object
+        "direction": (desk_here, Y_TIME, None),
+        "signed zero": (desk_here, np.array([1.0, -0.0, 0.1, 0.2]), None),
+        "sector": (desk_here, Y_ZEROS, kinematics.classify(desk_here, Y_ZEROS)),
+    }[change]
+    inverse_metric(*args)
+    assert len(chains) == 2
+    metric_function(*args)
+    assert len(chains) == 2
+
+
+def test_the_record_keeps_a_copy_of_the_direction(desk_here, chains):
+    y = Y_ZEROS.copy()
+    metric_function(desk_here, y)  # builds the record; the frame is not read yet
+    y[1] = 0.3  # the caller changes its array in place
+    frame = frame_components(desk_here, Y_ZEROS)  # the bytes the record was built for
+    assert len(chains) == 1
+    after = metric_tensor(desk_here, y)
+    assert len(chains) == 2
+    assert frame.R.tobytes() == metric._Direction(desk_here, Y_ZEROS, None).frame.R.tobytes()
+    assert after.tobytes() == metric._Direction(desk_here, y, None).g_cov.tobytes()
+
+
+def test_writing_into_a_view_leaves_the_next_view_intact(desk_here):
+    fresh = metric._Direction(desk_here, Y_TIME, None)
+    g_cov = metric_tensor(desk_here, Y_TIME)
+    with pytest.raises(ValueError, match="read-only"):
+        g_cov[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        metric_bundle(desk_here, Y_TIME).g_contra *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        frame_components(desk_here, Y_TIME).R[:] = 0.0
+    bundle = metric_bundle(desk_here, Y_TIME)
+    assert bundle.g_cov.tobytes() == fresh.g_cov.tobytes()
+    assert bundle.g_contra.tobytes() == fresh.g_contra.tobytes()
+    assert frame_components(desk_here, Y_TIME).R.tobytes() == fresh.frame.R.tobytes()
 
 
 def test_spray_coefficients_reads_one_chain(variable_g, chains):
