@@ -386,13 +386,6 @@ def _record(sample: BackgroundSample, y: Sequence[float], sector: Sector | None)
     return d
 
 
-def _shared_array(arr: np.ndarray) -> np.ndarray:
-    """A piece of a shared record, read-only so no caller can change it for
-    the next view."""
-    arr.flags.writeable = False
-    return arr
-
-
 def metric_function(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> float:
@@ -404,21 +397,27 @@ def covariant_momentum(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Lowered direction ``y_i`` (half gradient of the squared norm)."""
-    return _shared_array(_record(sample, y, sector).y_cov)
+    y_cov = _record(sample, y, sector).y_cov
+    _read_only(y_cov)
+    return y_cov
 
 
 def metric_tensor(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Covariant direction-dependent metric ``g_ij``."""
-    return _shared_array(_record(sample, y, sector).g_cov)
+    g_cov = _record(sample, y, sector).g_cov
+    _read_only(g_cov)
+    return g_cov
 
 
 def inverse_metric(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Contravariant direction-dependent metric ``g^ij``."""
-    return _shared_array(_record(sample, y, sector).g_contra)
+    g_contra = _record(sample, y, sector).g_contra
+    _read_only(g_contra)
+    return g_contra
 
 
 def determinant_ratio(
@@ -448,7 +447,9 @@ def angular_metric(
     sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> np.ndarray:
     """Angular metric: the metric projected orthogonally to the direction."""
-    return _shared_array(_record(sample, y, sector).h_ang)
+    h_ang = _record(sample, y, sector).h_ang
+    _read_only(h_ang)
+    return h_ang
 
 
 def cartan_tensor(
@@ -463,7 +464,9 @@ def cartan_tensor(
         the contracted form: at zero charge (the exact limit value is zero),
         and on rays where the contracted form itself vanishes.
     """
-    return _shared_array(_record(sample, y, sector).cartan)
+    cartan = _record(sample, y, sector).cartan
+    _read_only(cartan)
+    return cartan
 
 
 def indicatrix_curvature(
