@@ -35,8 +35,8 @@ from finsleroid.metric import (
     metric_function,
     metric_tensor,
 )
-from finsleroid.spray import _spray, spray_coefficients
 from finsleroid.numdiff import TOL_EULER_CHAIN, TOL_METRIC_INVERSE, TOL_DET_RATIO, fd_gradient, fd_jacobian
+from finsleroid.spray import _spray, spray_coefficients
 
 from conftest import config_path
 from _reference import REF
@@ -421,14 +421,18 @@ SHARED_VIEWS = (
 )
 
 
-def _bits(value):
-    """Shape and bytes of every number in a view's result."""
+def _flat(value) -> list:
+    """The numbers and arrays of a view's result, in field order."""
     if dataclasses.is_dataclass(value):
         value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
     if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    arr = np.asarray(value, dtype=float)
-    return arr.shape, arr.tobytes()
+        return [v for item in value for v in _flat(item)]
+    return [value]
+
+
+def _bits(value) -> list:
+    """Shape and bytes of every number in a view's result."""
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in _flat(value)]
 
 
 def _outcome(fn):
@@ -481,14 +485,6 @@ class TestSharedRecord:
                     arr[...] = 7.0
         assert _bits(metric_bundle(desk, y)) == _bits(_bundle_of(fresh))
         assert _bits(frame_components(desk, y)) == _bits(fresh.frame)
-
-
-def _flat(value) -> list:
-    if dataclasses.is_dataclass(value):
-        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
-        return [v for item in value for v in _flat(item)]
-    return [value]
 
 
 class TestGuards:
