@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -28,6 +30,7 @@ Y_TIME = np.array([1.0, 0.1, -0.05, 0.12])
 Y_SPACE = np.array([0.2, 1.0, 0.3, -0.4])
 
 VARYING = ["desk_shifted_b", "desk_variable_g", "desk_curved_a"]
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 class TestClosedVsOracle:
@@ -186,6 +189,45 @@ class TestTruncation:
         )
         assert traj.exit_reason is not None
         assert traj.length < 30.0
+
+
+class TestAcceptNode:
+    """``spray._accept_node`` on each way a node can end a run, and on a good one."""
+
+    @staticmethod
+    def accept(field, x, velocity, s_next=0.25):
+        state = np.concatenate([x, velocity])
+        return spray._accept_node(field, state, field.dim, "time-future", s_next)
+
+    def test_space_like_velocity_exits(self, desk_field):
+        assert self.accept(desk_field, X_PROBE, [0.2, 1.0, 0.0, 0.1]) == (
+            None, "sector exit at s = 0.25: velocity became space-like"
+        )
+
+    def test_past_directed_velocity_exits(self, desk_field):
+        assert self.accept(desk_field, X_PROBE, [-1.0, 0.1, 0.0, 0.2]) == (
+            None, "sector exit at s = 0.25: velocity became unsupported"
+        )
+
+    def test_degenerate_node_is_the_reason(self):
+        """At this node of the truncated golden run ``c^2 > 1``; the reason
+        is the footer that run prints."""
+        field = load_config(config_path("desk_shifted_b"))
+        x = np.array([0.10149126682839262, -0.0007775201748309733, 0.0, 0.012053545040063375])
+        footer = (GOLDEN / "geodesic_rk4_desk_shifted_b_truncated.out").read_text().splitlines()[-1]
+        assert self.accept(field, x, [1.0, -0.5, 0.0, 0.12], 0.1015625) == (
+            None, footer.removeprefix("# truncated: ")
+        )
+
+    @pytest.mark.parametrize("config_name", VARYING)
+    def test_good_node_gives_the_record_of_its_sector(self, config_name):
+        field = load_config(config_path(config_name))
+        node, reason = self.accept(field, X_PROBE, Y_TIME)
+        here = sample(field, X_PROBE)
+        fresh = _Direction(here, Y_TIME, classify(here, Y_TIME))
+        assert reason is None
+        assert node.scal == fresh.scal
+        assert node.f2 == fresh.f2
 
 
 class TestInterface:
