@@ -271,15 +271,27 @@ def factor_space_angle(
     _require_unit(sample, "the factor-space angle")
     y1_arr = np.asarray(y1, dtype=float)
     y2_arr = np.asarray(y2, dtype=float)
-    image1 = zeta_map(sample, y1_arr)
-    image2 = zeta_map(sample, y2_arr)
-    if positively_parallel(y1_arr, y2_arr) and image1.S2 * image2.S2 > 0.0:
+    z1 = _binary_normalised(zeta_map(sample, y1_arr).zeta)
+    z2 = _binary_normalised(zeta_map(sample, y2_arr).zeta)
+    s1 = float(z1 @ sample.a @ z1)
+    s2 = float(z2 @ sample.a @ z2)
+    if positively_parallel(y1_arr, y2_arr) and s1 * s2 > 0.0:
         return 0.0
-    if image1.S2 > 0.0 and image2.S2 > 0.0:
+    if s1 > 0.0 and s2 > 0.0:
         eps, h = 1, sample.h_time
-    elif image1.S2 < 0.0 and image2.S2 < 0.0:
+    elif s1 < 0.0 and s2 < 0.0:
         eps, h = -1, sample.h_space
     else:
         raise MixedSectors("image vectors lie on opposite sides of the seed cone")
-    tau = eps * float(image1.zeta @ sample.a @ image2.zeta) / math.sqrt(image1.S2 * image2.S2)
+    tau = eps * float(z1 @ sample.a @ z2) / math.sqrt(s1 * s2)
     return _arc(_clamped(tau, eps, "image pair invariant"), eps, h)
+
+
+def _binary_normalised(zeta: np.ndarray) -> np.ndarray:
+    """``zeta`` times the power of two that brings its largest component
+    into ``[0.5, 1)``. The scaling is exact, and the angle is homogeneous of
+    degree 0 in each image, so only norms that would leave the normal float
+    range change: the image of a tiny time-like direction scales as
+    ``|y|^h_time`` with ``h_time > 1``, and its norm can turn subnormal."""
+    _, exponent = np.frexp(np.max(np.abs(zeta)))
+    return np.ldexp(zeta, -exponent)

@@ -150,6 +150,14 @@ class TestFactorSpace:
         with pytest.raises(MixedSectors):
             factor_space_angle(desk, Y_TIME, Y_SPACE)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-145, 1e-140])
+    def test_angle_of_a_tiny_time_like_direction(self, desk, scale):
+        """The image of a tiny time-like direction has a subnormal seed norm
+        (about 1e-314 at 1e-150); the angle of its ray must not lose bits."""
+        y1, y2 = np.array([1.0, 0.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0, 0.1])
+        unit = factor_space_angle(desk, y1, y2)
+        assert abs(factor_space_angle(desk, scale * y1, y2) - unit) < 4e-15
+
 
 class TestGuards:
     def test_requires_unit_preferred_norm(self, c09):
