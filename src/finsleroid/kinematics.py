@@ -171,21 +171,10 @@ def _chain(
 # --- classification ----------------------------------------------------------
 
 
-def classify(
-    sample: BackgroundSample,
-    y: Sequence[float],
-    *,
-    measured: tuple[float, float, float] | None = None,
-) -> Sector:
-    """Classify direction ``y`` at the sampled point with relative tolerances.
-
-    ``measured`` is the ``(|y|, b, gamma)`` of ``y`` where the caller
-    already holds it.
-    """
+def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
+    """Classify direction ``y`` at the sampled point with relative tolerances."""
     y_arr = np.asarray(y, dtype=float)
-    if measured is None:
-        measured = _measure(sample.a, sample.b_cov, y_arr)
-    return _sector(sample, y_arr, *measured)
+    return _sector(sample, y_arr, *_measure(sample.a, sample.b_cov, y_arr))
 
 
 def _sector(
@@ -228,17 +217,9 @@ def _sector(
 
 
 def scalars(
-    sample: BackgroundSample,
-    y: Sequence[float],
-    sector: Sector | None = None,
-    *,
-    measured: tuple[float, float, float] | None = None,
+    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
 ) -> KinematicScalars:
     """Compute the scalar chain for a supported direction.
-
-    ``measured`` is the ``(|y|, b, gamma)`` of ``y`` where the caller
-    already holds it; with :func:`classify` taking it too, a direction that
-    is classified and then chained is measured once.
 
     Raises
     ------
@@ -249,9 +230,7 @@ def scalars(
         divides by ``q`` and ``nu``.
     """
     y_arr = np.asarray(y, dtype=float)
-    if measured is None:
-        measured = _measure(sample.a, sample.b_cov, y_arr)
-    scale, b, gamma = measured
+    scale, b, gamma = _measure(sample.a, sample.b_cov, y_arr)
     if sector is None:
         sector = _sector(sample, y_arr, scale, b, gamma)
     if not sector.supported:

@@ -134,20 +134,12 @@ class _Direction:
     The package's one per-direction object: a consumer that holds a direction
     builds one record and reads ``scal``, ``f2``, ``y_cov``, ``g_cov``,
     ``g_contra`` and the rest from it. Package-private; not exported.
-    ``measured`` is ``kinematics._measure`` of ``y`` where the caller
-    already classified ``y`` with it.
     """
 
-    def __init__(
-        self,
-        sample: BackgroundSample,
-        y: Sequence[float],
-        sector: Sector | None,
-        measured: tuple[float, float, float] | None = None,
-    ):
+    def __init__(self, sample: BackgroundSample, y: Sequence[float], sector: Sector | None):
         self.sample = sample
         self.y = np.asarray(y, dtype=float)
-        self.scal = scal = scalars(sample, self.y, sector, measured=measured)
+        self.scal = scal = scalars(sample, self.y, sector)
         self.f2 = scal.B * scal.J * scal.J
 
     def require_q(self, what: str) -> None:

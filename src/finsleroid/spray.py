@@ -30,7 +30,7 @@ import numpy as np
 
 from .background import BackgroundField, BackgroundSample, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
-from .kinematics import Sector, _measure, classify
+from .kinematics import Sector, classify
 from .metric import _Direction, _record
 from .numdiff import FDConfig, fd_jacobian
 
@@ -221,16 +221,14 @@ def _accept_node(
     field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float
 ) -> tuple[_Direction | None, str | None]:
     """Sample and classify the node ``state`` reached at ``s_next``; return its
-    record, or ``None`` and the reason the run stops short of it. The
-    velocity is measured once, for its sector and its chain."""
+    record, or ``None`` and the reason the run stops short of it."""
     try:
         here = sample_background(field, state[:dim])
         velocity = state[dim:]
-        measured = _measure(here.a, here.b_cov, velocity)
-        sector = classify(here, velocity, measured=measured)
+        sector = classify(here, velocity)
         if sector.tag != start_tag:
             return None, f"sector exit at s = {s_next:.9g}: velocity became {sector.tag}"
-        return _Direction(here, velocity, sector, measured), None
+        return _Direction(here, velocity, sector), None
     except GeometryError as exc:
         return None, f"geometry degenerated at s = {s_next:.9g}: {exc}"
 
