@@ -281,12 +281,6 @@ _CHECK_TOLS = {
 class RunReport:
     """Deterministic summary of a check run (wall time stays off stdout)."""
 
-    command: str
-    config: str
-    seed: int
-    checks_run: int = 0
-    checks_passed: int = 0
-    checks_failed: int = 0
     worst: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     worst_at: dict[str, str] = field(default_factory=dict)
@@ -393,7 +387,7 @@ def _check_shard(
                 record("conformal_roundtrip", _relmax(back - y, y))
 
 
-def run_check(field_: BackgroundField, config_path: str, samples: int, seed: int) -> RunReport:
+def run_check(field_: BackgroundField, samples: int, seed: int) -> RunReport:
     """Execute the check battery and assemble its deterministic report."""
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
@@ -406,7 +400,7 @@ def run_check(field_: BackgroundField, config_path: str, samples: int, seed: int
         per_shard[k] += 1
 
     # shard-then-draw order with a strict ">" keeps each identity's first maximum
-    report = RunReport(command="check", config=config_path, seed=seed)
+    report = RunReport()
     for k in range(shards):
         _check_shard(field_, children[k], k, per_shard[k], report)
     return report
@@ -425,7 +419,7 @@ def _profile_tols(field_: BackgroundField, profile: str) -> dict[str, float]:
 
 def cmd_check(args) -> int:
     field_ = load_config(args.config)
-    report = run_check(field_, args.config, args.samples, args.seed)
+    report = run_check(field_, args.samples, args.seed)
     tols = _profile_tols(field_, args.tol_profile)
 
     _emit("command", "check")
@@ -435,6 +429,7 @@ def cmd_check(args) -> int:
     _emit("tol_profile", args.tol_profile)
 
     failed_identities = []
+    checks_run = checks_passed = checks_failed = 0
     for name in sorted(tols):
         n = report.counts.get(name, 0)
         if n == 0:
@@ -442,11 +437,11 @@ def cmd_check(args) -> int:
             continue
         residual = report.worst[name]
         ok = residual <= tols[name]
-        report.checks_run += n
+        checks_run += n
         if ok:
-            report.checks_passed += n
+            checks_passed += n
         else:
-            report.checks_failed += n
+            checks_failed += n
             failed_identities.append(name)
         _emit(f"check.{name}.residual", residual)
         _emit(f"check.{name}.tol", tols[name])
@@ -454,9 +449,9 @@ def cmd_check(args) -> int:
         _emit(f"check.{name}.worst_at", report.worst_at[name])
         _emit(f"check.{name}.status", "pass" if ok else "fail")
 
-    _emit("checks_run", report.checks_run)
-    _emit("checks_passed", report.checks_passed)
-    _emit("checks_failed", report.checks_failed)
+    _emit("checks_run", checks_run)
+    _emit("checks_passed", checks_passed)
+    _emit("checks_failed", checks_failed)
     if report.worst:
         offender = max(report.worst, key=lambda name: report.worst[name] / tols[name])
         _emit("worst_identity", offender)
