@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -578,8 +579,18 @@ def cmd_conformal(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``-1e-3``, ``-inf`` and ``-nan`` as
+    values, as it reads ``-0.001``; its subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option of this CLI starts with "-" and a digit, ".digit", "inf" or "nan"
+        self._negative_number_matcher = re.compile(r"-(?:\d|\.\d|inf|nan).*", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finsleroid",
         description="Spatial-anisotropic metric stack: evaluation, geodesics, "
         "duality, angles, conformal maps, and identity checks.",

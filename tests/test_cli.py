@@ -537,3 +537,33 @@ class TestInputContracts:
         assert result.returncode == 3
         assert "geometry error: fixed-step integrator needs more than 200000 steps" in result.stderr
         assert result.stdout == ""
+
+
+class TestNegativeNumbers:
+    """A negative number in any notation is a value, never an option."""
+
+    EVAL = ("eval", "--config", DESK, *ORIGIN)
+
+    def test_exponent_reads_as_its_plain_twin(self):
+        exponent = run_cli(*self.EVAL, "--vector", "1", "-1e-3", "0", "0")
+        plain = run_cli(*self.EVAL, "--vector", "1", "-0.001", "0", "0")
+        assert exponent.returncode == plain.returncode == 0
+        assert exponent.stdout == plain.stdout
+
+    def test_start_with_exponent_integrates(self):
+        result = run_cli(
+            "geodesic", "--config", DESK, "--start", "-1e-3", "0", "0", "0",
+            "--velocity", "1", "0", "0", "0.2", "--length", "0.01", "--step", "0.005",
+        )
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1].startswith("0,-0.001,")
+
+    def test_negative_infinity_is_a_non_finite_component(self):
+        result = run_cli(*self.EVAL, "--vector", "1", "-inf", "0", "0")
+        assert result.returncode == 2
+        assert "configuration error: --vector has non-finite components" in result.stderr
+
+    def test_unknown_option_is_still_a_usage_error(self):
+        result = run_cli(*self.EVAL, "--vector", "1", "0", "0", "0", "-x")
+        assert result.returncode == 2
+        assert "unrecognized arguments: -x" in result.stderr
