@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,14 @@ import pytest
 
 from finsleroid.background import load_config, sample
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+
+# the CLI tests run the package in subprocesses, which must import it from
+# this checkout as the suite does (pyproject's pytest ``pythonpath``)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def config_path(name: str) -> str:
