@@ -13,11 +13,14 @@ from finsleroid.background import load_config, sample
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 
-# the CLI tests run the package in subprocesses, which must import it from
-# this checkout as the suite does (pyproject's pytest ``pythonpath``)
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-)
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_checkout():
+    """The CLI tests run the package in subprocesses, which must import it
+    from this checkout as the suite does (pyproject's pytest ``pythonpath``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(ROOT / "src"), prepend=os.pathsep)
+        yield
 
 
 def config_path(name: str) -> str:
