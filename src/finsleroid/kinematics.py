@@ -7,7 +7,7 @@ and the derived chain (half-charge roots, cone margins, angular variable,
 anisotropy weight) that every closed-form tensor in the package is built from.
 
 Three private pieces are written once: ``_measure`` (a vector's ``|y|``,
-``b`` and ``gamma``, measured once per chain), ``_margins`` (the time-cone
+``b`` and ``gamma``, computed once per chain), ``_margins`` (the time-cone
 margins) and ``_chain`` (the sector chain at a charge). Directions read them at
 ``g``, and the covector chain of :mod:`finsleroid.dual` at ``-g``.
 
@@ -180,7 +180,7 @@ def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
 def _sector(
     sample: BackgroundSample, y_arr: np.ndarray, scale: float, b: float, gamma: float
 ) -> Sector:
-    """The classification decision on a measured direction."""
+    """The classification decision on a direction's ``(|y|, b, gamma)``."""
     tol_gamma = GAMMA_TOL_REL * scale * scale
     tol_margin = MARGIN_TOL_REL * scale
 
