@@ -175,7 +175,7 @@ class BackgroundField:
         return template, np.array(slots, dtype=np.intp), tuple(closures)
 
     @cached_property
-    def _constant_stages(self) -> dict[str, tuple]:
+    def _constant_stages(self) -> dict[str, dict]:
         """Results of the stages of :func:`sample` that read only constants.
 
         There is one key per stage whose input slots are all constant in
@@ -190,7 +190,7 @@ class BackgroundField:
         def constant(*names: str) -> bool:
             return all(varying.isdisjoint(range(flat[n].start, flat[n].stop)) for n in names)
 
-        stages: dict[str, tuple] = {}
+        stages: dict[str, dict] = {}
         if constant("a", "da"):
             stages["base"] = _base_stage(template, self.dim, None)
             if constant("b_cov", "db"):
@@ -245,7 +245,7 @@ class BackgroundSample:
 
     @cached_property
     def frame_inv(self) -> np.ndarray:
-        frame_inv = _build_frame(self.a, self.b_contra, self.c).T.copy()
+        frame_inv = _build_frame(self.a, self.b_contra, self.c, self.time_leg).T.copy()
         frame_inv.flags.writeable = False
         return frame_inv
 
@@ -437,22 +437,25 @@ def _next_leg(
     )
 
 
-def _build_frame(a: np.ndarray, b_contra: np.ndarray, c: float) -> np.ndarray:
+def _build_frame(
+    a: np.ndarray, b_contra: np.ndarray, c: float, time_leg: np.ndarray
+) -> np.ndarray:
     """Return ``legs[p, i]`` with ``a(leg_p, leg_q) = diag(+1, -1, ..., -1)[pq]``.
 
     The last leg is ``-b_contra/c`` (so the preferred direction has frame
-    components ``(0, ..., 0, -c)``); the time leg (index 0) and space legs are
-    Gram-Schmidt residuals of coordinate-axis seeds taken in order, with
-    eigenvector seeds as a deterministic fallback, and each leg's sign fixed
-    so its first significant component is positive.
+    components ``(0, ..., 0, -c)``) and the time leg (index 0) is the one the
+    direction stage stored. The space legs are Gram-Schmidt residuals of
+    coordinate-axis seeds taken in order, with eigenvector seeds as a
+    deterministic fallback, and each leg's sign fixed so its first significant
+    component is positive.
     """
-    dim = a.shape[0]
-    legs = np.zeros((dim, dim))
-    legs[dim - 1] = -b_contra / c
-    built = [(legs[dim - 1], -1.0)]
-    for target, wanted_sign in [(0, 1.0)] + [(p, -1.0) for p in range(1, dim - 1)]:
-        legs[target] = _next_leg(a, built, wanted_sign)
-        built.append((legs[target], wanted_sign))
+    legs = np.zeros(a.shape)
+    legs[0] = time_leg
+    legs[-1] = -b_contra / c
+    built = [(legs[-1], -1.0), (legs[0], 1.0)]
+    for p in range(1, a.shape[0] - 1):
+        legs[p] = _next_leg(a, built, -1.0)
+        built.append((legs[p], -1.0))
     return legs
 
 
@@ -478,9 +481,9 @@ def _at(coords: tuple[float, ...] | None) -> str:
     return "" if coords is None else f" at x = {coords}"
 
 
-def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> tuple:
-    """``(a, da, a_inv, christoffel, christoffel_zero)``; raises the singular
-    and inertia errors."""
+def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> dict:
+    """The base-metric fields of a sample, keyed by ``BackgroundSample`` field
+    name; raises the singular and inertia errors."""
     flat = _flat_slices(dim)
     a = values[flat["a"]].reshape(dim, dim).copy()
     da = values[flat["da"]].reshape(dim, dim, dim).copy()
@@ -505,19 +508,20 @@ def _base_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) 
     christoffel = christoffel + 0.5 * np.einsum("kn,inj->kij", a_inv, da)
     christoffel -= 0.5 * np.einsum("kn,nij->kij", a_inv, da)
     _read_only(a, da, a_inv, christoffel)
-    return a, da, a_inv, christoffel, not christoffel.any()
+    return dict(
+        a=a, da=da, a_inv=a_inv, christoffel=christoffel, christoffel_zero=not christoffel.any()
+    )
 
 
 def _direction_stage(
-    values: np.ndarray, dim: int, base: tuple, coords: tuple[float, ...] | None
-) -> tuple:
-    """``(b_cov, db, b_contra, c, nabla_b, time_leg, curl, b_parallel)`` over
-    the base stage; raises the norm and time-leg errors."""
-    a, _, a_inv, christoffel, _ = base
+    values: np.ndarray, dim: int, base: dict, coords: tuple[float, ...] | None
+) -> dict:
+    """The preferred-direction fields of a sample over the base stage's, keyed
+    by ``BackgroundSample`` field name; raises the norm and time-leg errors."""
     flat = _flat_slices(dim)
     b_cov = values[flat["b_cov"]].copy()
     db = values[flat["db"]].reshape(dim, dim).copy()
-    b_contra = a_inv @ b_cov
+    b_contra = base["a_inv"] @ b_cov
     c_sq = float(-(b_cov @ b_contra))
     if math.isnan(c_sq):
         raise DomainError(f"preferred direction has undefined norm squared {c_sq!r}{_at(coords)}")
@@ -529,24 +533,29 @@ def _direction_stage(
         raise DomainError(f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}){_at(coords)}")
     c = min(math.sqrt(c_sq), 1.0)
     # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
-    time_leg = _next_leg(a, [(-b_contra / c, -1.0)], 1.0)
-    nabla_b = db - np.einsum("k,kij->ij", b_cov, christoffel)
+    time_leg = _next_leg(base["a"], [(-b_contra / c, -1.0)], 1.0)
+    nabla_b = db - np.einsum("k,kij->ij", b_cov, base["christoffel"])
     curl = db - db.T
     _read_only(b_cov, db, b_contra, nabla_b, time_leg, curl)
-    b_parallel = not (nabla_b.any() or curl.any())
-    return b_cov, db, b_contra, c, nabla_b, time_leg, curl, b_parallel
+    return dict(
+        b_cov=b_cov, db=db, b_contra=b_contra, c=c, nabla_b=nabla_b, time_leg=time_leg,
+        curl=curl, b_parallel=not (nabla_b.any() or curl.any()),
+    )
 
 
-def _charge_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> tuple:
-    """``(g, dg, h_time, h_space, dg_zero)``; raises the charge-range error."""
+def _charge_stage(values: np.ndarray, dim: int, coords: tuple[float, ...] | None) -> dict:
+    """The charge fields of a sample, keyed by ``BackgroundSample`` field name;
+    raises the charge-range error."""
     flat = _flat_slices(dim)
     g = float(values[flat["g"].start])
     dg = values[flat["dg"]].copy()
     if not abs(g) < 2.0:
         raise DomainError(f"anisotropy charge g = {g!r} outside (-2, 2){_at(coords)}")
     _read_only(dg)
-    h_time, h_space = math.sqrt(1.0 + 0.25 * g * g), math.sqrt(1.0 - 0.25 * g * g)
-    return g, dg, h_time, h_space, not dg.any()
+    return dict(
+        g=g, dg=dg, h_time=math.sqrt(1.0 + 0.25 * g * g), h_space=math.sqrt(1.0 - 0.25 * g * g),
+        dg_zero=not dg.any(),
+    )
 
 
 def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
@@ -572,36 +581,9 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
         template, slots, closures = field._layout
         values = template.copy()
         values[slots] = [fn(coords) for fn in closures]
-    base = stages["base"] if "base" in stages else _base_stage(values, dim, coords)
-    direction = (
-        stages["direction"] if "direction" in stages
-        else _direction_stage(values, dim, base, coords)
-    )
-    charge = stages["charge"] if "charge" in stages else _charge_stage(values, dim, coords)
-    a, da, a_inv, christoffel, christoffel_zero = base
-    b_cov, db, b_contra, c, nabla_b, time_leg, curl, b_parallel = direction
-    g, dg, h_time, h_space, dg_zero = charge
-
+    base = stages.get("base") or _base_stage(values, dim, coords)
+    direction = stages.get("direction") or _direction_stage(values, dim, base, coords)
+    charge = stages.get("charge") or _charge_stage(values, dim, coords)
     x_arr = x_arr.copy()
     _read_only(x_arr)
-    return BackgroundSample(
-        x=x_arr,
-        a=a,
-        a_inv=a_inv,
-        b_cov=b_cov,
-        b_contra=b_contra,
-        c=c,
-        g=g,
-        h_time=h_time,
-        h_space=h_space,
-        da=da,
-        db=db,
-        dg=dg,
-        christoffel=christoffel,
-        nabla_b=nabla_b,
-        time_leg=time_leg,
-        curl=curl,
-        christoffel_zero=christoffel_zero,
-        b_parallel=b_parallel,
-        dg_zero=dg_zero,
-    )
+    return BackgroundSample(x=x_arr, **base, **direction, **charge)

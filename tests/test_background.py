@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from finsleroid.background import BackgroundField, load_config, parse_config, sample
+from finsleroid.background import (
+    BackgroundField,
+    BackgroundSample,
+    _base_stage,
+    _charge_stage,
+    _direction_stage,
+    load_config,
+    parse_config,
+    sample,
+)
 from finsleroid.errors import (
     ConfigDimensionError,
     ConfigDuplicateError,
@@ -358,6 +370,37 @@ class TestStagedSampling:
         )
         with pytest.raises(DomainError, match=r"not Lorentzian at x = \(1e\+200, 0\.0, 0\.0, 0\.0\)"):
             sample(field, np.array([1e200, 0.0, 0.0, 0.0]))
+
+
+class TestStageResults:
+    """Each stage hands over its results keyed by ``BackgroundSample`` field name."""
+
+    @pytest.mark.parametrize("config_name", ["desk", "desk_curved_a"])
+    def test_stages_partition_the_sample_fields(self, config_name):
+        field = load_config(config_path(config_name))
+        template, slots, closures = field._layout
+        for x in POINTS:
+            coords = tuple(x.tolist())
+            values = template.copy()
+            values[slots] = [fn(coords) for fn in closures]
+            base = _base_stage(values, field.dim, coords)
+            results = (
+                base,
+                _direction_stage(values, field.dim, base, coords),
+                _charge_stage(values, field.dim, coords),
+            )
+            for first, second in itertools.combinations(results, 2):
+                assert set(first).isdisjoint(second)
+            names = {"x"}.union(*results)
+            assert names == {f.name for f in dataclasses.fields(BackgroundSample)}
+            here = sample(field, x)
+            for result in results:
+                for name, value in result.items():
+                    assert np.asarray(getattr(here, name)).tobytes() == np.asarray(value).tobytes()
+        # the stages that ran once, when the field was built, hand over the same names
+        by_stage = dict(zip(("base", "direction", "charge"), results))
+        for name, stage in field._constant_stages.items():
+            assert set(stage) == set(by_stage[name])
 
 
 class TestStageFacts:
