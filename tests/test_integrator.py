@@ -1,5 +1,6 @@
 """Integrator evidence that does not lean on the FD oracle: convergence order
-of rk4 and the momenta that Noether's theorem conserves."""
+of rk4, the endpoint error of rk45 against its tolerance, and the momenta that
+Noether's theorem conserves."""
 
 from __future__ import annotations
 
@@ -72,6 +73,24 @@ def test_rk4_is_fourth_order(name, y):
     errors = [float(np.max(np.abs(endpoint(n) - reference))) for n in (8, 16, 32)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 < coarse / fine < 18.0
+
+
+@pytest.mark.parametrize("name", ["desk_curved_a", "desk_variable_g"])
+def test_rk45_endpoint_error_stays_within_tol(name):
+    """The adaptive pair ends within ``tol`` of a 2048-step rk4 reference, and
+    a tighter ``tol`` takes no fewer accepted steps."""
+    field = FIELDS[name]
+    y = (1.0, 0.1, 0.0, 0.2)
+    reference = geodesic_integrate(field, X_START, y, 0.5, method="rk4", step=0.5 / 2048)
+    accepted = []
+    for tol in (1e-8, 1e-9, 1e-10):
+        traj = geodesic_integrate(field, X_START, y, 0.5, method="rk45", tol=tol)
+        assert traj.exit_reason is None
+        assert traj.samples[-1, 0] == 0.5
+        error = float(np.max(np.abs(traj.samples[-1, 1:9] - reference.samples[-1, 1:9])))
+        assert error <= tol
+        accepted.append(traj.samples.shape[0] - 1)
+    assert accepted == sorted(accepted)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
