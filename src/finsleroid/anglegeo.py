@@ -83,11 +83,23 @@ def _require_dim4(sample: BackgroundSample, what: str) -> None:
         raise ChartDomain(f"{what} is implemented for dimension 4")
 
 
+def _binary_normalised(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``v`` times ``2**-e`` and the exponent ``e`` that brings its largest
+    component into ``[0.5, 1)``. The scaling is exact, so a quantity that is
+    homogeneous in ``v`` keeps its bits where it stays in the normal float
+    range; only products that would overflow or turn subnormal change."""
+    _, exponent = math.frexp(float(np.max(np.abs(v))))
+    return np.ldexp(v, -exponent), exponent
+
+
 def _paired_records(
     sample: BackgroundSample, y1: Sequence[float], y2: Sequence[float]
-) -> tuple[_Direction, _Direction]:
-    y1_arr = np.asarray(y1, dtype=float)
-    y2_arr = np.asarray(y2, dtype=float)
+) -> tuple[_Direction, _Direction, int]:
+    """Records of the two same-sector directions, each scaled by
+    :func:`_binary_normalised` so that the pair products of the direct route
+    stay in range, and the sum of the two exponents."""
+    y1_arr, e1 = _binary_normalised(np.asarray(y1, dtype=float))
+    y2_arr, e2 = _binary_normalised(np.asarray(y2, dtype=float))
     s1 = classify(sample, y1_arr)
     s2 = classify(sample, y2_arr)
     if not s1.supported:
@@ -96,7 +108,7 @@ def _paired_records(
         raise UnsupportedSector(f"second direction is {s2.tag}")
     if s1.tag != s2.tag:
         raise MixedSectors(f"directions lie in different sectors: {s1.tag} vs {s2.tag}")
-    return _Direction(sample, y1_arr, s1), _Direction(sample, y2_arr, s2)
+    return _Direction(sample, y1_arr, s1), _Direction(sample, y2_arr, s2), e1 + e2
 
 
 def _clamped(tau: float, eps: int, what: str) -> float:
@@ -156,7 +168,7 @@ def _pair_cosine(d1: _Direction, d2: _Direction) -> float:
 def angle(sample: BackgroundSample, y1: Sequence[float], y2: Sequence[float]) -> float:
     """Anisotropic angle between two same-sector directions (direct route)."""
     _require_unit(sample, "the anisotropic angle")
-    d1, d2 = _paired_records(sample, y1, y2)
+    d1, d2, _ = _paired_records(sample, y1, y2)
     return _arc(_pair_cosine(d1, d2), d1.scal.eps, d1.scal.h)
 
 
@@ -165,11 +177,11 @@ def scalar_product(
 ) -> float:
     """Anisotropic scalar product; reduces to the squared norm on the diagonal."""
     _require_unit(sample, "the anisotropic scalar product")
-    d1, d2 = _paired_records(sample, y1, y2)
+    d1, d2, exponent = _paired_records(sample, y1, y2)
     tau = _pair_cosine(d1, d2)
     if d1.scal.eps > 0:
-        return math.sqrt(d1.f2) * math.sqrt(d2.f2) * tau
-    return -math.sqrt(-d1.f2) * math.sqrt(-d2.f2) * tau
+        return math.ldexp(math.sqrt(d1.f2) * math.sqrt(d2.f2) * tau, exponent)
+    return math.ldexp(-math.sqrt(-d1.f2) * math.sqrt(-d2.f2) * tau, exponent)
 
 
 # --- chart -------------------------------------------------------------------
@@ -268,7 +280,7 @@ def angle_closed_form(
     """Angle via chart coordinates of the two directions."""
     _require_unit(sample, "the closed-form angle")
     _require_dim4(sample, "the closed-form angle")
-    d1, d2 = _paired_records(sample, y1, y2)
+    d1, d2, _ = _paired_records(sample, y1, y2)
     if positively_parallel(d1.y, d2.y):
         return 0.0
     p1 = _uar_point(d1)

@@ -36,6 +36,7 @@ from .metric import _Direction
 from .anglegeo import (
     UarPoint,
     _arc,
+    _binary_normalised,
     _chart_jacobian,
     _clamped,
     _require_dim4,
@@ -82,13 +83,19 @@ def zeta_map(
 
 def _zeta(d: _Direction) -> ConformalImage:
     """Conformal image read from one direction record (unit norm checked)."""
+    zeta, kappa = _image(d)
+    s2 = float(zeta @ d.sample.a @ zeta)
+    return ConformalImage(zeta=zeta, kappa=kappa, S2=s2, p=kappa * kappa)
+
+
+def _image(d: _Direction) -> tuple[np.ndarray, float]:
+    """The image vector ``zeta`` and the conformal factor ``kappa`` of one
+    direction record, without the quadratic norm ``S2``."""
     sample, scal = d.sample, d.scal
     h = scal.h
     kappa = (1.0 / h) * abs(d.f2) ** (0.5 * (1.0 - h))
     v_contra = d.y + scal.b * sample.b_contra
-    zeta = (h * v_contra - scal.A * sample.b_contra) * (scal.J / (kappa * h))
-    s2 = float(zeta @ sample.a @ zeta)
-    return ConformalImage(zeta=zeta, kappa=kappa, S2=s2, p=kappa * kappa)
+    return (h * v_contra - scal.A * sample.b_contra) * (scal.J / (kappa * h)), kappa
 
 
 def zeta_jacobian(
@@ -271,8 +278,9 @@ def factor_space_angle(
     _require_unit(sample, "the factor-space angle")
     y1_arr = np.asarray(y1, dtype=float)
     y2_arr = np.asarray(y2, dtype=float)
-    z1 = _binary_normalised(zeta_map(sample, y1_arr).zeta)
-    z2 = _binary_normalised(zeta_map(sample, y2_arr).zeta)
+    # the angle reads only the images' directions, whose norms may overflow or turn subnormal
+    z1, _ = _binary_normalised(_image(_Direction(sample, y1_arr, None))[0])
+    z2, _ = _binary_normalised(_image(_Direction(sample, y2_arr, None))[0])
     s1 = float(z1 @ sample.a @ z1)
     s2 = float(z2 @ sample.a @ z2)
     if positively_parallel(y1_arr, y2_arr) and s1 * s2 > 0.0:
@@ -286,12 +294,3 @@ def factor_space_angle(
     tau = eps * float(z1 @ sample.a @ z2) / math.sqrt(s1 * s2)
     return _arc(_clamped(tau, eps, "image pair invariant"), eps, h)
 
-
-def _binary_normalised(zeta: np.ndarray) -> np.ndarray:
-    """``zeta`` times the power of two that brings its largest component
-    into ``[0.5, 1)``. The scaling is exact, and the angle is homogeneous of
-    degree 0 in each image, so only norms that would leave the normal float
-    range change: the image of a tiny time-like direction scales as
-    ``|y|^h_time`` with ``h_time > 1``, and its norm can turn subnormal."""
-    _, exponent = np.frexp(np.max(np.abs(zeta)))
-    return np.ldexp(zeta, -exponent)

@@ -90,6 +90,19 @@ class TestDirectRoute:
         base = scalar_product(desk, y1, y2)
         assert abs(scalar_product(desk, 2.0 * y1, 3.0 * y2) - 6.0 * base) < 1e-12 * abs(base)
 
+    @pytest.mark.parametrize("y1,y2", PAIRS, ids=["time", "space"])
+    @pytest.mark.parametrize("power", [-400, 500])
+    def test_power_of_two_scaling_keeps_every_bit(self, desk, y1, y2, power):
+        # the pair products of such directions leave the float range unless
+        # the routes scale them back first
+        big1, big2 = np.ldexp(y1, power), np.ldexp(y2, power)
+        assert angle(desk, big1, big2) == angle(desk, y1, y2)
+        assert angle_closed_form(desk, big1, big2) == angle_closed_form(desk, y1, y2)
+        expected = math.ldexp(scalar_product(desk, y1, y2), 2 * power)
+        assert scalar_product(desk, big1, big2) == expected
+        factor = factor_space_angle(desk, y1, y2)
+        assert abs(factor_space_angle(desk, big1, big2) - factor) < TOL_ANGLE_ROUTES
+
 
 class TestThreeRoutes:
     @pytest.mark.parametrize("y1,y2", PAIRS, ids=["time", "space"])
