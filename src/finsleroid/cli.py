@@ -28,9 +28,11 @@ Exit codes: 0 success, 1 identity breach, 2 input/configuration error,
 Non-finite vectors, zero directions, directions whose squared length is not a
 normal float, non-positive step, length or sample counts are input errors
 (exit 2). Commands run with numpy raising on overflow and on invalid
-operations, as Python float arithmetic raises ``OverflowError``; a command
-that overflows or makes a NaN from numbers so ends in a ``DomainError``
-(exit 3).
+operations, as Python's ``**`` and ``math`` functions raise ``OverflowError``;
+a command that overflows or makes a NaN from numbers so ends in a
+``DomainError`` (exit 3). Python float ``*`` and ``+`` raise nothing: they
+overflow to ``inf``, so a route that multiplies Python floats keeps its
+operands in range itself.
 """
 
 from __future__ import annotations
@@ -289,7 +291,8 @@ class RunReport:
 
 def _relmax(difference: np.ndarray, reference: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(reference))), 1e-300)
-    return float(np.max(np.abs(difference))) / scale
+    # a numpy division, so that an overflow raises under the command's errstate
+    return float(np.max(np.abs(difference)) / scale)
 
 
 def _check_shard(
@@ -566,7 +569,7 @@ def cmd_conformal(args) -> int:
     except DegenerateQ:
         pass
     back = zeta_inverse(here, image.zeta)
-    roundtrip = float(np.max(np.abs(back - y)) / max(np.max(np.abs(y)), 1e-300))
+    roundtrip = _relmax(back - y, y)
     _emit("roundtrip_residual", roundtrip)
     if roundtrip > TOL_CONFORMAL_ROUNDTRIP:
         failed = True
@@ -600,11 +603,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="background configuration file")
 
+    def add_point(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--point", type=float, nargs="+", default=None, help="position (default origin)"
+        )
+
     p_eval = sub.add_parser("eval", help="metric stack at one direction")
     add_config(p_eval)
-    p_eval.add_argument(
-        "--point", type=float, nargs="+", default=None, help="position (default origin)"
-    )
+    add_point(p_eval)
     p_eval.add_argument("--vector", type=float, nargs="+", required=True, help="direction")
     p_eval.add_argument("--format", choices=("records", "csv"), default="records")
     p_eval.set_defaults(fn=cmd_eval)
@@ -632,18 +638,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_angle = sub.add_parser("angle", help="three-route anisotropic angle")
     add_config(p_angle)
-    p_angle.add_argument(
-        "--point", type=float, nargs="+", default=None, help="position (default origin)"
-    )
+    add_point(p_angle)
     p_angle.add_argument("--y1", type=float, nargs="+", required=True)
     p_angle.add_argument("--y2", type=float, nargs="+", required=True)
     p_angle.set_defaults(fn=cmd_angle)
 
     p_ham = sub.add_parser("hamiltonian", help="dual chain for a covector")
     add_config(p_ham)
-    p_ham.add_argument(
-        "--point", type=float, nargs="+", default=None, help="position (default origin)"
-    )
+    add_point(p_ham)
     p_ham.add_argument("--p", type=float, nargs="+", default=None, help="covector")
     p_ham.add_argument("--action", default=None, help="action expression S(x)")
     p_ham.add_argument("--mass", type=float, default=None)
@@ -651,9 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conf = sub.add_parser("conformal", help="conformal image and residuals")
     add_config(p_conf)
-    p_conf.add_argument(
-        "--point", type=float, nargs="+", default=None, help="position (default origin)"
-    )
+    add_point(p_conf)
     p_conf.add_argument("--vector", type=float, nargs="+", required=True)
     p_conf.set_defaults(fn=cmd_conformal)
 
@@ -682,10 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     code = 0
     try:
         code = _run(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        code = 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         code = 2
     except GeometryError as exc:
