@@ -96,7 +96,7 @@ def _paired_records(
     sample: BackgroundSample, y1: Sequence[float], y2: Sequence[float]
 ) -> tuple[_Direction, _Direction, int]:
     """Records of the two same-sector directions, each scaled by
-    :func:`_binary_normalised` so that the pair products of the direct route
+    :func:`_binary_normalised` so that the pair products of the angle routes
     stay in range, and the sum of the two exponents."""
     y1_arr, e1 = _binary_normalised(np.asarray(y1, dtype=float))
     y2_arr, e2 = _binary_normalised(np.asarray(y2, dtype=float))

@@ -293,4 +293,3 @@ def factor_space_angle(
         raise MixedSectors("image vectors lie on opposite sides of the seed cone")
     tau = eps * float(z1 @ sample.a @ z2) / math.sqrt(s1 * s2)
     return _arc(_clamped(tau, eps, "image pair invariant"), eps, h)
-
