@@ -10,14 +10,19 @@ The reference background is four-dimensional: base metric
 ``diag(1, -1, -1, -1)``, covariant preferred direction ``(0, 0, 0, 1)``
 (unit spatial norm), anisotropy charge ``0.6``.
 
-One float64 piece sits apart at the end: ``spray_float64``, the closed spray
-with every term evaluated in its original order, kept so that a test can
-hold the package's spray, which skips terms that are exactly zero, to the
-same bits. It reads a direction record by attribute and imports nothing from
-the package either.
+Two float64 pieces sit apart at the end. ``spray_float64`` is the closed
+spray with every term evaluated in its original order, kept so that a test
+can hold the package's spray, which skips terms that are exactly zero, to the
+same bits. The chart formulas (``time_profiles``, ``space_profiles``,
+``uar_from_angles_float64``, ``chart_jacobian_float64`` and
+``zeta_inverse_float64``) keep one branch per sector, so that a test can hold
+the package's single-path chart code to them. They read a direction record or
+a sample by attribute and import nothing from the package either.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -241,3 +246,119 @@ def spray_float64(d):
         total += e_vec
 
     return total, e_vec, mbar, f2, riem
+
+
+# --- float64 chart formulas, one branch per sector ---------------------------
+#
+# The angular chart and the inverse conformal map as they were first written,
+# with the time and space sectors on separate branches. Each reads a sample by
+# attribute (``frame_inv``, ``g``, ``h_time``, ``h_space``, ``a``, ``b_cov``,
+# ``b_contra``) and evaluates every formula in its original order, so that a
+# test can hold the package's single-path formulas to the same bits.
+
+
+def time_profiles(chi, g, h):
+    """Profiles ``(Ch, Sh, Sh*)`` of the time-sector chart at ``chi``."""
+    f = h * chi
+    j = math.exp(-0.5 * (g / h) * f)
+    ch = math.cosh(f) / (j * h)
+    sh = (math.sinh(f) - 0.5 * (g / h) * math.cosh(f)) / j
+    sh_star = (math.sinh(f) + 0.5 * (g / h) * math.cosh(f)) / j
+    return ch, sh, sh_star
+
+
+def space_profiles(chi, g, h):
+    """Profiles ``(Sin, Cos, Cos*)`` of the space-sector chart at ``chi``."""
+    f = h * chi
+    j = math.exp(-0.5 * (g / h) * f)
+    sin = math.sin(f) / (j * h)
+    cos = (math.cos(f) - 0.5 * (g / h) * math.sin(f)) / j
+    cos_star = (math.cos(f) + 0.5 * (g / h) * math.sin(f)) / j
+    return sin, cos, cos_star
+
+
+def uar_from_angles_float64(sample, z0, eta, phi, chi, tag):
+    """Direction of chart coordinates ``(z0, eta, phi, chi)`` in sector ``tag``."""
+    g = sample.g
+    if tag == "time-future":
+        ch, sh, _ = time_profiles(chi, g, sample.h_time)
+        radial = z0 * ch
+        frame_components = np.array(
+            [
+                radial * math.cosh(eta),
+                radial * math.sinh(eta) * math.cos(phi),
+                radial * math.sinh(eta) * math.sin(phi),
+                z0 * sh,
+            ]
+        )
+    else:
+        sin, cos, _ = space_profiles(chi, g, sample.h_space)
+        radial = -z0 * sin
+        frame_components = np.array(
+            [
+                z0 * math.sinh(eta) * -sin,
+                radial * math.cosh(eta) * math.cos(phi),
+                radial * math.cosh(eta) * math.sin(phi),
+                -z0 * cos,
+            ]
+        )
+    return sample.frame_inv @ frame_components
+
+
+def chart_jacobian_float64(z0, eta, phi, chi, g, h, tag):
+    """Analytic Jacobian ``d(frame components)/d(z0, eta, phi, chi)``."""
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cheta, sheta = math.cosh(eta), math.sinh(eta)
+    jac = np.zeros((4, 4))
+    if tag == "time-future":
+        ch, sh, sh_star = time_profiles(chi, g, h)
+        r = np.array([z0 * cheta * ch, z0 * sheta * ch * cphi, z0 * sheta * ch * sphi, z0 * sh])
+        jac[:, 0] = r / z0
+        jac[:, 1] = [z0 * sheta * ch, z0 * cheta * ch * cphi, z0 * cheta * ch * sphi, 0.0]
+        jac[:, 2] = [0.0, -z0 * sheta * ch * sphi, z0 * sheta * ch * cphi, 0.0]
+        jac[:, 3] = [
+            z0 * cheta * sh_star,
+            z0 * sheta * sh_star * cphi,
+            z0 * sheta * sh_star * sphi,
+            z0 * ch,
+        ]
+    else:
+        sin, cos, cos_star = space_profiles(chi, g, h)
+        r = np.array(
+            [-z0 * sheta * sin, -z0 * cheta * sin * cphi, -z0 * cheta * sin * sphi, -z0 * cos]
+        )
+        jac[:, 0] = r / z0
+        jac[:, 1] = [-z0 * cheta * sin, -z0 * sheta * sin * cphi, -z0 * sheta * sin * sphi, 0.0]
+        jac[:, 2] = [0.0, z0 * cheta * sin * sphi, -z0 * cheta * sin * cphi, 0.0]
+        jac[:, 3] = [
+            -z0 * sheta * cos_star,
+            -z0 * cheta * cos_star * cphi,
+            -z0 * cheta * cos_star * sphi,
+            z0 * sin,
+        ]
+    return jac
+
+
+def zeta_inverse_float64(sample, zeta):
+    """Direction whose conformal image is ``zeta`` (image assumed supported)."""
+    z_arr = np.asarray(zeta, dtype=float)
+    s2 = float(z_arr @ sample.a @ z_arr)
+    zb = float(z_arr @ sample.b_cov)
+    g = sample.g
+    if s2 > 0.0:
+        h = sample.h_time
+        f = math.asinh(zb / math.sqrt(s2))
+        norm = s2 ** (0.5 / h)
+        j = math.exp(-0.5 * (g / h) * f)
+        b = norm * (math.sinh(f) - 0.5 * (g / h) * math.cosh(f)) / j
+    else:
+        h = sample.h_space
+        u = -zb / math.sqrt(-s2)
+        f = -math.acos(min(u, 1.0))
+        norm = (-s2) ** (0.5 / h)
+        j = math.exp(-0.5 * (g / h) * f)
+        b = -norm * (math.cos(f) - 0.5 * (g / h) * math.sin(f)) / j
+    chi = f / h
+    inv_j = math.exp(0.5 * g * chi)
+    h_kappa = abs(s2) ** (0.5 * (1.0 - h) / h)
+    return -b * sample.b_contra + (1.0 / h) * (z_arr + zb * sample.b_contra) * (h_kappa * inv_j)

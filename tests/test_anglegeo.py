@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from finsleroid.anglegeo import (
     UarPoint,
+    _chart_jacobian,
     angle,
     angle_closed_form,
     flatness_check,
@@ -21,7 +22,7 @@ from finsleroid.anglegeo import (
     uar_to_angles,
 )
 from finsleroid.background import BackgroundField, load_config, sample
-from finsleroid.conformal import factor_space_angle
+from finsleroid.conformal import factor_space_angle, zeta_inverse, zeta_map
 from finsleroid.errors import ChartDomain, CNotUnit, DomainError, MixedSectors, UnsupportedSector
 from finsleroid.kinematics import random_admissible
 from finsleroid.metric import metric_function
@@ -36,6 +37,7 @@ from finsleroid.numdiff import (
 )
 
 from conftest import config_path
+import _reference
 from _reference import REF
 
 EX = np.array([0.0, 1.0, 0.0, 0.0])
@@ -270,3 +272,39 @@ def test_three_routes_property(desk_session, seed, tag):
     closed = angle_closed_form(desk_session, y1, y2)
     factor = factor_space_angle(desk_session, y1, y2)
     assert max(direct, closed, factor) - min(direct, closed, factor) < TOL_ANGLE_ROUTES
+
+
+class TestSectorFormulasAgainstReference:
+    """The chart and the inverse conformal map against the one-branch-per-sector
+    float64 copies in ``_reference``: the same operations in the same order,
+    so the same bits (the chart Jacobian to the last ulp)."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(20816)
+        for name in ("desk", "desk_variable_g"):
+            field = load_config(config_path(name))
+            for x in ([0.0, 0.0, 0.0, 0.0], [0.1, 0.35, 0.2, 0.4]):
+                here = sample(field, np.array(x))
+                for tag in ("time-future", "space-like"):
+                    for y in random_admissible(here, rng, tag, 25, margin=0.05):
+                        yield here, tag, y
+
+    def test_chart_is_bit_equal(self):
+        for here, tag, y in self._cases():
+            p = uar_to_angles(here, y)
+            expected = _reference.uar_from_angles_float64(here, p.z0, p.eta, p.phi, p.chi, tag)
+            assert np.array_equal(uar_from_angles(here, p, tag), expected)
+
+    def test_chart_jacobian_matches(self):
+        for here, tag, y in self._cases():
+            p = uar_to_angles(here, y)
+            h = here.h_time if tag == "time-future" else here.h_space
+            jac = _chart_jacobian(p, here.g, h, tag)
+            expected = _reference.chart_jacobian_float64(p.z0, p.eta, p.phi, p.chi, here.g, h, tag)
+            assert np.max(np.abs(jac - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_zeta_inverse_is_bit_equal(self):
+        for here, _, y in self._cases():
+            zeta = zeta_map(here, y).zeta
+            assert np.array_equal(zeta_inverse(here, zeta), _reference.zeta_inverse_float64(here, zeta))
