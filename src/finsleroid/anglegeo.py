@@ -187,24 +187,29 @@ def scalar_product(
 # --- chart -------------------------------------------------------------------
 
 
-def _time_profiles(chi: float, g: float, h: float) -> tuple[float, float, float]:
-    """Profiles ``(Ch, Sh, Sh*)`` of the time-sector chart at ``chi``."""
-    f = h * chi
-    j = math.exp(-0.5 * (g / h) * f)
-    ch = math.cosh(f) / (j * h)
-    sh = (math.sinh(f) - 0.5 * (g / h) * math.cosh(f)) / j
-    sh_star = (math.sinh(f) + 0.5 * (g / h) * math.cosh(f)) / j
-    return ch, sh, sh_star
+def _pair(f: float, eps: float) -> tuple[float, float]:
+    """The sector's function pair at ``f``: ``(cosh f, sinh f)`` in the time
+    sector (``eps > 0``), ``(sin f, cos f)`` in the space sector."""
+    return (math.cosh(f), math.sinh(f)) if eps > 0 else (math.sin(f), math.cos(f))
 
 
-def _space_profiles(chi: float, g: float, h: float) -> tuple[float, float, float]:
-    """Profiles ``(Sin, Cos, Cos*)`` of the space-sector chart at ``chi``."""
+def _boost(eta: float, eps: float) -> tuple[float, float]:
+    """Boost legs ``(e0, e1)`` of the chart frame: ``(cosh eta, sinh eta)`` in
+    the time sector, ``(sinh eta, cosh eta)`` in the space sector."""
+    return (math.cosh(eta), math.sinh(eta)) if eps > 0 else (math.sinh(eta), math.cosh(eta))
+
+
+def _profiles(chi: float, g: float, h: float, eps: float) -> tuple[float, float, float]:
+    """Profiles of the chart at ``chi``: ``(Ch, Sh, Sh*)`` in the time sector,
+    ``(Sin, Cos, Cos*)`` in the space sector."""
     f = h * chi
     j = math.exp(-0.5 * (g / h) * f)
-    sin = math.sin(f) / (j * h)
-    cos = (math.cos(f) - 0.5 * (g / h) * math.sin(f)) / j
-    cos_star = (math.cos(f) + 0.5 * (g / h) * math.sin(f)) / j
-    return sin, cos, cos_star
+    lead, other = _pair(f, eps)
+    return (
+        lead / (j * h),
+        (other - 0.5 * (g / h) * lead) / j,
+        (other + 0.5 * (g / h) * lead) / j,
+    )
 
 
 def uar_from_angles(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
@@ -216,7 +221,7 @@ def uar_from_angles(sample: BackgroundSample, point: UarPoint, tag: str) -> np.n
     g = sample.g
     if tag == "time-future":
         h = sample.h_time
-        ch, sh, _ = _time_profiles(point.chi, g, h)
+        ch, sh, _ = _profiles(point.chi, g, h, 1)
         radial = point.z0 * ch
         frame_components = np.array(
             [
@@ -232,7 +237,7 @@ def uar_from_angles(sample: BackgroundSample, point: UarPoint, tag: str) -> np.n
             raise ChartDomain(
                 f"space-sector chi = {point.chi!r} outside (-pi/h, 0]"
             )
-        sin, cos, _ = _space_profiles(point.chi, g, h)
+        sin, cos, _ = _profiles(point.chi, g, h, -1)
         radial = -point.z0 * sin
         frame_components = np.array(
             [
@@ -305,39 +310,24 @@ def angle_closed_form(
 
 
 def _chart_jacobian(point: UarPoint, g: float, h: float, tag: str) -> np.ndarray:
-    """Analytic Jacobian ``d(frame components)/d(z0, eta, phi, chi)``."""
-    z0, eta, phi = point.z0, point.eta, point.phi
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    jac = np.zeros((4, 4))
-    if tag == "time-future":
-        ch, sh, sh_star = _time_profiles(point.chi, g, h)
-        cheta, sheta = math.cosh(eta), math.sinh(eta)
-        r = np.array([z0 * cheta * ch, z0 * sheta * ch * cphi, z0 * sheta * ch * sphi, z0 * sh])
-        jac[:, 0] = r / z0
-        jac[:, 1] = [z0 * sheta * ch, z0 * cheta * ch * cphi, z0 * cheta * ch * sphi, 0.0]
-        jac[:, 2] = [0.0, -z0 * sheta * ch * sphi, z0 * sheta * ch * cphi, 0.0]
-        jac[:, 3] = [
-            z0 * cheta * sh_star,
-            z0 * sheta * sh_star * cphi,
-            z0 * sheta * sh_star * sphi,
-            z0 * ch,
+    """Analytic Jacobian ``d(frame components)/d(z0, eta, phi, chi)``.
+
+    In both sectors the frame components are ``z0 (p e0, p e1 cos phi,
+    p e1 sin phi, s)``, with ``(p, s)`` the sector-signed profiles and
+    ``(e0, e1)`` the boost legs, whose ``eta`` derivative swaps them."""
+    eps = 1.0 if tag == "time-future" else -1.0
+    z0, cphi, sphi = point.z0, math.cos(point.phi), math.sin(point.phi)
+    lead, other, other_star = _profiles(point.chi, g, h, eps)
+    p, s, dp = eps * lead, eps * other, eps * other_star
+    e0, e1 = _boost(point.eta, eps)
+    return np.array(
+        [
+            [p * e0, p * e1 * cphi, p * e1 * sphi, s],
+            [z0 * p * e1, z0 * p * e0 * cphi, z0 * p * e0 * sphi, 0.0],
+            [0.0, -z0 * p * e1 * sphi, z0 * p * e1 * cphi, 0.0],
+            [z0 * dp * e0, z0 * dp * e1 * cphi, z0 * dp * e1 * sphi, z0 * lead],
         ]
-    else:
-        sin, cos, cos_star = _space_profiles(point.chi, g, h)
-        cheta, sheta = math.cosh(eta), math.sinh(eta)
-        r = np.array(
-            [-z0 * sheta * sin, -z0 * cheta * sin * cphi, -z0 * cheta * sin * sphi, -z0 * cos]
-        )
-        jac[:, 0] = r / z0
-        jac[:, 1] = [-z0 * cheta * sin, -z0 * sheta * sin * cphi, -z0 * sheta * sin * sphi, 0.0]
-        jac[:, 2] = [0.0, z0 * cheta * sin * sphi, -z0 * cheta * sin * cphi, 0.0]
-        jac[:, 3] = [
-            -z0 * sheta * cos_star,
-            -z0 * cheta * cos_star * cphi,
-            -z0 * cheta * cos_star * sphi,
-            z0 * sin,
-        ]
-    return jac
+    ).T
 
 
 def uar_metric(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
@@ -352,27 +342,13 @@ def uar_metric(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarra
 
 def uar_closed_diagonals(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
     """Closed form of the chart-metric diagonal."""
+    eps = 1.0 if tag == "time-future" else -1.0
+    h = sample.h_time if eps > 0 else sample.h_space
     z0 = point.z0
-    if tag == "time-future":
-        h = sample.h_time
-        f = h * point.chi
-        return np.array(
-            [
-                1.0,
-                -(z0 * math.cosh(f) / h) ** 2,
-                -((z0 * math.sinh(point.eta) * math.cosh(f) / h) ** 2),
-                -(z0 * z0),
-            ]
-        )
-    h = sample.h_space
-    f = h * point.chi
+    lead, _ = _pair(h * point.chi, eps)
+    _, e1 = _boost(point.eta, eps)
     return np.array(
-        [
-            -1.0,
-            (z0 * math.sin(f) / h) ** 2,
-            -((z0 * math.cosh(point.eta) * math.sin(f) / h) ** 2),
-            -(z0 * z0),
-        ]
+        [eps, -eps * (z0 * lead / h) ** 2, -((z0 * e1 * lead / h) ** 2), -(z0 * z0)]
     )
 
 
@@ -389,38 +365,19 @@ def flatness_check(
     """
     a_chart = uar_metric(sample, point, tag)
     eps = 1.0 if tag == "time-future" else -1.0
-    h = sample.h_time if tag == "time-future" else sample.h_space
-    z0, chi = point.z0, point.chi
+    h = sample.h_time if eps > 0 else sample.h_space
+    z0 = point.z0
     power = z0**h
-    if tag == "time-future":
-        rho = power * math.cosh(h * chi)
-        jac2 = np.array(
-            [
-                [h * power / z0 * math.cosh(h * chi), h * power * math.sinh(h * chi)],
-                [h * power / z0 * math.sinh(h * chi), h * power * math.cosh(h * chi)],
-            ]
-        )
-        target = np.diag(
-            [1.0, -1.0, -rho * rho, -rho * rho * math.sinh(point.eta) ** 2]
-        )
-    else:
-        rho = power * math.sin(h * chi)
-        jac2 = np.array(
-            [
-                [h * power / z0 * math.sin(h * chi), h * power * math.cos(h * chi)],
-                [h * power / z0 * math.cos(h * chi), -h * power * math.sin(h * chi)],
-            ]
-        )
-        target = np.diag(
-            [1.0, 1.0, -rho * rho, rho * rho * math.cosh(point.eta) ** 2]
-        )
+    lead, other = _pair(h * point.chi, eps)
+    _, e1 = _boost(point.eta, eps)
+    rho = power * lead
+    jac2 = h * power * np.array([[lead / z0, other], [other / z0, eps * lead]])
+    target = np.diag([1.0, -eps, -rho * rho, -eps * rho * rho * e1**2])
 
     # full Jacobian d(rho, tau, eta, phi)/d(z0, eta, phi, chi)
     jac_full = np.zeros((4, 4))
-    jac_full[0, 0], jac_full[0, 3] = jac2[0, 0], jac2[0, 1]
-    jac_full[1, 0], jac_full[1, 3] = jac2[1, 0], jac2[1, 1]
-    jac_full[2, 1] = 1.0
-    jac_full[3, 2] = 1.0
+    jac_full[:2, [0, 3]] = jac2
+    jac_full[2, 1] = jac_full[3, 2] = 1.0
     inverse = np.linalg.inv(jac_full)
     transformed = inverse.T @ (eps * a_chart) @ inverse
 

@@ -30,15 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from .background import BackgroundSample
-from .errors import DegenerateQ, MixedSectors, UnsupportedImage
-from .kinematics import Q_MIN_REL, Sector, classify
+from .errors import MixedSectors, UnsupportedImage
+from .kinematics import Sector, classify
 from .metric import _Direction
+from .numdiff import FDConfig, fd_jacobian
 from .anglegeo import (
     UarPoint,
     _arc,
     _binary_normalised,
     _chart_jacobian,
     _clamped,
+    _pair,
     _require_dim4,
     _require_unit,
     positively_parallel,
@@ -58,8 +60,9 @@ __all__ = [
 #: Relative tolerance below which an image vector counts as isotropic.
 S2_TOL_REL = 1e-12
 
-#: Central-difference step for factor-space Christoffel symbols.
-FACTOR_FD_STEP = 1e-4
+#: Central-difference steps for the factor-space Christoffel symbols and
+#: their derivatives.
+FACTOR_FD = FDConfig(step_rel_first=1e-4)
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,9 @@ def zeta_jacobian(
 def _zeta_jacobian(d: _Direction) -> np.ndarray:
     """Fibre derivative of the map read from one direction record."""
     sample, scal = d.sample, d.scal
-    if scal.q <= Q_MIN_REL * scal.scale:
-        raise DegenerateQ("conformal map derivative undefined on the preferred axis")
-    aux = d.aux
+    aux = d.aux  # raises DegenerateQ on the axis ray
     h = scal.h
-    image = _zeta(d)
-    kappa = image.kappa
+    zeta, kappa = _image(d)
     scale = scal.J / (kappa * h)
     b_contra = sample.b_contra
     core = (
@@ -126,7 +126,7 @@ def _zeta_jacobian(d: _Direction) -> np.ndarray:
     ) * scale
     y_cov = (aux.u - sample.g * scal.q * sample.b_cov) * scal.J**2
     weight = (sample.g * scal.q / (2.0 * scal.B)) * aux.e - (1.0 - h) * y_cov / d.f2
-    return core + np.outer(image.zeta, weight)
+    return core + np.outer(zeta, weight)
 
 
 def pushforward_metric_check(
@@ -149,15 +149,6 @@ def _pushforward_residual(d: _Direction) -> float:
     )
 
 
-def _time_b(f: float, g: float, h: float, norm: float) -> float:
-    j = math.exp(-0.5 * (g / h) * f)
-    return norm * (math.sinh(f) - 0.5 * (g / h) * math.cosh(f)) / j
-
-def _space_b(f: float, g: float, h: float, norm: float) -> float:
-    j = math.exp(-0.5 * (g / h) * f)
-    return -norm * (math.cos(f) - 0.5 * (g / h) * math.sin(f)) / j
-
-
 def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:
     """Reconstruct the direction whose conformal image is ``zeta``."""
     _require_unit(sample, "the inverse conformal map")
@@ -169,20 +160,18 @@ def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:
     zb = float(z_arr @ sample.b_cov)
     g = sample.g
     if s2 > 0.0:
-        h = sample.h_time
+        eps, h, expected = 1, sample.h_time, "time-future"
         f = math.asinh(zb / math.sqrt(s2))
-        norm = s2 ** (0.5 / h)
-        b = _time_b(f, g, h, norm)
-        expected = "time-future"
+        signed_norm = s2 ** (0.5 / h)
     else:
-        h = sample.h_space
+        eps, h, expected = -1, sample.h_space, "space-like"
         u = -zb / math.sqrt(-s2)
         if u <= -1.0 + 1e-12:
             raise UnsupportedImage("image vector lies on the excluded branch endpoint")
         f = -math.acos(min(u, 1.0))
-        norm = (-s2) ** (0.5 / h)
-        b = _space_b(f, g, h, norm)
-        expected = "space-like"
+        signed_norm = -((-s2) ** (0.5 / h))
+    lead, other = _pair(f, eps)
+    b = signed_norm * (other - 0.5 * (g / h) * lead) / math.exp(-0.5 * (g / h) * f)
     chi = f / h
     inv_j = math.exp(0.5 * g * chi)
     h_kappa = abs(s2) ** (0.5 * (1.0 - h) / h)
@@ -224,18 +213,13 @@ def factor_space_curvature(
     _require_unit(sample, "the factor-space curvature")
     _require_dim4(sample, "the factor-space curvature")
     m_arr = np.asarray(m, dtype=float)
-    step = FACTOR_FD_STEP
 
     def metric_at(point: np.ndarray) -> np.ndarray:
         return _factor_metric(sample, point, tag)
 
     def christoffel_at(point: np.ndarray) -> np.ndarray:
         i_ab = metric_at(point)
-        d_i = np.zeros((3, 3, 3))
-        for k in range(3):
-            shift = np.zeros(3)
-            shift[k] = step
-            d_i[k] = (metric_at(point + shift) - metric_at(point - shift)) / (2 * step)
+        d_i = np.moveaxis(fd_jacobian(metric_at, point, FACTOR_FD), -1, 0)
         inverse = np.linalg.inv(i_ab)
         # Gamma^a_{bc} = 1/2 i^{ad} (d_b i_{dc} + d_c i_{db} - d_d i_{bc})
         return 0.5 * np.einsum(
@@ -246,13 +230,7 @@ def factor_space_curvature(
 
     i_ab = metric_at(m_arr)
     gamma = christoffel_at(m_arr)
-    d_gamma = np.zeros((3, 3, 3, 3))
-    for k in range(3):
-        shift = np.zeros(3)
-        shift[k] = step
-        d_gamma[k] = (christoffel_at(m_arr + shift) - christoffel_at(m_arr - shift)) / (
-            2 * step
-        )
+    d_gamma = np.moveaxis(fd_jacobian(christoffel_at, m_arr, FACTOR_FD), -1, 0)
 
     # R^a_{bcd} = d_d Gamma^a_{cb} - d_c Gamma^a_{db} + Gamma^a_{dm} Gamma^m_{cb}
     #             - Gamma^a_{cm} Gamma^m_{db}

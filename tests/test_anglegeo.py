@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from finsleroid.anglegeo import (
     UarPoint,
     _chart_jacobian,
+    _profiles,
     angle,
     angle_closed_form,
     flatness_check,
@@ -289,6 +290,16 @@ class TestSectorFormulasAgainstReference:
                 for tag in ("time-future", "space-like"):
                     for y in random_admissible(here, rng, tag, 25, margin=0.05):
                         yield here, tag, y
+
+    def test_profiles_are_bit_equal(self):
+        for here, tag, y in self._cases():
+            chi = uar_to_angles(here, y).chi
+            if tag == "time-future":
+                expected = _reference.time_profiles(chi, here.g, here.h_time)
+                assert _profiles(chi, here.g, here.h_time, 1) == expected
+            else:
+                expected = _reference.space_profiles(chi, here.g, here.h_space)
+                assert _profiles(chi, here.g, here.h_space, -1) == expected
 
     def test_chart_is_bit_equal(self):
         for here, tag, y in self._cases():
