@@ -113,7 +113,10 @@ def _paired_records(
 
 def _clamped(tau: float, eps: int, what: str) -> float:
     """Pair invariant ``tau`` clamped into the ``acosh`` domain (``eps > 0``)
-    or the ``acos`` domain; beyond ``CLAMP_TOL`` it subtends no real angle."""
+    or the ``acos`` domain; beyond ``CLAMP_TOL``, or not finite, it subtends
+    no real angle."""
+    if not math.isfinite(tau):
+        raise DomainError(f"{what} {tau!r} is not finite")
     if eps > 0:
         if tau < 1.0 - CLAMP_TOL:
             raise DomainError(f"{what} {tau!r} below the hyperbolic domain")
@@ -158,10 +161,15 @@ def _pair_cosine(d1: _Direction, d2: _Direction) -> float:
     k1, k2 = d1.scal, d2.scal
     r12 = float(d1.y @ d1.sample.a @ d2.y) + k1.b * k2.b
     h = k1.h
+    product = k1.B * k2.B
+    if math.isinf(product):
+        # the invariant would read 0 over an infinite root: a right angle
+        raise DomainError(f"pair product {product!r} overflows")
+    root = math.sqrt(abs(product))
     if k1.eps > 0:
-        tau = (h * h * r12 - k1.A * k2.A) / math.sqrt(k1.B * k2.B)
+        tau = (h * h * r12 - k1.A * k2.A) / root
     else:
-        tau = (k1.A * k2.A - h * h * r12) / math.sqrt(abs(k1.B) * abs(k2.B))
+        tau = (k1.A * k2.A - h * h * r12) / root
     return _clamped(tau, k1.eps, "pair invariant")
 
 
@@ -267,6 +275,10 @@ def _uar_point(d: _Direction) -> UarPoint:
     r = d.sample.frame @ d.y
     rho = math.hypot(r[1], r[2])
     if scal.q <= Q_MIN_REL * scal.scale:
+        # q also vanishes off the axis, where the transverse part is null
+        transverse = d.y + scal.b * d.sample.b_contra
+        if float(np.linalg.norm(transverse)) > Q_MIN_REL * scal.scale:
+            raise ChartDomain("direction has a null transverse part: no chart boost")
         eta, phi = 0.0, 0.0
     else:
         phi = math.atan2(r[2], r[1])

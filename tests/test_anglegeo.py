@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from finsleroid.anglegeo import (
     UarPoint,
     _chart_jacobian,
+    _clamped,
     _profiles,
     angle,
     angle_closed_form,
@@ -229,6 +230,19 @@ class TestGuards:
         low = sample(field, np.zeros(3))
         with pytest.raises(ChartDomain):
             uar_to_angles(low, np.array([1.0, 0.1, 0.1]))
+
+    @pytest.mark.parametrize(
+        "y", [[1e-8, 0.0, 1e-8, -1.8], [1e-4, 0.0, 1.00000001e-4, -1.8]], ids=["1e-8", "1e-4"]
+    )
+    def test_null_transverse_part_has_no_chart_point(self, desk, y):
+        # q reads 0 as on the axis ray, but the transverse part y + b b^i is not 0
+        with pytest.raises(ChartDomain, match="null transverse part"):
+            uar_to_angles(desk, y)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_non_finite_pair_invariant_is_refused(self, eps):
+        with pytest.raises(DomainError, match="not finite"):
+            _clamped(math.nan, eps, "pair invariant")
 
     def test_chart_domain_guards(self, desk):
         with pytest.raises(ChartDomain):

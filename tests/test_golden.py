@@ -14,7 +14,8 @@ dual gap and the action residual. The ``angle`` cases include time-like,
 space-like, positively parallel and axis pairs on ``desk``, a mixed-sector pair,
 a pair whose tiny time-like direction has an image of subnormal seed norm,
 huge space-like and time-like pairs whose pair products and image norm would
-overflow, and the refusal of ``angle`` and ``conformal`` below unit preferred-direction
+overflow, a direction whose transverse part is null (the chart route stands
+aside), a metric so large that the pair product overflows, and the refusal of ``angle`` and ``conformal`` below unit preferred-direction
 norm; one ``check`` case runs the strict tolerance profile. The ``eval_err_*`` cases cover the error paths of
 loading and sampling: constants rejected at load, a constant that cannot be
 evaluated, points where the base metric or the preferred-direction norm
