@@ -26,6 +26,7 @@ from finsleroid.errors import (
     DomainError,
 )
 from finsleroid.expressions import FieldExpression
+from finsleroid.numdiff import TOL_FRAME_CONSTANT
 
 from conftest import config_path
 
@@ -189,6 +190,23 @@ class TestSample:
         legs = here.frame_inv  # columns are the frame legs
         gram = legs.T @ here.a @ legs
         assert np.allclose(gram, np.diag([1.0, -1.0, -1.0, -1.0]), atol=1e-12)
+
+    def test_frame_from_eigenvector_seeds(self, monkeypatch):
+        # no coordinate axis leaves a time-like residual for the time leg, so
+        # the frame falls back to the eigenvectors of the base metric
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        field = BackgroundField.constant(
+            a=[[0.0, 0.0, -1.0], [0.0, -1.0, -1.0], [-1.0, -1.0, -1.0]],
+            b_cov=[0.0, 1.0, 1.0],
+            g=0.3,
+        )
+        here = sample(field, np.zeros(3))
+        legs = here.frame_inv
+        assert calls
+        gram = legs.T @ here.a @ legs
+        assert np.max(np.abs(gram - np.diag([1.0, -1.0, -1.0]))) <= TOL_FRAME_CONSTANT
 
     def test_last_leg_is_scaled_preferred_direction(self):
         field = load_config(config_path("desk_c09"))

@@ -122,6 +122,12 @@ class TestDifferentiation:
             ("tanh(x0)", 0, (0.4,), 1 - math.tanh(0.4) ** 2),
             ("atan(x0)", 0, (2.0,), 1.0 / 5.0),
             ("cosh(x0)", 0, (0.7,), math.sinh(0.7)),
+            ("cos(x0)", 0, (0.3,), -math.sin(0.3)),
+            ("tan(x0)", 0, (0.4,), 1.0 / math.cos(0.4) ** 2),
+            ("sinh(x0)", 0, (0.7,), math.cosh(0.7)),
+            ("abs(x0)", 0, (-1.5,), -1.0),
+            ("x0 ^ x1", 0, (2.0, 3.0), 12.0),
+            ("x0 ^ x1", 1, (2.0, 3.0), 8.0 * math.log(2.0)),
         ],
     )
     def test_closed_forms(self, text, var, point, expected):
