@@ -165,11 +165,7 @@ def _pair_cosine(d1: _Direction, d2: _Direction) -> float:
     if math.isinf(product):
         # the invariant would read 0 over an infinite root: a right angle
         raise DomainError(f"pair product {product!r} overflows")
-    root = math.sqrt(abs(product))
-    if k1.eps > 0:
-        tau = (h * h * r12 - k1.A * k2.A) / root
-    else:
-        tau = (k1.A * k2.A - h * h * r12) / root
+    tau = k1.eps * (h * h * r12 - k1.A * k2.A) / math.sqrt(abs(product))
     return _clamped(tau, k1.eps, "pair invariant")
 
 
@@ -303,18 +299,12 @@ def angle_closed_form(
     p1 = _uar_point(d1)
     p2 = _uar_point(d2)
     eps, h = d1.scal.eps, d1.scal.h
-    f1, f2 = h * p1.chi, h * p2.chi
-    dphi = p1.phi - p2.phi
-    if eps > 0:
-        z12 = math.cosh(p1.eta) * math.cosh(p2.eta) - math.sinh(p1.eta) * math.sinh(
-            p2.eta
-        ) * math.cos(dphi)
-        tau = math.cosh(f1) * math.cosh(f2) * z12 - math.sinh(f1) * math.sinh(f2)
-    else:
-        z12 = math.cosh(p1.eta) * math.cosh(p2.eta) * math.cos(dphi) - math.sinh(
-            p1.eta
-        ) * math.sinh(p2.eta)
-        tau = math.sin(f1) * math.sin(f2) * z12 + math.cos(f1) * math.cos(f2)
+    lead1, other1 = _pair(h * p1.chi, eps)
+    lead2, other2 = _pair(h * p2.chi, eps)
+    e0_1, e1_1 = _boost(p1.eta, eps)
+    e0_2, e1_2 = _boost(p2.eta, eps)
+    z12 = eps * (e0_1 * e0_2 - e1_1 * e1_2 * math.cos(p1.phi - p2.phi))
+    tau = lead1 * lead2 * z12 - eps * other1 * other2
     return _arc(_clamped(tau, eps, "chart pair invariant"), eps, h)
 
 
