@@ -26,7 +26,10 @@ from finsleroid.errors import (
     DomainError,
 )
 from finsleroid.expressions import FieldExpression
+from finsleroid.kinematics import KinematicScalars, classify, scalars
+from finsleroid.metric import _Direction
 from finsleroid.numdiff import TOL_FRAME_CONSTANT
+from finsleroid.spray import SprayData, _spray
 
 from conftest import config_path
 
@@ -444,3 +447,91 @@ class TestStageFacts:
             assert here.dg_zero == (not np.any(here.dg != 0.0))
             assert here.curl.tobytes() == (here.db - here.db.T).tobytes()
             assert not here.curl.flags.writeable
+
+
+def eager_frame(a: np.ndarray, b_contra: np.ndarray, c: float) -> np.ndarray:
+    """``legs[p, i]`` by the plain Gram-Schmidt the frame is defined by: last
+    leg ``-b_contra/c``, then the time leg, then the space legs, each the first
+    residual of a row of ``np.eye`` (then of an eigenvector by descending
+    eigenvalue) whose base-metric norm has the leg's sign, scaled to unit norm
+    with its first component above ``1e-12 * np.linalg.norm`` positive."""
+    dim = a.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(a)
+    seeds = [*np.eye(dim), *(eigvecs[:, k] for k in np.argsort(eigvals)[::-1])]
+    legs = np.zeros(a.shape)
+    legs[-1] = -b_contra / c
+    built = [(legs[-1], -1.0)]
+    for p, wanted in [(0, 1.0)] + [(p, -1.0) for p in range(1, dim - 1)]:
+        for seed in seeds:
+            w = seed.copy()
+            for leg, sign in built:
+                w -= sign * (w @ a @ leg) * leg
+            if float(w @ w) >= 1e-20 and wanted * float(w @ a @ w) > 1e-10 * float(w @ w):
+                w = w / np.sqrt(wanted * float(w @ a @ w))
+                scale = float(np.linalg.norm(w))
+                first = next((v for v in w.tolist() if abs(v) > 1e-12 * scale), 1.0)
+                legs[p] = (1.0 if first > 0 else -1.0) * w
+                break
+        built.append((legs[p], wanted))
+    return legs
+
+
+class TestRecordContract:
+    """The records the hot path builds per call: ``sample``'s
+    ``BackgroundSample``, ``scalars``' ``KinematicScalars`` and ``_spray``'s
+    ``SprayData`` behave as the frozen dataclasses they are declared as."""
+
+    RECORDS = (BackgroundSample, KinematicScalars, SprayData)
+
+    @staticmethod
+    def records(config_name: str, x: np.ndarray):
+        here = sample(load_config(config_path(config_name)), x)
+        y = np.array([1.0, 0.1, -0.05, 0.12])
+        return here, scalars(here, y), _spray(_Direction(here, y, classify(here, y)))
+
+    @pytest.mark.parametrize("cls", RECORDS)
+    def test_records_stay_plain_frozen_dataclasses(self, cls):
+        # the records are filled without running __init__, so they may not
+        # grow a __post_init__, and a __dict__ must hold their fields
+        assert not hasattr(cls, "__post_init__")
+        assert "__slots__" not in vars(cls)
+        assert cls.__dataclass_params__.frozen
+
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_dataclass_protocol_on_built_records(self, config_name):
+        for record in self.records(config_name, POINTS[0]):
+            cls = type(record)
+            assert isinstance(record, cls)
+            names = [f.name for f in dataclasses.fields(record)]
+            assert sorted(vars(record)) == sorted(names)
+            assert record == record and dataclasses.replace(record) == record
+            assert repr(record).startswith(f"{cls.__name__}({names[0]}=")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, names[0], None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, "other", None)
+
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_sample_arrays_are_read_only_and_frames_match_an_eager_build(self, config_name):
+        for x in POINTS:
+            here = self.records(config_name, x)[0]
+            for f in dataclasses.fields(here):
+                value = getattr(here, f.name)
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, f.name
+            legs = eager_frame(np.array(here.a), np.array(here.b_contra), here.c)
+            assert here.time_leg.tobytes() == legs[0].tobytes()
+            assert here.frame_inv.tobytes() == legs.T.copy().tobytes()
+            assert here.frame.tobytes() == np.linalg.inv(legs.T).tobytes()
+            assert not here.frame.flags.writeable and not here.frame_inv.flags.writeable
+
+    def test_eigenvector_seeded_frame_matches_an_eager_build(self):
+        # no coordinate axis leaves a time-like residual (see TestSample)
+        field = BackgroundField.constant(
+            a=[[0.0, 0.0, -1.0], [0.0, -1.0, -1.0], [-1.0, -1.0, -1.0]],
+            b_cov=[0.0, 1.0, 1.0],
+            g=0.3,
+        )
+        here = sample(field, np.zeros(3))
+        legs = eager_frame(np.array(here.a), np.array(here.b_contra), here.c)
+        assert here.frame_inv.tobytes() == legs.T.copy().tobytes()

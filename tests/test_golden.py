@@ -47,6 +47,9 @@ import numpy as np
 import pytest
 
 from finsleroid import cli
+from finsleroid.background import load_config, sample
+from finsleroid.kinematics import random_admissible
+from finsleroid.spray import geodesic_integrate
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -134,6 +137,57 @@ def test_sweep_digest(monkeypatch):
     assert sweep_digest(sweep_runs()) == SWEEP_DIGEST
 
 
+# --- geodesic digest ----------------------------------------------------------
+
+GEODESIC_CONFIGS = ("desk", "desk_shifted_b", "desk_variable_g")
+GEODESIC_DIGEST = "bb63a04cdce073ade189ca9fb1973a6c88895531863d6588716cb5bc7d19e548"
+
+
+def geodesic_starts() -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """``(config, x0, y0)`` of the geodesic digest: three seeded starts per
+    configuration and sector. The third start sits near ``x1 = 0`` with a
+    velocity that decreases ``x1``, so on ``desk_shifted_b`` the run leaves
+    the region where the preferred direction's norm stays at or below one."""
+    rng = np.random.default_rng(17017)
+    starts = []
+    for name in GEODESIC_CONFIGS:
+        field = load_config(ROOT / "configs" / f"{name}.cfg")
+        for tag in ("time-future", "space-like"):
+            for k in range(3):
+                x0 = rng.uniform(0.0, 0.5, 4)
+                if k == 2:
+                    x0[1] = rng.uniform(0.0, 0.02)
+                y0 = random_admissible(sample(field, x0), rng, tag, 1)[0]
+                if k == 2:
+                    y0[1] = -abs(y0[1])
+                starts.append((name, x0, y0))
+    return starts
+
+
+def geodesic_digest(starts) -> tuple[str, int]:
+    """sha256 over (config, method, samples bytes, ``F2_drift``, exit reason)
+    of an rk4 (step 1/64) and an rk45 run over length 0.5 from each start,
+    and the number of runs that were truncated."""
+    digest = hashlib.sha256()
+    truncated = 0
+    fields = {name: load_config(ROOT / "configs" / f"{name}.cfg") for name in GEODESIC_CONFIGS}
+    for name, x0, y0 in starts:
+        for method, step in (("rk4", 1.0 / 64.0), ("rk45", None)):
+            traj = geodesic_integrate(fields[name], x0, y0, 0.5, method=method, step=step)
+            truncated += traj.exit_reason is not None
+            digest.update(f"{name} {method}\n".encode("utf-8"))
+            digest.update(traj.samples.tobytes())
+            digest.update(f"{traj.F2_drift.hex()} {traj.exit_reason}\n".encode("utf-8"))
+    return digest.hexdigest(), truncated
+
+
+def test_geodesic_digest():
+    digest, truncated = geodesic_digest(geodesic_starts())
+    assert truncated > 0
+    assert digest == GEODESIC_DIGEST
+
+
 if __name__ == "__main__":
-    # print the digest to pin: python tests/test_golden.py (from the root)
+    # print the digests to pin: python tests/test_golden.py (from the root)
     print(sweep_digest(sweep_runs()))
+    print(*geodesic_digest(geodesic_starts()))
