@@ -39,8 +39,10 @@ load-time validation, and its errors name no point and become
 ``ConfigValueError``, as does a constant entry that cannot be evaluated. The
 other stages run at every ``sample``, with their checks in the fixed order
 singular, inertia, norm, time leg, charge; each of their errors but the time
-leg's names the point. The adapted frame is built by Gram-Schmidt in a fixed
-deterministic order (last leg first, then the time leg, then the space legs)
+leg's names the point. Stages mark their arrays read-only by ``setflags``,
+and ``sample`` fills the record from their mappings through ``_built``. The
+adapted frame is built by Gram-Schmidt in a fixed deterministic order (last
+leg first, then the time leg, then the space legs, from fresh axis seeds)
 with each leg's sign pinned so results are reproducible across runs and
 platforms. ``sample`` stores only the time leg, which is all that orientation
 tests need; the space legs, ``frame`` and ``frame_inv`` are built on first
@@ -53,7 +55,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -70,6 +72,16 @@ __all__ = ["BackgroundField", "BackgroundSample", "parse_config", "load_config"]
 
 # Degenerate-direction guard when normalising Gram-Schmidt residuals.
 _FRAME_SEED_TOL = 1e-10
+
+
+def _built(cls: type, *parts: Mapping[str, object]):
+    """A frozen dataclass ``cls`` holding the fields that ``parts`` give, made
+    without the ``__init__`` that sets each field by ``object.__setattr__``.
+    Writes stay refused; ``cls`` has no ``__post_init__`` and no ``slots``."""
+    obj = object.__new__(cls)
+    for part in parts:
+        obj.__dict__.update(part)
+    return obj
 
 
 # --- field container ---------------------------------------------------------
@@ -246,13 +258,13 @@ class BackgroundSample:
     @cached_property
     def frame_inv(self) -> np.ndarray:
         frame_inv = _build_frame(self.a, self.b_contra, self.c, self.time_leg).T.copy()
-        frame_inv.flags.writeable = False
+        _read_only(frame_inv)
         return frame_inv
 
     @cached_property
     def frame(self) -> np.ndarray:
         frame = np.linalg.inv(self.frame_inv)
-        frame.flags.writeable = False
+        _read_only(frame)
         return frame
 
     @property
@@ -397,7 +409,8 @@ def load_config(path: str | Path) -> BackgroundField:
 
 
 def _first_significant_sign(w: np.ndarray) -> float:
-    scale = float(np.linalg.norm(w))
+    # np.linalg.norm of a 1-D array is sqrt(w.dot(w)); math.sqrt rounds alike
+    scale = math.sqrt(float(w.dot(w)))
     for value in w.tolist():
         if abs(value) > 1e-12 * scale:
             return 1.0 if value > 0 else -1.0
@@ -405,12 +418,15 @@ def _first_significant_sign(w: np.ndarray) -> float:
 
 
 def _seeds(a: np.ndarray) -> Iterator[np.ndarray]:
-    """Gram-Schmidt seeds: coordinate axes, then eigenvectors by descending
-    eigenvalue (decomposed only if no axis served)."""
-    yield from np.eye(a.shape[0])
+    """Gram-Schmidt seeds, fresh arrays: coordinate axes, then eigenvectors by
+    descending eigenvalue (decomposed only if no axis served)."""
+    for k in range(a.shape[0]):
+        axis = np.zeros(a.shape[0])
+        axis[k] = 1.0
+        yield axis
     eigvals, eigvecs = np.linalg.eigh(a)
     for k in np.argsort(eigvals)[::-1]:
-        yield eigvecs[:, k]
+        yield eigvecs[:, k].copy()
 
 
 def _next_leg(
@@ -419,8 +435,7 @@ def _next_leg(
     """First seed residual against the ``built`` legs whose base-metric norm
     has ``wanted_sign``, normalised with its first significant component
     positive."""
-    for seed in _seeds(a):
-        w = seed.copy()
+    for w in _seeds(a):
         for leg, sign in built:
             w -= sign * (w @ a @ leg) * leg
         norm2 = float(w @ a @ w)
@@ -428,7 +443,7 @@ def _next_leg(
         if scale < 1e-20:
             continue
         if wanted_sign * norm2 > _FRAME_SEED_TOL * scale:
-            w = w / np.sqrt(wanted_sign * norm2)
+            w = w / math.sqrt(wanted_sign * norm2)
             return _first_significant_sign(w) * w
     kind = "time" if wanted_sign > 0 else "space"
     raise DomainError(
@@ -473,7 +488,7 @@ def _flat_slices(dim: int) -> dict[str, slice]:
 
 def _read_only(*arrays: np.ndarray) -> None:
     for arr in arrays:
-        arr.flags.writeable = False
+        arr.setflags(write=False)  # builds no flags object, unlike arr.flags
 
 
 def _at(coords: tuple[float, ...] | None) -> str:
@@ -586,4 +601,4 @@ def sample(field: BackgroundField, x: Sequence[float]) -> BackgroundSample:
     charge = stages.get("charge") or _charge_stage(values, dim, coords)
     x_arr = x_arr.copy()
     _read_only(x_arr)
-    return BackgroundSample(x=x_arr, **base, **direction, **charge)
+    return _built(BackgroundSample, {"x": x_arr}, base, direction, charge)

@@ -7,9 +7,11 @@ and the derived chain (half-charge roots, cone margins, angular variable,
 anisotropy weight) that every closed-form tensor in the package is built from.
 
 Three private pieces are written once: ``_measure`` (a vector's ``|y|``,
-``b`` and ``gamma``, computed once per chain), ``_margins`` (the time-cone
-margins) and ``_chain`` (the sector chain at a charge). Directions read them at
-``g``, and the covector chain of :mod:`finsleroid.dual` at ``-g``.
+``b`` and ``gamma``, computed once per chain, which ``scalars`` also
+classifies from), ``_margins`` (the time-cone margins) and ``_chain`` (the
+sector chain at a charge). Directions read them at ``g``, and the covector
+chain of :mod:`finsleroid.dual` at ``-g``. Classification hands out the
+twelve ``Sector`` values built at import.
 
 Supported directions fall into two open cones:
 
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import BackgroundSample
+from .background import BackgroundSample, _built
 from .errors import DegenerateNu, DegenerateQ, NoConvergence, UnsupportedSector
 
 __all__ = [
@@ -95,6 +97,14 @@ class Sector:
         if self.tag == "space-like":
             return -1
         raise UnsupportedSector(f"direction is {self.tag}; no sector sign")
+
+
+#: Every ``Sector``, built once; classification hands these out.
+_SECTORS = {
+    (tag, side): Sector(tag, side)
+    for tag in ("time-future", "space-like", "isotropic", "unsupported")
+    for side in ("right", "left", "boundary")
+}
 
 
 @dataclass(frozen=True)
@@ -194,23 +204,18 @@ def _sector(
     if gamma > tol_gamma:
         margin_low, margin_high = _margins(b, math.sqrt(gamma), sample.g, sample.h_time)
         if abs(margin_low) <= tol_margin or abs(margin_high) <= tol_margin:
-            return Sector("isotropic", side)
-        if margin_low > 0.0 and margin_high > 0.0:
-            time_component = float(sample.time_leg @ sample.a @ y_arr)
-            if time_component > 0.0:
-                return Sector("time-future", side)
-            return Sector("unsupported", side)
-        return Sector("unsupported", side)
-
-    if gamma < -tol_gamma:
-        return Sector("space-like", side)
-
-    # on the augmented null shell
-    if side == "left":
-        return Sector("space-like", side)
-    if side == "right":
-        return Sector("unsupported", side)
-    return Sector("isotropic", side)
+            tag = "isotropic"
+        elif margin_low > 0.0 and margin_high > 0.0 and (
+            float(sample.time_leg @ sample.a @ y_arr) > 0.0
+        ):
+            tag = "time-future"
+        else:
+            tag = "unsupported"
+    elif gamma < -tol_gamma or side == "left":  # the left side of the null shell too
+        tag = "space-like"
+    else:  # on the augmented null shell
+        tag = "unsupported" if side == "right" else "isotropic"
+    return _SECTORS[tag, side]
 
 
 # --- scalar chain ------------------------------------------------------------
@@ -256,24 +261,11 @@ def scalars(
             raise DegenerateNu(f"dual radius nu = {nu!r} is not positive")
         x_weight = 1.0 / (sample.dim + eps * one_minus_c2 * big_b / (q * nu))
 
-    return KinematicScalars(
-        b=b,
-        gamma=gamma,
-        q=q,
-        eps=eps,
-        h=h,
-        g_plus=-0.5 * g + h,
-        g_minus=-0.5 * g - h,
-        B=big_b,
-        L=big_l,
-        A=big_a,
-        f=f,
-        J=j,
-        chi=chi,
-        nu=nu,
-        X=x_weight,
-        scale=scale,
-    )
+    return _built(KinematicScalars, {
+        "b": b, "gamma": gamma, "q": q, "eps": eps, "h": h, "g_plus": -0.5 * g + h,
+        "g_minus": -0.5 * g - h, "B": big_b, "L": big_l, "A": big_a, "f": f, "J": j,
+        "chi": chi, "nu": nu, "X": x_weight, "scale": scale,
+    })
 
 
 def aux_vectors(

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import BackgroundField, BackgroundSample, sample as sample_background
+from .background import BackgroundField, BackgroundSample, _built, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
 from .kinematics import Sector, classify
 from .metric import _Direction, _record
@@ -45,6 +45,9 @@ __all__ = [
 
 #: Default step policy for the spray oracle (position differentiation).
 ORACLE_FD = FDConfig(step_rel_first=1e-6, richardson=True)
+
+# rk45 rejections in a row that end a run; 50 cut the step below 1e-35 of its size
+_MAX_REJECTED_IN_A_ROW = 50
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def _spray(d: _Direction) -> SprayData:
         e_vec = yg * (g_contra @ dy_dg_cov) - 0.5 * mbar * f2 * (g_contra @ sample.dg)
         total += e_vec
 
-    return SprayData(G=total, E=e_vec, Mbar=mbar, f2=f2, riem=riem)
+    return _built(SprayData, {"G": total, "E": e_vec, "Mbar": mbar, "f2": f2, "riem": riem})
 
 
 # --- oracle ------------------------------------------------------------------
@@ -220,11 +223,18 @@ def _rhs(
 def _accept_node(
     field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float
 ) -> tuple[_Direction | None, str | None]:
-    """Sample and classify the node ``state`` reached at ``s_next``; return its
-    record, or ``None`` and the reason the run stops short of it."""
+    """Sample the node ``state`` reached at ``s_next`` and measure it once;
+    return its record, or ``None`` and the reason the run stops short of it,
+    which only a node that left the start sector is classified again for."""
     try:
         here = sample_background(field, state[:dim])
         velocity = state[dim:]
+        try:
+            node = _Direction(here, velocity, None)
+            if node.scal.eps == (1 if start_tag == "time-future" else -1):
+                return node, None
+        except (GeometryError, ArithmeticError):
+            pass  # classified again below, which finds the reason as before
         sector = classify(here, velocity)
         if sector.tag != start_tag:
             return None, f"sector exit at s = {s_next:.9g}: velocity became {sector.tag}"
@@ -250,10 +260,11 @@ def geodesic_integrate(
     (adaptive embedded pair controlled by ``tol``). After every accepted
     substep the velocity is re-classified; leaving the initial sector (or
     entering a degenerate configuration) truncates the trajectory at the last
-    good node and records the reason. Each accepted node gets one direction
-    record, which gives its squared norm and, in the rk4 loop, the next
-    step's first stage. ``max_steps`` bounds the rk4 step count and the rk45
-    accepted steps.
+    good node and records the reason. Each accepted node is measured once,
+    into one direction record that classifies it and gives its squared norm
+    and, in the rk4 loop, the next step's first stage. ``max_steps`` bounds
+    the rk4 step count and the rk45 accepted steps; rk45 rejects a non-finite
+    error estimate and bounds the rejections in a row.
 
     Raises
     ------
@@ -261,7 +272,8 @@ def geodesic_integrate(
         Unknown ``method``, or a ``length`` or ``step`` that is not positive
         and finite.
     NoConvergence
-        If the run needs more than ``max_steps`` steps.
+        If the run needs more than ``max_steps`` steps, or rk45 more than
+        ``_MAX_REJECTED_IN_A_ROW`` rejections in a row.
     """
     if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown integration method {method!r}")
@@ -315,11 +327,15 @@ def geodesic_integrate(
         h = float(step) if step is not None else length / 100.0
         step_used = h
         k_cache = _rhs(field, state, dim, node)
-        accepted = 0
+        accepted = rejected = 0
         while s_now < length - 1e-14 * length:
             if accepted >= max_steps:
                 raise NoConvergence(
                     f"adaptive integrator exceeded {max_steps} accepted steps"
+                )
+            if rejected > _MAX_REJECTED_IN_A_ROW:
+                raise NoConvergence(
+                    f"adaptive integrator rejected {rejected} steps in a row at s = {s_now:.9g}"
                 )
             h = min(h, length - s_now)
             try:
@@ -337,8 +353,9 @@ def geodesic_integrate(
             except GeometryError as exc:
                 exit_reason = f"geometry degenerated near s = {s_now:.9g}: {exc}"
                 break
-            if err > 1.0:
-                h *= max(0.2, 0.9 * err ** (-0.2))
+            if not err <= 1.0:  # a NaN estimate is rejected too
+                rejected += 1
+                h *= max(0.2, 0.9 * err ** (-0.2)) if err < math.inf else 0.2
                 continue
             node, exit_reason = _accept_node(field, order5, dim, start_tag, s_now + h)
             if node is None:
@@ -346,6 +363,7 @@ def geodesic_integrate(
             state = order5
             s_now += h
             accepted += 1
+            rejected = 0
             rows.append(np.concatenate([[s_now], state, [node.f2]]))
             k_cache = stages[6]  # first-same-as-last
             if err > 0.0:

@@ -16,7 +16,8 @@ a pair whose tiny time-like direction has an image of subnormal seed norm,
 huge space-like and time-like pairs whose pair products and image norm would
 overflow, a direction whose transverse part is null (the chart route stands
 aside), a metric so large that the pair product overflows, and the refusal of ``angle`` and ``conformal`` below unit preferred-direction
-norm; one ``check`` case runs the strict tolerance profile. The ``eval_err_*`` cases cover the error paths of
+norm; ``conformal`` at a huge point of ``desk_curved_a`` inverts an image
+nearly orthogonal to ``b``; one ``check`` case runs the strict tolerance profile. The ``eval_err_*`` cases cover the error paths of
 loading and sampling: constants rejected at load, a constant that cannot be
 evaluated, points where the base metric or the preferred-direction norm
 fails, a frame metric that overflows, and a metric stack that overflows
@@ -31,7 +32,8 @@ output, and the change log says so.
 
 The digest sweep pins many more runs than are worth storing: one sha256 over
 the outputs of 60 ``check`` runs and 900 seeded ``angle`` and ``conformal``
-runs. ``python tests/test_golden.py`` prints it.
+runs. The geodesic digest pins 36 seeded trajectories, truncated ones
+included, bit for bit. ``python tests/test_golden.py`` prints both.
 """
 
 from __future__ import annotations

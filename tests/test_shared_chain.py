@@ -187,14 +187,17 @@ def test_eval_reads_one_chain(chains, capsys):
 
 
 @pytest.mark.parametrize("config_name", ["desk", "desk_variable_g"])
-def test_rk4_classifies_each_node_once(config_name, classifications):
+def test_rk4_measures_each_chain_once(config_name, classifications, monkeypatch):
+    measurements = _count_calls(monkeypatch, kinematics._measure)
     field = load_config(config_path(config_name))
     n = 8
     traj = geodesic_integrate(field, X_PROBE, Y_TIME, 0.1, method="rk4", step=0.1 / n)
     assert traj.exit_reason is None and traj.samples.shape[0] == n + 1
-    # the start node and each accepted node; the stages' chains classify
-    # their own measurement
-    assert len(classifications) == n + 1
+    # the start node is classified and then measured by its record; each step
+    # measures its three new stages and its accepted node once, and the
+    # node's record classifies from its own measurement
+    assert len(measurements) == 4 * n + 2
+    assert len(classifications) == 1
 
 
 def test_spray_oracle_classifies_nothing(variable_g, classifications):

@@ -258,6 +258,26 @@ class TestInterface:
             geodesic_integrate(desk_field, np.zeros(4), Y_TIME, length, step=step)
 
 
+class TestAdaptiveRejections:
+    """The rk45 loop rejects a step whose error estimate is not finite, and a
+    run of rejections in a row ends in ``NoConvergence``."""
+
+    def test_nan_error_estimate_is_rejected(self, desk_field, monkeypatch):
+        calls = []
+        rhs = spray._rhs
+
+        def nan_after_the_first_stage(field, state, dim, d=None):
+            calls.append(1)
+            return rhs(field, state, dim, d) if len(calls) == 1 else np.full(2 * dim, np.nan)
+
+        monkeypatch.setattr(spray, "_rhs", nan_after_the_first_stage)
+        bound = spray._MAX_REJECTED_IN_A_ROW
+        with pytest.raises(NoConvergence, match=rf"rejected {bound + 1} steps in a row at s = 0$"):
+            geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method="rk45")
+        # the start's stage, then six stages per rejected step; none accepted
+        assert len(calls) == 1 + 6 * (bound + 1)
+
+
 @pytest.fixture
 def sample_calls(monkeypatch):
     """Count the background samples taken by the spray module."""
