@@ -107,6 +107,15 @@ class TestInverse:
         back = zeta_inverse(desk, zeta_map(desk, AXIS).zeta)
         assert np.max(np.abs(back - AXIS)) < 1e-13
 
+    @pytest.mark.parametrize("zb", [1e-20, -1e-20, 3e-9, 0.0])
+    def test_space_like_image_nearly_orthogonal_to_b(self, zb):
+        # at zero charge the map is the identity; acos(-zb) would round the
+        # support of the direction to cos(-pi/2) = 6.1e-17
+        curved = sample(load_config(config_path("desk_curved_a")), np.zeros(4))
+        back = zeta_inverse(curved, [0.0, 1.0, 0.0, zb])
+        assert back[3] == pytest.approx(zb, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(back[:3] - [0.0, 1.0, 0.0])) < TOL_CONFORMAL_ROUNDTRIP
+
     def test_isotropic_image_rejected(self, desk):
         with pytest.raises(UnsupportedImage, match="isotropic"):
             zeta_inverse(desk, [1.0, 1.0, 0.0, 0.0])
