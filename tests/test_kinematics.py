@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsleroid import kinematics
 from finsleroid.background import load_config, sample
 from finsleroid.errors import DegenerateQ, GeometryError, NoConvergence, UnsupportedSector
 from finsleroid.kinematics import NU_MIN_REL, aux_vectors, classify, random_admissible, scalars
@@ -39,6 +40,13 @@ class TestClassification:
     def test_reference_directions(self, desk, y, tag, side):
         sector = classify(desk, np.array(y, dtype=float))
         assert (sector.tag, sector.side) == (tag, side)
+
+    def test_classification_hands_out_the_twelve_sectors(self, desk):
+        assert len(set(kinematics._SECTORS.values())) == 12
+        rng = np.random.default_rng(7)
+        for y in [E0, EX, AXIS, -E0, np.array([1.0, 1.0, 0.0, 0.0]), *rng.standard_normal((50, 4))]:
+            sector = classify(desk, y)
+            assert sector is kinematics._SECTORS[sector.tag, sector.side]
 
     def test_supported_flag_and_sign(self, desk):
         assert classify(desk, E0).supported

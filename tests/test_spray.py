@@ -195,9 +195,9 @@ class TestAcceptNode:
     """``spray._accept_node`` on each way a node can end a run, and on a good one."""
 
     @staticmethod
-    def accept(field, x, velocity, s_next=0.25):
+    def accept(field, x, velocity, s_next=0.25, start_tag="time-future"):
         state = np.concatenate([x, velocity])
-        return spray._accept_node(field, state, field.dim, "time-future", s_next)
+        return spray._accept_node(field, state, field.dim, start_tag, s_next)
 
     def test_space_like_velocity_exits(self, desk_field):
         assert self.accept(desk_field, X_PROBE, [0.2, 1.0, 0.0, 0.1]) == (
@@ -217,6 +217,15 @@ class TestAcceptNode:
         footer = (GOLDEN / "geodesic_rk4_desk_shifted_b_truncated.out").read_text().splitlines()[-1]
         assert self.accept(field, x, [1.0, -0.5, 0.0, 0.12], 0.1015625) == (
             None, footer.removeprefix("# truncated: ")
+        )
+
+    def test_degenerate_record_in_the_start_sector_is_the_reason(self, c09_field):
+        # on the left null shell below unit norm: space-like, but q = 0
+        velocity = [np.sqrt(0.19), 0.0, 0.0, -1.0]
+        assert self.accept(c09_field, X_PROBE, velocity, start_tag="space-like") == (
+            None,
+            "geometry degenerated at s = 0.25: "
+            "trace weight needs a positive transverse radius below unit norm",
         )
 
     @pytest.mark.parametrize("config_name", VARYING)
