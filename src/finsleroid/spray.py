@@ -46,7 +46,7 @@ __all__ = [
 #: Default step policy for the spray oracle (position differentiation).
 ORACLE_FD = FDConfig(step_rel_first=1e-6, richardson=True)
 
-# rk45 rejections in a row that end a run; 50 cut the step below 1e-35 of its size
+# rk45 rejections in a row that end a run; 50 cuts of up to 5x leave 1e-35 of a step
 _MAX_REJECTED_IN_A_ROW = 50
 
 
@@ -224,8 +224,8 @@ def _accept_node(
     field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float
 ) -> tuple[_Direction | None, str | None]:
     """Sample the node ``state`` reached at ``s_next`` and measure it once;
-    return its record, or ``None`` and the reason the run stops short of it,
-    which only a node that left the start sector is classified again for."""
+    return its record, or ``None`` and the reason the run stops short of it.
+    Only a node outside the start sector is classified again, for the reason."""
     try:
         here = sample_background(field, state[:dim])
         velocity = state[dim:]
