@@ -33,7 +33,10 @@ output, and the change log says so.
 The digest sweep pins many more runs than are worth storing: one sha256 over
 the outputs of 60 ``check`` runs and 900 seeded ``angle`` and ``conformal``
 runs. The geodesic digest pins 36 seeded trajectories, truncated ones
-included, bit for bit. ``python tests/test_golden.py`` prints both.
+included, bit for bit. The oracle digest pins the bytes of the two
+finite-difference routes of the ``check`` battery, the spray oracle and the
+Euler Jacobian, on every configuration and in both sectors.
+``python tests/test_golden.py`` prints all three.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ import pytest
 from finsleroid import cli
 from finsleroid.background import load_config, sample
 from finsleroid.kinematics import random_admissible
-from finsleroid.spray import geodesic_integrate
+from finsleroid.metric import covariant_momentum, metric_function
+from finsleroid.numdiff import fd_jacobian
+from finsleroid.spray import ORACLE_FD, geodesic_integrate, spray_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -189,7 +194,43 @@ def test_geodesic_digest():
     assert digest == GEODESIC_DIGEST
 
 
+# --- oracle digest ------------------------------------------------------------
+
+ORACLE_DIGEST = "902663c56ed443660f01827619a7531a1ea9bb4d1d5376e52886ce1d69667d5d"
+
+
+def oracle_digest() -> str:
+    """sha256 over the bytes of ``spray_oracle`` and of the Euler Jacobian of
+    ``[F^2, y_cov]`` (``fd_jacobian`` of a point function of the direction),
+    both at ``ORACLE_FD``, at ten seeded points and directions per
+    configuration and sector."""
+    rng = np.random.default_rng(18018)
+    digest = hashlib.sha256()
+    for name in SWEEP_CONFIGS:
+        field = load_config(ROOT / "configs" / f"{name}.cfg")
+        for tag in ("time-future", "space-like"):
+            for _ in range(10):
+                x = rng.uniform(0.0, 0.5, 4)
+                here = sample(field, x)
+                y = random_admissible(here, rng, tag, 1, margin=0.05)[0]
+
+                def stacked(yy, here=here):
+                    return np.concatenate(
+                        [[metric_function(here, yy)], covariant_momentum(here, yy)]
+                    )
+
+                digest.update(f"{name} {tag}\n".encode("utf-8"))
+                digest.update(spray_oracle(field, x, y).tobytes())
+                digest.update(fd_jacobian(stacked, y, ORACLE_FD).tobytes())
+    return digest.hexdigest()
+
+
+def test_oracle_digest():
+    assert oracle_digest() == ORACLE_DIGEST
+
+
 if __name__ == "__main__":
     # print the digests to pin: python tests/test_golden.py (from the root)
     print(sweep_digest(sweep_runs()))
     print(*geodesic_digest(geodesic_starts()))
+    print(oracle_digest())
