@@ -12,7 +12,9 @@ other piece on first access, each behind its own guard. It is the package's
 one per-direction object: each public function here is a view of one record,
 and the spray, the integrator, the oracle, the conformal map, the angle routes
 and the CLI build one record per (sample, direction) and read it instead of
-recomputing the chain.
+recomputing the chain. The finite differences need only ``[F^2, y_cov]`` at
+every stencil row; ``_f2_and_momentum_rows`` computes it for all rows at once,
+each row byte-equal to its record.
 
 The public views (and ``spray.spray_coefficients``) share the last record
 they built: called again with the same sample object, the same direction
@@ -41,6 +43,7 @@ metric_bundle
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -54,6 +57,7 @@ from .kinematics import (
     NU_MIN_REL,
     Q_MIN_REL,
     Sector,
+    _sector,
     aux_vectors,
     scalars,
 )
@@ -163,11 +167,6 @@ class _Direction:
         sample, scal = self.sample, self.scal
         u = sample.a @ self.y
         return (u - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J)
-
-    def f2_and_momentum(self) -> np.ndarray:
-        """``[F^2, y_cov]`` as one vector, so one finite difference gives both
-        the squared-norm gradient and the momentum Jacobian."""
-        return np.concatenate([[self.f2], self.y_cov])
 
     @_memo
     def g_cov(self) -> np.ndarray:
@@ -304,6 +303,51 @@ class _Direction:
             (g * q**3 - b * s2) * c * c + eps * b * z * z + 2.0 * s2 * b
         )
         return FrameComponents(R=r, g_frame=g_frame * j2)
+
+
+def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) -> np.ndarray:
+    """``[F^2, y_cov]`` at ``(samples[k], Y[k])`` for every row ``k``, so one
+    finite difference gives both the squared-norm gradient and the momentum
+    Jacobian. Row ``k`` is byte-equal to ``f2`` and ``y_cov`` of
+    ``_Direction(samples[k], Y[k], None)``: the products (a stacked ``matmul``
+    rounds as a single one) and the arithmetic run over all rows in the scalar
+    chain's order, ``log``, ``atan2`` and ``exp`` through ``math`` row by row
+    (numpy's differ in the last bit). At the first row the scalar chain
+    refuses, ``scalars`` raises for it."""
+    a = np.array([s.a for s in samples])
+    b_cov = np.array([s.b_cov for s in samples])
+    g, c, h_time, h_space = np.array([(s.g, s.c, s.h_time, s.h_space) for s in samples]).T
+    rows, cols = Y[:, None, :], Y[:, :, None]
+    b = np.matmul(rows, b_cov[:, :, None])[:, 0, 0]
+    gamma = np.matmul(np.matmul(rows, a), cols)[:, 0, 0] + b * b
+    scale = np.sqrt(np.matmul(rows, cols)[:, 0, 0])
+    sectors = [_sector(*row) for row in zip(samples, Y, scale.tolist(), b.tolist(), gamma.tolist())]
+    time = np.array([sector.tag == "time-future" for sector in sectors])
+    with np.errstate(all="ignore"):  # the scalar chain's float arithmetic does not warn
+        eps, h = np.where(time, 1.0, -1.0), np.where(time, h_time, h_space)
+        q = np.sqrt(np.abs(gamma))
+        big_b = gamma - g * b * q - b * b
+        one_minus_c2 = 1.0 - c * c
+        nu = q - eps * one_minus_c2 * g * b
+        weight = Y.shape[1] + eps * one_minus_c2 * big_b / (q * nu)  # 1 / trace weight
+        refused = [not sector.supported for sector in sectors] | (np.abs(one_minus_c2) > 1e-15) & (
+            (q <= Q_MIN_REL * scale) | (nu <= NU_MIN_REL * scale) | (q * nu == 0.0) | (weight == 0)
+        )
+        stop = int(np.argmax(refused)) if refused.any() else len(Y)
+        ratio = (b - (-0.5 * g - h) * q) / ((-0.5 * g + h) * q - b)  # of the cone margins
+        j = []  # row by row, so that a math error comes from the row the records meet it at
+        for t, r, hq, big_a, rate in zip(
+            time[:stop].tolist(), ratio.tolist(), (h * q).tolist(), (b + 0.5 * g * q).tolist(),
+            (-0.5 * (g / h)).tolist(),
+        ):
+            f = 0.5 * math.log(r) if t else math.atan2(hq, big_a) - math.pi
+            j.append(math.exp(rate * f))
+        if stop < len(Y):
+            scalars(samples[stop], Y[stop])
+            raise AssertionError("the scalar chain accepted a row the rows chain refused")
+        j = np.array(j)
+        y_cov = (np.matmul(a, cols)[:, :, 0] - (g * q)[:, None] * b_cov) * (j * j)[:, None]
+    return np.concatenate([(big_b * j * j)[:, None], y_cov], axis=1)
 
 
 @cache

@@ -11,7 +11,9 @@ FDConfig
     Relative step sizes (scaled per coordinate by ``1 + |x_i|``) and an
     optional single Richardson extrapolation level.
 fd_gradient / fd_jacobian / fd_hessian
-    Central differences for scalar and vector maps.
+    Central differences for scalar and vector maps. First derivatives have one
+    stencil, ``_stencil``, and ``_combine`` takes its values, so a caller can
+    evaluate all its probe points in one batch.
 
 All verification tolerances used across the test battery are defined once
 here as module constants so that every check and the command-line ``check``
@@ -148,20 +150,29 @@ class FDConfig:
 # --- first derivatives -------------------------------------------------------
 
 
-def _central(fn: Callable[[np.ndarray], np.ndarray | float], x: np.ndarray, i: int, h: float):
-    forward = np.array(x, dtype=float)
-    backward = np.array(x, dtype=float)
-    forward[i] += h
-    backward[i] -= h
-    return (np.asarray(fn(forward), dtype=float) - np.asarray(fn(backward), dtype=float)) / (2.0 * h)
+def _stencil(x: np.ndarray, config: FDConfig) -> np.ndarray:
+    """The probe points of a first-derivative stencil, one per row: for each
+    coordinate ``i`` in turn, ``x + h e_i`` and ``x - h e_i``, then with
+    ``richardson`` the same at ``h / 2``."""
+    steps = config.steps_first(x)
+    signs = np.array([1.0, -1.0, 0.5, -0.5] if config.richardson else [1.0, -1.0])
+    points = np.tile(x, (x.size * signs.size, 1))
+    axes = np.repeat(np.arange(x.size), signs.size)
+    points[np.arange(axes.size), axes] += (steps[:, None] * signs).ravel()
+    return points
 
 
-def _first_derivative(fn, x: np.ndarray, i: int, h: float, richardson: bool):
-    coarse = _central(fn, x, i, h)
-    if not richardson:
-        return coarse
-    fine = _central(fn, x, i, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+def _combine(values: np.ndarray, x: np.ndarray, config: FDConfig) -> np.ndarray:
+    """The derivative ``J[..., i]`` from the values at the :func:`_stencil`
+    rows: central differences, then one Richardson step ``(4 fine - coarse) / 3``."""
+    steps = config.steps_first(x)
+    values = values.reshape(x.size, -1, 2, *values.shape[1:])
+    h = steps.reshape(-1, *(1,) * (values.ndim - 3))
+    coarse = (values[:, 0, 0] - values[:, 0, 1]) / (2.0 * h)
+    if config.richardson:
+        fine = (values[:, 1, 0] - values[:, 1, 1]) / (2.0 * (0.5 * h))
+        coarse = (4.0 * fine - coarse) / 3.0
+    return np.moveaxis(coarse, 0, -1)
 
 
 def fd_gradient(
@@ -174,13 +185,11 @@ def fd_gradient(
 def fd_jacobian(
     fn: Callable[[np.ndarray], np.ndarray], x: Sequence[float], config: FDConfig = FDConfig()
 ) -> np.ndarray:
-    """Central-difference Jacobian ``J[..., i] = d fn / d x_i`` of a vector map."""
+    """Central-difference Jacobian ``J[..., i] = d fn / d x_i`` of a vector map,
+    with ``fn`` called once per :func:`_stencil` row, in row order."""
     x_arr = np.asarray(x, dtype=float)
-    steps = config.steps_first(x_arr)
-    columns = [
-        _first_derivative(fn, x_arr, i, steps[i], config.richardson) for i in range(x_arr.size)
-    ]
-    return np.stack(columns, axis=-1)
+    values = np.array([np.asarray(fn(point), dtype=float) for point in _stencil(x_arr, config)])
+    return _combine(values, x_arr, config)
 
 
 # --- second derivatives ------------------------------------------------------

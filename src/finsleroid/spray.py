@@ -7,7 +7,10 @@ and the base-metric connection term. The oracle route never touches the
 closed forms: it differentiates the squared norm and the momentum with
 respect to position by central differences and raises the index with the
 inverse metric, so the two routes are independent down to the scalar chain.
-Both routes read one ``metric._Direction`` record per (sample, direction).
+The closed route reads one ``metric._Direction`` record per (sample,
+direction). The oracle samples each position of its one stencil once and
+evaluates ``[F^2, y_cov]`` at all of them in one batch, byte-equal to those
+records.
 
 Key entry points
 ----------------
@@ -31,8 +34,8 @@ import numpy as np
 from .background import BackgroundField, BackgroundSample, _built, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
 from .kinematics import Sector, classify
-from .metric import _Direction, _record
-from .numdiff import FDConfig, fd_jacobian
+from .metric import _Direction, _f2_and_momentum_rows, _record
+from .numdiff import FDConfig, _combine, _stencil
 
 __all__ = [
     "SprayData",
@@ -48,6 +51,7 @@ ORACLE_FD = FDConfig(step_rel_first=1e-6, richardson=True)
 
 # rk45 rejections in a row that end a run; 50 cuts of up to 5x leave 1e-35 of a step
 _MAX_REJECTED_IN_A_ROW = 50
+_EPS = float(np.finfo(float).eps)  # the smallest rk45 tolerance
 
 
 @dataclass(frozen=True)
@@ -173,18 +177,30 @@ def spray_oracle(
 ) -> np.ndarray:
     """Finite-difference spray: position-differentiate squared norm and
     momentum at fixed direction, then raise the index with the inverse metric.
-    One difference runs over the stacked vector ``[F^2, y_cov]``, so each probe
-    position is sampled once and read through one direction record."""
+    Each position of the one stencil is sampled once, and one batch gives the
+    stacked vector ``[F^2, y_cov]`` at all of them."""
     x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
+    probes = _probe_samples(field, x_arr, config)
+    return _oracle(field, probes, x_arr, np.asarray(y, dtype=float), config)
 
-    def stacked_at(position: np.ndarray) -> np.ndarray:
-        return _Direction(sample_background(field, position), y_arr, None).f2_and_momentum()
 
-    stacked = fd_jacobian(stacked_at, x_arr, config)  # stacked[1 + k, m] = d y_k / d x^m
+def _probe_samples(field: BackgroundField, x: np.ndarray, config: FDConfig) -> list:
+    """The samples at the stencil of ``x``, which serve every direction there."""
+    return [sample_background(field, position) for position in _stencil(x, config)]
+
+
+def _oracle(
+    field, probes: list, x: np.ndarray, y: np.ndarray, config: FDConfig, d: _Direction | None = None
+) -> np.ndarray:
+    """The spray oracle at ``(x, y)`` from the samples ``probes`` at the stencil
+    of ``x``. ``d`` is the record at ``(x, y)``; without it, ``x`` is sampled
+    after the differences, as the oracle always did."""
+    rows = _f2_and_momentum_rows(probes, np.tile(y, (len(probes), 1)))
+    stacked = _combine(rows, x, config)  # stacked[1 + k, m] = d y_k / d x^m
     grad, jac = stacked[0], stacked[1:]
-    g_cov_low = jac @ y_arr - 0.5 * grad
-    return _Direction(sample_background(field, x_arr), y_arr, None).g_contra @ g_cov_low
+    if d is None:
+        d = _Direction(sample_background(field, x), y, None)
+    return d.g_contra @ (jac @ y - 0.5 * grad)
 
 
 # --- integration -------------------------------------------------------------
@@ -269,8 +285,9 @@ def geodesic_integrate(
     Raises
     ------
     ValueError
-        Unknown ``method``, or a ``length`` or ``step`` that is not positive
-        and finite.
+        Unknown ``method``, a ``length`` or ``step`` that is not positive
+        and finite, or a ``tol`` that is not finite or is below the float
+        resolution ``np.finfo(float).eps``.
     NoConvergence
         If the run needs more than ``max_steps`` steps, or rk45 more than
         ``_MAX_REJECTED_IN_A_ROW`` rejections in a row.
@@ -280,6 +297,8 @@ def geodesic_integrate(
     for name, value in (("length", length), ("step", step)):
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(tol) and tol >= _EPS):  # below it, err overflows or reads 0
+        raise ValueError(f"tol must be finite and at least {_EPS!r}, got {tol!r}")
     x_arr = np.asarray(x0, dtype=float)
     y_arr = np.asarray(y0, dtype=float)
     dim = x_arr.size

@@ -35,7 +35,15 @@ from finsleroid.metric import (
     metric_function,
     metric_tensor,
 )
-from finsleroid.numdiff import TOL_EULER_CHAIN, TOL_METRIC_INVERSE, TOL_DET_RATIO, fd_gradient, fd_jacobian
+from finsleroid.numdiff import (
+    TOL_DET_RATIO,
+    TOL_EULER_CHAIN,
+    TOL_METRIC_INVERSE,
+    FDConfig,
+    _stencil,
+    fd_gradient,
+    fd_jacobian,
+)
 from finsleroid.spray import _spray, spray_coefficients
 
 from conftest import config_path
@@ -485,6 +493,154 @@ class TestSharedRecord:
                     arr[...] = 7.0
         assert _bits(metric_bundle(desk, y)) == _bits(_bundle_of(fresh))
         assert _bits(frame_components(desk, y)) == _bits(fresh.frame)
+
+
+def _rows_outcome(samples, Y):
+    """The bytes of the rows chain over ``(samples[k], Y[k])``, or the type and
+    message of the error it raises."""
+    try:
+        return metric._f2_and_momentum_rows(samples, np.array(Y, dtype=float)).tobytes()
+    except (GeometryError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _records_outcome(samples, Y):
+    """The same from one record per row, built in row order."""
+    rows = []
+    try:
+        for s, y in zip(samples, Y):
+            d = metric._Direction(s, y, None)
+            rows.append([d.f2, *d.y_cov])
+    except (GeometryError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.array(rows).tobytes()
+
+
+class TestRowsChain:
+    """The batched ``[F^2, y_cov]`` chain gives every row the bytes of its own
+    record, and a batch with a refused row raises what the first refused
+    row's record raises."""
+
+    @pytest.mark.parametrize("config_name", CONFIGS)
+    def test_rows_match_their_records_bit_for_bit(self, config_samples, config_name):
+        here = config_samples[config_name]
+        field = load_config(config_path(config_name))
+        rng = np.random.default_rng(29)
+        special = [
+            here.b_contra,  # the preferred axis; below unit norm its row is refused
+            np.array([1.0, -0.0, 0.1, 0.2]),  # a signed zero
+            np.array([-0.0, 0.3, 0.1, 1.0]),
+        ]
+        for tag in ("time-future", "space-like"):
+            drawn = random_admissible(here, rng, tag, 12)
+            # one sample and many directions, as in the Euler route
+            for y in [*special, None]:
+                Y = drawn if y is None else np.vstack([drawn, y])
+                batch = _rows_outcome([here] * len(Y), Y)
+                assert batch == _records_outcome([here] * len(Y), Y)
+            # many samples and one direction, as in the oracle route
+            probes = [sample(field, x) for x in rng.uniform(0.0, 0.5, (16, 4))]
+            y = random_admissible(probes[0], rng, tag, 1, margin=0.05)[0]
+            Y = np.tile(y, (16, 1))
+            assert isinstance(_rows_outcome(probes, Y), bytes)
+            assert _rows_outcome(probes, Y) == _records_outcome(probes, Y)
+
+    def test_stencil_across_a_cone_wall(self, config_samples):
+        """Stencils around directions just inside the time-future cone, towards
+        a space-like direction: their rows leave the sector."""
+        here = config_samples["desk_shifted_b"]
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(20):
+            inside = random_admissible(here, rng, "time-future", 1)[0]
+            outside = random_admissible(here, rng, "space-like", 1)[0]
+            lo, hi = 0.0, 1.0  # bisect for the last time-future point on the segment
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                y = (1.0 - mid) * inside + mid * outside
+                lo, hi = (mid, hi) if classify(here, y).tag == "time-future" else (lo, mid)
+            y = (1.0 - lo) * inside + lo * outside
+            for step in (1e-6, 1e-3, 0.3):
+                Y = _stencil(y, FDConfig(step_rel_first=step, richardson=True))
+                outcome = _rows_outcome([here] * len(Y), Y)
+                assert outcome == _records_outcome([here] * len(Y), Y)
+                seen.add(outcome[0] if isinstance(outcome, tuple) else bytes)
+                tags = {classify(here, row).tag for row in Y}
+                seen.update(tags)
+        assert {UnsupportedSector, bytes, "time-future", "space-like"} <= seen
+
+    @pytest.mark.parametrize("c", [1.0, 0.8])
+    def test_rows_on_a_full_base_metric(self, c):
+        """A base metric with no zero entry, where ``y @ a`` and ``a @ y`` round
+        differently: each product keeps the scalar chain's order."""
+        rng = np.random.default_rng(43)
+        frame = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        a = frame.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ frame
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(4)
+        b *= c / np.sqrt(abs(b @ np.linalg.inv(a) @ b))
+        here = sample(BackgroundField.constant(a, b, 0.6), np.zeros(4))
+        for tag in ("time-future", "space-like"):
+            Y = random_admissible(here, rng, tag, 16)
+            assert _rows_outcome([here] * 16, Y) == _records_outcome([here] * 16, Y)
+            Y = _stencil(Y[0], FDConfig(step_rel_first=1e-6, richardson=True))
+            assert isinstance(_rows_outcome([here] * 16, Y), bytes)
+            assert _rows_outcome([here] * 16, Y) == _records_outcome([here] * 16, Y)
+
+    def test_transverse_radius_guard_alone(self):
+        """At negative charge below unit norm the dual radius on the axis ray
+        is positive, so the transverse-radius guard is the one that refuses."""
+        field = BackgroundField.constant([1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 0.9], -0.6)
+        here = sample(field, np.zeros(4))
+        axis = np.array([np.sqrt(0.19), 0.0, 0.0, -1.0])
+        Y = np.vstack([random_admissible(here, np.random.default_rng(47), "space-like", 3), axis])
+        outcome = _rows_outcome([here] * 4, Y)
+        assert outcome == _records_outcome([here] * 4, Y)
+        message = "trace weight needs a positive transverse radius below unit norm"
+        assert outcome == (DegenerateQ, message)
+
+    def test_a_math_error_comes_from_its_row(self):
+        """Near charge 2 the space-like weight's exponential overflows; before a
+        later refused row, the batch raises that overflow, as the records do."""
+        field = BackgroundField.constant([1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 0.9], 1.99999)
+        here = sample(field, np.zeros(4))
+        drawn = random_admissible(here, np.random.default_rng(53), "space-like", 3)
+        Y = np.vstack([drawn, [-1.0, 0.1, 0.0, 0.2]])  # the last row is unsupported
+        outcome = _rows_outcome([here] * 4, Y)
+        assert outcome == _records_outcome([here] * 4, Y)
+        assert outcome == (OverflowError, "math range error")
+
+    def test_rows_of_subnormal_scale(self, c09):
+        """Directions so short that ``gamma`` and ``q nu`` leave the normal
+        float range, below unit norm."""
+        seen = set()
+        for y in random_admissible(c09, np.random.default_rng(41), "space-like", 6):
+            for e in np.linspace(158.0, 163.0, 40):
+                Y = np.array([y, y * 10.0**-e])
+                outcome = _rows_outcome([c09] * 2, Y)
+                assert outcome == _records_outcome([c09] * 2, Y)
+                seen.add(outcome[0] if isinstance(outcome, tuple) else bytes)
+        assert {bytes, UnsupportedSector, DegenerateQ} <= seen
+
+    @pytest.mark.parametrize(
+        "refused,error",
+        [
+            ([np.array([np.sqrt(0.19), 0.0, 0.0, -1.0])], DegenerateQ),  # zero transverse radius
+            ([np.array([np.sqrt(0.19 - 0.0025), 0.0, 0.0, -1.0])], DegenerateNu),
+            # the first refused row names the error
+            ([np.array([np.sqrt(0.19 - 0.0025), 0.0, 0.0, -1.0]), np.array([-1.0, 0.1, 0.0, 0.2])],
+             DegenerateNu),
+            ([np.array([-1.0, 0.1, 0.0, 0.2]), np.array([np.sqrt(0.19), 0.0, 0.0, -1.0])],
+             UnsupportedSector),
+        ],
+    )
+    def test_guards_below_unit_norm(self, c09, refused, error):
+        rng = np.random.default_rng(37)
+        good = random_admissible(c09, rng, "space-like", 5)
+        Y = np.vstack([good[:3], *refused, good[3:]])
+        outcome = _rows_outcome([c09] * len(Y), Y)
+        assert outcome == _records_outcome([c09] * len(Y), Y)
+        assert outcome[0] is error
 
 
 class TestGuards:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from finsleroid import cli, kinematics, metric
+from finsleroid import background, cli, kinematics, metric, spray
 from finsleroid.anglegeo import angle_closed_form, uar_to_angles
 from finsleroid.background import load_config, sample
 from finsleroid.conformal import pushforward_metric_check
@@ -137,10 +137,43 @@ def test_spray_coefficients_reads_one_chain(variable_g, chains):
     assert len(chains) == 1
 
 
-def test_spray_oracle_one_chain_per_probe(variable_g, chains):
+@pytest.fixture
+def samples_taken(monkeypatch):
+    """``background.sample`` calls made through any module of the package."""
+    return _count_calls(monkeypatch, background.sample)
+
+
+@pytest.fixture
+def batch_rows(monkeypatch):
+    """The row count of each rows-chain batch the spray module evaluates."""
+    sizes: list[int] = []
+    rows = spray._f2_and_momentum_rows
+
+    def counted(samples, Y):
+        sizes.append(len(Y))
+        return rows(samples, Y)
+
+    monkeypatch.setattr(spray, "_f2_and_momentum_rows", counted)
+    return sizes
+
+
+def test_spray_oracle_one_batch_of_probes(variable_g, chains, samples_taken, batch_rows):
     spray_oracle(variable_g, X_PROBE, Y_TIME)
     # Richardson central differences: 4 probes per coordinate, plus the point
-    assert len(chains) == 4 * 4 + 1
+    assert len(samples_taken) == 4 * 4 + 1
+    # one batch over the probes, and one chain for the point's record
+    assert batch_rows == [4 * 4]
+    assert len(chains) == 1
+
+
+@pytest.mark.parametrize("config_name", ["desk", "desk_variable_g"])
+def test_check_samples_each_position_once_per_draw(config_name, samples_taken):
+    """The draw's point, then the oracle's probes once for both directions
+    (35 samples per draw when each direction sampled them again)."""
+    field = load_config(config_path(config_name))
+    draws = 3
+    cli.run_check(field, draws, 5)
+    assert len(samples_taken) == draws * (1 + 4 * field.dim)
 
 
 def test_pushforward_metric_check_reads_one_chain(desk, chains):

@@ -266,6 +266,14 @@ class TestInterface:
         with pytest.raises(ValueError, match="positive and finite"):
             geodesic_integrate(desk_field, np.zeros(4), Y_TIME, length, step=step)
 
+    @pytest.mark.parametrize("tol", [1e-300, 1e-16, 0.0, -1e-9, np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_unreachable_tolerance_rejected(self, desk_field, tol, method):
+        """Below the float resolution an rk45 error estimate overflows, or reads
+        0 for a step whose two orders agree bitwise, so such a ``tol`` is refused."""
+        with pytest.raises(ValueError, match=r"tol must be finite and at least 2\.22"):
+            geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method=method, tol=tol)
+
 
 class TestAdaptiveRejections:
     """The rk45 loop rejects a step whose error estimate is not finite, and a
