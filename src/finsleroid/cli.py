@@ -351,7 +351,7 @@ def _check_shard(
             congruence = here.frame_inv.T @ g_cov @ here.frame_inv
             record("frame", float(np.max(np.abs(d.frame.g_frame - congruence))))
 
-            if probes is None:  # sampled at first use, so a bad probe fails where it did
+            if probes is None:  # at first use: a probe outside the domain fails after the above
                 probes = _probe_samples(field_, x, ORACLE_FD)
             oracle = _oracle(field_, probes, x, y, ORACLE_FD, d)
             closed_spray = _spray(d).G

@@ -190,11 +190,16 @@ def _probe_samples(field: BackgroundField, x: np.ndarray, config: FDConfig) -> l
 
 
 def _oracle(
-    field, probes: list, x: np.ndarray, y: np.ndarray, config: FDConfig, d: _Direction | None = None
+    field: BackgroundField,
+    probes: list,
+    x: np.ndarray,
+    y: np.ndarray,
+    config: FDConfig,
+    d: _Direction | None = None,
 ) -> np.ndarray:
     """The spray oracle at ``(x, y)`` from the samples ``probes`` at the stencil
     of ``x``. ``d`` is the record at ``(x, y)``; without it, ``x`` is sampled
-    after the differences, as the oracle always did."""
+    after the differences, so that a probe's error comes first."""
     rows = _f2_and_momentum_rows(probes, np.tile(y, (len(probes), 1)))
     stacked = _combine(rows, x, config)  # stacked[1 + k, m] = d y_k / d x^m
     grad, jac = stacked[0], stacked[1:]
