@@ -35,8 +35,10 @@ the outputs of 60 ``check`` runs and 900 seeded ``angle`` and ``conformal``
 runs. The geodesic digest pins 36 seeded trajectories, truncated ones
 included, bit for bit. The oracle digest pins the bytes of the two
 finite-difference routes of the ``check`` battery, the spray oracle and the
-Euler Jacobian, on every configuration and in both sectors.
-``python tests/test_golden.py`` prints all three.
+Euler Jacobian, on every configuration and in both sectors. The curvature
+digest pins the cubic form and the indicatrix curvature, or the error each
+raises, at seeded directions of many magnitudes and for every kind of
+tangent-plane seed. ``python tests/test_golden.py`` prints all four.
 """
 
 from __future__ import annotations
@@ -53,8 +55,14 @@ import pytest
 
 from finsleroid import cli
 from finsleroid.background import load_config, sample
+from finsleroid.errors import FinsleroidError
 from finsleroid.kinematics import random_admissible
-from finsleroid.metric import covariant_momentum, metric_function
+from finsleroid.metric import (
+    cartan_tensor,
+    covariant_momentum,
+    indicatrix_curvature,
+    metric_function,
+)
 from finsleroid.numdiff import fd_jacobian
 from finsleroid.spray import ORACLE_FD, geodesic_integrate, spray_oracle
 
@@ -229,8 +237,60 @@ def test_oracle_digest():
     assert oracle_digest() == ORACLE_DIGEST
 
 
+# --- curvature digest ---------------------------------------------------------
+
+CURVATURE_DIGEST = "ee17af882505f0f34f179af3d4ab6f444e16e03a1ad41ca530ed10a8c5a81934"
+CURVATURE_SCALES = (1e-160, 1e-150, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e150, 1e160)
+CURVATURE_SEEDS = (
+    None,
+    (0, 2),
+    (3, 1),
+    ((0.3, 1.0, 0.2, 0.0), (0.0, 0.1, 1.0, 0.4)),
+    ((1.0, -0.5, 0.25, 2.0), (-0.7, 0.0, 0.3, 1.1)),
+    (1, 1),  # one plane vector twice: no nondegenerate pair
+)
+
+
+def _outcome(fn) -> bytes:
+    try:
+        return fn()
+    except (ArithmeticError, FinsleroidError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode("utf-8")
+
+
+def curvature_digest() -> str:
+    """sha256 over the bytes of ``cartan_tensor`` and the ``repr`` of
+    ``indicatrix_curvature`` for every seed in ``CURVATURE_SEEDS``, or the
+    type and message of the error a call raises, under the CLI's ``errstate``,
+    at three seeded points and directions per configuration and sector, each
+    direction at every scale in ``CURVATURE_SCALES``."""
+    rng = np.random.default_rng(19019)
+    digest = hashlib.sha256()
+    with np.errstate(over="raise", invalid="raise"):
+        for name in SWEEP_CONFIGS:
+            field = load_config(ROOT / "configs" / f"{name}.cfg")
+            for tag in ("time-future", "space-like"):
+                for _ in range(3):
+                    here = sample(field, rng.uniform(0.0, 0.5, 4))
+                    y0 = random_admissible(here, rng, tag, 1, margin=0.05)[0]
+                    for scale in CURVATURE_SCALES:
+                        y = y0 * scale
+                        digest.update(f"{name} {tag} {scale!r}\n".encode("utf-8"))
+                        digest.update(_outcome(lambda: cartan_tensor(here, y).tobytes()))
+                        for seeds in CURVATURE_SEEDS:
+                            digest.update(b"\n" + _outcome(
+                                lambda: repr(indicatrix_curvature(here, y, seeds=seeds)).encode()
+                            ))
+    return digest.hexdigest()
+
+
+def test_curvature_digest():
+    assert curvature_digest() == CURVATURE_DIGEST
+
+
 if __name__ == "__main__":
     # print the digests to pin: python tests/test_golden.py (from the root)
     print(sweep_digest(sweep_runs()))
     print(*geodesic_digest(geodesic_starts()))
     print(oracle_digest())
+    print(curvature_digest())
