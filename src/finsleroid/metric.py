@@ -243,13 +243,10 @@ class _Direction:
         cc = self.CC
         if cc == 0.0:
             raise NullCartan("cubic-form assembly divides by a vanishing contracted cubic form")
-        n = self.sample.dim
-        x = self.scal.X
-        sym = (
-            np.einsum("i,jk->ijk", c_cov, h_ang)
-            + np.einsum("j,ik->ijk", c_cov, h_ang)
-            + np.einsum("k,ij->ijk", c_cov, h_ang)
-        )
+        n, x = self.sample.dim, self.scal.X
+        # an einsum, not a broadcast product: it raises no float error, as the three did
+        outer = np.einsum("i,jk->ijk", c_cov, h_ang)
+        sym = outer + outer.transpose(1, 0, 2) + outer.transpose(1, 2, 0)
         triple = np.einsum("i,j,k->ijk", c_cov, c_cov, c_cov)
         return x * (sym - (n + 1.0 - 1.0 / x) * triple / cc)
 
@@ -259,22 +256,14 @@ class _Direction:
         eps = self.scal.eps
         if self.null_charge:
             return -float(eps)
-        g_cov = self.g_cov
-        g_contra = self.g_contra
-        h_ang = self.h_ang
-        cartan = self.cartan
-        f2 = self.f2
-
+        # read in stack order, so the first failing guard names the error
+        g_cov, g_contra, h_ang, cartan = self.g_cov, self.g_contra, self.h_ang, self.cartan
         c_mixed = np.einsum("ha,ian->ihn", g_contra, cartan)  # C_i{}^h{}_n
-        riem = np.einsum("inh,jhm->ijmn", cartan, c_mixed) - np.einsum(
-            "imh,jhn->ijmn", cartan, c_mixed
-        )
+        term = np.einsum("inh,jhm->ijmn", cartan, c_mixed)
+        riem = term - term.transpose(0, 1, 3, 2)  # the second term swaps m and n
 
-        u, v = _projected_pair(g_cov, h_ang, self.y, f2, seeds)
-        numerator = f2 * float(np.einsum("ijmn,i,j,m,n->", riem, u, v, u, v))
-        huu = float(u @ h_ang @ u)
-        hvv = float(v @ h_ang @ v)
-        huv = float(u @ h_ang @ v)
+        u, v, huu, hvv, huv = _projected_pair(g_cov, h_ang, self.y, self.f2, seeds)
+        numerator = self.f2 * float(np.einsum("ijmn,i,j,m,n->", riem, u, v, u, v))
         kappa = numerator / (huu * hvv - huv * huv)
         return -eps * (1.0 + kappa)
 
@@ -366,33 +355,42 @@ def _projected_pair(
     y_arr: np.ndarray,
     f2: float,
     seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(y_arr.size)
-    if seeds is None:
-        candidates = list(eye)
-    else:
-        candidates = []
-        for s in seeds:
-            if isinstance(s, (int, np.integer)):
-                candidates.append(eye[int(s)])
-            else:
-                candidates.append(np.asarray(s, dtype=float))
-    picked: list[np.ndarray] = []
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """``(u, v, h(u, u), h(v, v), h(u, v))``: the first nondegenerate pair of
+    seeds (basis indices or vectors, every basis vector by default) projected
+    off ``y``, and the angular forms the test of ``v`` computed. Each product
+    is formed at the step and in the order a one-candidate-at-a-time search
+    meets it, so the first float error and the ``DegenerateQ`` stay put."""
+    eye = _identity(y_arr.size)
+    candidates = list(eye) if seeds is None else [
+        eye[int(s)] if isinstance(s, (int, np.integer)) else np.asarray(s, dtype=float)
+        for s in seeds
+    ]
+    gy = g_cov @ y_arr
+    u = None
     for t in candidates:
-        w = t - (float(g_cov @ y_arr @ t) / f2) * y_arr
-        if float(np.linalg.norm(w)) < 1e-10:
+        w = t - (float(gy @ t) / f2) * y_arr
+        if math.sqrt(float(w.dot(w))) < 1e-10:
             continue
-        if picked:
-            u = picked[0]
-            huu = float(u @ h_ang @ u)
-            huw = float(u @ h_ang @ w)
-            hww = float(w @ h_ang @ w)
-            if abs(huu * hww - huw * huw) < 1e-10 * (abs(huu * hww) + w @ w * (u @ u)):
-                continue
-        picked.append(w)
-        if len(picked) == 2:
-            return picked[0], picked[1]
+        if u is None:
+            u = w
+            continue
+        uh = u @ h_ang
+        huu = float(uh @ u)
+        huw = float(uh @ w)
+        hww = float(w @ h_ang @ w)
+        if abs(huu * hww - huw * huw) < 1e-10 * (abs(huu * hww) + w @ w * (u @ u)):
+            continue
+        return u, w, huu, hww, huw
     raise DegenerateQ("could not find a nondegenerate tangent pair for curvature extraction")
+
+
+@cache
+def _identity(dim: int) -> np.ndarray:
+    """The read-only ``dim``-by-``dim`` identity whose rows seed the tangent pair."""
+    eye = np.eye(dim)
+    _read_only(eye)
+    return eye
 
 
 # --- public views ------------------------------------------------------------

@@ -281,6 +281,26 @@ class TestCurvature:
         )
         assert np.max(np.abs(f2 * riem - rhs)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "seeds", [None, (0, 2), (3, 1), ((0.3, 1.0, 0.2, 0.0), (0.0, 0.1, 1.0, 0.4))]
+    )
+    @pytest.mark.parametrize("tag", ["time-future", "space-like"])
+    def test_tangent_pair_returns_the_forms_of_its_pair(self, desk, tag, seeds):
+        """The forms come back bit-equal to the products the curvature formed."""
+        rng = np.random.default_rng(19)
+        for y in random_admissible(desk, rng, tag, 8, margin=0.05):
+            d = metric._Direction(desk, y, None)
+            h = d.h_ang
+            u, v, huu, hvv, huv = metric._projected_pair(d.g_cov, h, d.y, d.f2, seeds)
+            forms = (float(u @ h @ u), float(v @ h @ v), float(u @ h @ v))
+            assert [f.hex() for f in (huu, hvv, huv)] == [f.hex() for f in forms]
+
+    def test_tangent_pair_seeds_share_one_read_only_identity(self):
+        eye = metric._identity(4)
+        assert eye is metric._identity(4)
+        assert not eye.flags.writeable
+        assert np.array_equal(eye, np.eye(4))
+
 
 class TestFrame:
     @pytest.mark.parametrize("y", [Y_TIME, Y_SPACE], ids=["time", "space"])
