@@ -386,8 +386,8 @@ def _check_shard(
                 previous[key] = y
 
             if here.c_is_unit:
-                record("conformal_pushforward", _pushforward_residual(d))
                 image = _zeta(d)
+                record("conformal_pushforward", _pushforward_residual(d, image))
                 power = abs(f2) ** scal.h
                 record("conformal_power", abs(abs(image.S2) - power) / power)
                 back = zeta_inverse(here, image.zeta)
@@ -565,7 +565,7 @@ def cmd_conformal(args) -> int:
     _emit("p", image.p)
     failed = False
     try:
-        s_residual = _pushforward_residual(d)
+        s_residual = _pushforward_residual(d, image)
         _emit("s_residual", s_residual)
         if s_residual > TOL_CONFORMAL_S:
             failed = True

@@ -109,12 +109,12 @@ def zeta_jacobian(
     return _zeta_jacobian(_Direction(sample, y, sector))
 
 
-def _zeta_jacobian(d: _Direction) -> np.ndarray:
-    """Fibre derivative of the map read from one direction record."""
+def _zeta_jacobian(d: _Direction, image: ConformalImage | None = None) -> np.ndarray:
+    """Fibre derivative of the map read from one direction record (and its image, if held)."""
     sample, scal = d.sample, d.scal
     aux = d.aux  # raises DegenerateQ on the axis ray
     h = scal.h
-    zeta, kappa = _image(d)
+    zeta, kappa = _image(d) if image is None else (image.zeta, image.kappa)
     scale = scal.J / (kappa * h)
     b_contra = sample.b_contra
     core = (
@@ -138,10 +138,11 @@ def pushforward_metric_check(
     return _pushforward_residual(_Direction(sample, y, sector))
 
 
-def _pushforward_residual(d: _Direction) -> float:
-    """Conformality residual read from one direction record (unit norm checked)."""
-    image = _zeta(d)
-    jac = _zeta_jacobian(d)
+def _pushforward_residual(d: _Direction, image: ConformalImage | None = None) -> float:
+    """Conformality residual read from one direction record and its image, if held
+    (unit norm checked)."""
+    image = _zeta(d) if image is None else image
+    jac = _zeta_jacobian(d, image)
     reconstructed = image.p * jac.T @ d.sample.a @ jac
     g_cov = d.g_cov
     return float(
