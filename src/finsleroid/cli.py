@@ -291,9 +291,9 @@ class RunReport:
 
 
 def _relmax(difference: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(reference))), 1e-300)
+    scale = max(float(np.abs(reference).max()), 1e-300)
     # a numpy division, so that an overflow raises under the command's errstate
-    return float(np.max(np.abs(difference)) / scale)
+    return float(np.abs(difference).max() / scale)
 
 
 def _check_shard(
@@ -333,7 +333,7 @@ def _check_shard(
 
             record(
                 "metric_inverse",
-                float(np.max(np.abs(g_contra @ g_cov - np.eye(field_.dim)))),
+                float(np.abs(g_contra @ g_cov - np.eye(field_.dim)).max()),
             )
             record("momentum_contraction", _relmax(g_cov @ y - y_cov, y_cov))
             record("norm_trace", abs(float(y @ y_cov) - f2) / abs(f2))
@@ -349,14 +349,14 @@ def _check_shard(
                 record("indicatrix", abs(d.curvature(None) - expected))
 
             congruence = here.frame_inv.T @ g_cov @ here.frame_inv
-            record("frame", float(np.max(np.abs(d.frame.g_frame - congruence))))
+            record("frame", float(np.abs(d.frame.g_frame - congruence).max()))
 
             if probes is None:  # at first use: a probe outside the domain fails after the above
                 probes = _probe_samples(field_, x, ORACLE_FD)
             oracle = _oracle(field_, probes, x, y, ORACLE_FD, d)
             closed_spray = _spray(d).G
-            scale = max(1.0, float(np.max(np.abs(oracle))))
-            record("spray_oracle", float(np.max(np.abs(closed_spray - oracle))) / scale)
+            scale = max(1.0, float(np.abs(oracle).max()))
+            record("spray_oracle", float(np.abs(closed_spray - oracle).max()) / scale)
 
             if here.c_is_unit:
                 record("dual_closed", abs(hamiltonian(here, y_cov) - f2) / abs(f2))

@@ -146,7 +146,7 @@ def _pushforward_residual(d: _Direction, image: ConformalImage | None = None) ->
     reconstructed = image.p * jac.T @ d.sample.a @ jac
     g_cov = d.g_cov
     return float(
-        np.max(np.abs(reconstructed - g_cov)) / max(np.max(np.abs(g_cov)), 1e-300)
+        np.abs(reconstructed - g_cov).max() / max(np.abs(g_cov).max(), 1e-300)
     )
 
 
