@@ -135,13 +135,13 @@ def pushforward_metric_check(
     """Relative residual of conformality: the pulled-back seed form times the
     conformal multiplier must reproduce the direction-dependent metric."""
     _require_unit(sample, "the conformal map")
-    return _pushforward_residual(_Direction(sample, y, sector))
+    d = _Direction(sample, y, sector)
+    return _pushforward_residual(d, _zeta(d))
 
 
-def _pushforward_residual(d: _Direction, image: ConformalImage | None = None) -> float:
-    """Conformality residual read from one direction record and its image, if held
+def _pushforward_residual(d: _Direction, image: ConformalImage) -> float:
+    """Conformality residual read from one direction record and its image
     (unit norm checked)."""
-    image = _zeta(d) if image is None else image
     jac = _zeta_jacobian(d, image)
     reconstructed = image.p * jac.T @ d.sample.a @ jac
     g_cov = d.g_cov

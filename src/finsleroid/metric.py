@@ -244,7 +244,8 @@ class _Direction:
         if cc == 0.0:
             raise NullCartan("cubic-form assembly divides by a vanishing contracted cubic form")
         n, x = self.sample.dim, self.scal.X
-        # an einsum, not a broadcast product: it raises no float error, as the three did
+        # einsum, not a broadcast product: einsum raises no float error under
+        # errstate, and the goldens pin which error surfaces
         outer = np.einsum("i,jk->ijk", c_cov, h_ang)
         sym = outer + outer.transpose(1, 0, 2) + outer.transpose(1, 2, 0)
         triple = np.einsum("i,j,k->ijk", c_cov, c_cov, c_cov)
