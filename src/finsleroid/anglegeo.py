@@ -108,7 +108,7 @@ def _paired_records(
         raise UnsupportedSector(f"second direction is {s2.tag}")
     if s1.tag != s2.tag:
         raise MixedSectors(f"directions lie in different sectors: {s1.tag} vs {s2.tag}")
-    return _Direction(sample, y1_arr, s1), _Direction(sample, y2_arr, s2), e1 + e2
+    return _Direction(sample, y1_arr), _Direction(sample, y2_arr), e1 + e2
 
 
 def _clamped(tau: float, eps: int, what: str) -> float:
@@ -261,7 +261,7 @@ def uar_to_angles(sample: BackgroundSample, y: Sequence[float]) -> UarPoint:
     ``eta = phi = 0``)."""
     _require_unit(sample, "the angular chart")
     _require_dim4(sample, "the angular chart")
-    return _uar_point(_Direction(sample, y, None))
+    return _uar_point(_Direction(sample, y))
 
 
 def _uar_point(d: _Direction) -> UarPoint:

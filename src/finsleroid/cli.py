@@ -154,7 +154,7 @@ def _eval_records(field_: BackgroundField, args) -> tuple[list[tuple[str, object
     if not sector.supported:
         return records, 2
 
-    d = _Direction(here, y, sector)
+    d = _Direction(here, y)
     records.append(("F2", d.f2))
     for i, value in enumerate(d.y_cov):
         records.append((f"y_cov.{i}", value))
@@ -322,7 +322,7 @@ def _check_shard(
                 counts[name] = counts.get(name, 0) + 1
 
             y = random_admissible(here, rng, tag, 1, margin=0.05)[0]
-            d = _Direction(here, y, None)  # every identity below reads this record
+            d = _Direction(here, y)  # every identity below reads this record
             scal, f2, y_cov, g_cov, g_contra = d.scal, d.f2, d.y_cov, d.g_cov, d.g_contra
 
             # one difference of [F^2, y_cov] gives the momentum and metric routes
@@ -352,8 +352,8 @@ def _check_shard(
             record("frame", float(np.abs(d.frame.g_frame - congruence).max()))
 
             if probes is None:  # at first use: a probe outside the domain fails after the above
-                probes = _probe_samples(field_, x, ORACLE_FD)
-            oracle = _oracle(field_, probes, x, y, ORACLE_FD, d)
+                probes = _probe_samples(field_, x)
+            oracle = _oracle(field_, probes, x, y, d)
             closed_spray = _spray(d).G
             scale = max(1.0, float(np.abs(oracle).max()))
             record("spray_oracle", float(np.abs(closed_spray - oracle).max()) / scale)
@@ -556,7 +556,7 @@ def cmd_conformal(args) -> int:
     here = sample_background(field_, _position(args.point, field_, "--point"))
     y = _direction_arg(args.vector, field_.dim, "--vector")
     _require_unit(here, "the conformal map")
-    d = _Direction(here, y, None)  # the image and the residual read this record
+    d = _Direction(here, y)  # the image and the residual read this record
     image = _zeta(d)
     for i, value in enumerate(image.zeta):
         _emit(f"zeta.{i}", value)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .background import BackgroundSample
 from .errors import MixedSectors, UnsupportedImage
-from .kinematics import Sector, classify
+from .kinematics import classify
 from .metric import _Direction
 from .numdiff import FDConfig, fd_jacobian
 from .anglegeo import (
@@ -76,12 +76,10 @@ class ConformalImage:
     p: float
 
 
-def zeta_map(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> ConformalImage:
+def zeta_map(sample: BackgroundSample, y: Sequence[float]) -> ConformalImage:
     """Map a supported direction to its conformal image."""
     _require_unit(sample, "the conformal map")
-    return _zeta(_Direction(sample, y, sector))
+    return _zeta(_Direction(sample, y))
 
 
 def _zeta(d: _Direction) -> ConformalImage:
@@ -101,12 +99,10 @@ def _image(d: _Direction) -> tuple[np.ndarray, float]:
     return (h * v_contra - scal.A * sample.b_contra) * (scal.J / (kappa * h)), kappa
 
 
-def zeta_jacobian(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
+def zeta_jacobian(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Fibre derivative ``Z[i, m] = d zeta^i / d y^m`` (off the axis)."""
     _require_unit(sample, "the conformal map derivative")
-    return _zeta_jacobian(_Direction(sample, y, sector))
+    return _zeta_jacobian(_Direction(sample, y))
 
 
 def _zeta_jacobian(d: _Direction, image: ConformalImage | None = None) -> np.ndarray:
@@ -129,13 +125,11 @@ def _zeta_jacobian(d: _Direction, image: ConformalImage | None = None) -> np.nda
     return core + np.outer(zeta, weight)
 
 
-def pushforward_metric_check(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
+def pushforward_metric_check(sample: BackgroundSample, y: Sequence[float]) -> float:
     """Relative residual of conformality: the pulled-back seed form times the
     conformal multiplier must reproduce the direction-dependent metric."""
     _require_unit(sample, "the conformal map")
-    d = _Direction(sample, y, sector)
+    d = _Direction(sample, y)
     return _pushforward_residual(d, _zeta(d))
 
 
@@ -202,7 +196,7 @@ def _factor_metric(sample: BackgroundSample, m: Sequence[float], tag: str) -> np
     y = uar_from_angles(sample, point, tag)
     h = sample.h_time if tag == "time-future" else sample.h_space
     dy_dm = sample.frame_inv @ _chart_jacobian(point, sample.g, h, tag)[:, 1:]
-    legs = _zeta_jacobian(_Direction(sample, y, None)) @ dy_dm
+    legs = _zeta_jacobian(_Direction(sample, y)) @ dy_dm
     return (legs.T @ sample.a @ legs) / (h * h)
 
 
@@ -262,8 +256,8 @@ def factor_space_angle(
     y1_arr = np.asarray(y1, dtype=float)
     y2_arr = np.asarray(y2, dtype=float)
     # the angle reads only the images' directions, whose norms may overflow or turn subnormal
-    z1, _ = _binary_normalised(_image(_Direction(sample, y1_arr, None))[0])
-    z2, _ = _binary_normalised(_image(_Direction(sample, y2_arr, None))[0])
+    z1, _ = _binary_normalised(_image(_Direction(sample, y1_arr))[0])
+    z2, _ = _binary_normalised(_image(_Direction(sample, y2_arr))[0])
     s1 = float(z1 @ sample.a @ z1)
     s2 = float(z2 @ sample.a @ z2)
     if positively_parallel(y1_arr, y2_arr) and s1 * s2 > 0.0:

@@ -41,6 +41,11 @@ __all__ = [
     "hj_residual",
 ]
 
+#: Newton tolerance of :func:`hamiltonian_numeric`, relative to
+#: ``max(1, |b|, |q|)``: a damped step is taken once its residual norm is
+#: below it, and the iteration stops once a step is.
+NEWTON_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CovectorStack:
@@ -139,7 +144,6 @@ def hamiltonian_numeric(
     sample: BackgroundSample,
     y_cov: Sequence[float],
     *,
-    tol: float = 1e-12,
     max_iter: int = 50,
 ) -> float:
     """Squared co-norm by Newton inversion of the momentum map.
@@ -217,7 +221,7 @@ def hamiltonian_numeric(
                     factor *= 0.5
                     continue
                 norm_new = float(np.linalg.norm(res_new))
-                if norm_new < norm or norm_new <= tol * scale:
+                if norm_new < norm or norm_new <= NEWTON_TOL * scale:
                     break
             factor *= 0.5
         else:
@@ -228,7 +232,7 @@ def hamiltonian_numeric(
         res, big_b, j2 = res_new, big_b_new, j2_new
         norm = norm_new
         scale = max(1.0, abs(b), abs(q))
-        if step < tol * scale:
+        if step < NEWTON_TOL * scale:
             break
     else:
         raise NoConvergence(

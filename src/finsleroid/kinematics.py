@@ -221,10 +221,9 @@ def _sector(
 # --- scalar chain ------------------------------------------------------------
 
 
-def scalars(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> KinematicScalars:
-    """Compute the scalar chain for a supported direction.
+def scalars(sample: BackgroundSample, y: Sequence[float]) -> KinematicScalars:
+    """Compute the scalar chain for a supported direction, classified as
+    :func:`classify` would from the measurement the chain takes anyway.
 
     Raises
     ------
@@ -236,8 +235,7 @@ def scalars(
     """
     y_arr = np.asarray(y, dtype=float)
     scale, b, gamma = _measure(sample.a, sample.b_cov, y_arr)
-    if sector is None:
-        sector = _sector(sample, y_arr, scale, b, gamma)
+    sector = _sector(sample, y_arr, scale, b, gamma)
     if not sector.supported:
         raise UnsupportedSector(
             f"direction {tuple(y_arr.tolist())} is {sector.tag} (side {sector.side})"

@@ -16,11 +16,13 @@ recomputing the chain. The finite differences need only ``[F^2, y_cov]`` at
 every stencil row; ``_f2_and_momentum_rows`` computes it for all rows at once,
 each row byte-equal to its record.
 
-The public views (and ``spray.spray_coefficients``) share the last record
-they built: called again with the same sample object, the same direction
-bytes and an equal sector, a view reads that record, so ``metric_bundle``,
-``indicatrix_curvature`` and ``frame_components`` at one direction compute the
-chain and each piece once. Since the record is shared, every array a view
+Every quantity depends on the point and the direction alone: a record
+classifies its direction itself, and no caller can hand it a sector. The
+public views (and ``spray.spray_coefficients``) share the last record they
+built: called again with the same sample object and the same direction
+bytes, a view reads that record, so ``metric_bundle``, ``indicatrix_curvature``
+and ``frame_components`` at one direction compute the chain and each piece
+once. Since the record is shared, every array a view
 returns is read-only, as the sample's arrays are; copy one to change it.
 
 Key entry points
@@ -56,7 +58,6 @@ from .kinematics import (
     AuxVectors,
     NU_MIN_REL,
     Q_MIN_REL,
-    Sector,
     _sector,
     aux_vectors,
     scalars,
@@ -133,17 +134,19 @@ class _memo:
 
 
 class _Direction:
-    """The metric stack at one (sample, direction, sector), each piece computed once.
+    """The metric stack at one (sample, direction), each piece computed once.
 
     The package's one per-direction object: a consumer that holds a direction
     builds one record and reads ``scal``, ``f2``, ``y_cov``, ``g_cov``,
-    ``g_contra`` and the rest from it. Package-private; not exported.
+    ``g_contra`` and the rest from it. The scalar chain classifies the
+    direction; a record outside the two supported cones is never built.
+    Package-private; not exported.
     """
 
-    def __init__(self, sample: BackgroundSample, y: Sequence[float], sector: Sector | None):
+    def __init__(self, sample: BackgroundSample, y: Sequence[float]):
         self.sample = sample
         self.y = np.asarray(y, dtype=float)
-        self.scal = scal = scalars(sample, self.y, sector)
+        self.scal = scal = scalars(sample, self.y)
         self.f2 = scal.B * scal.J * scal.J
 
     def require_q(self, what: str) -> None:
@@ -299,7 +302,7 @@ def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) ->
     """``[F^2, y_cov]`` at ``(samples[k], Y[k])`` for every row ``k``, so one
     finite difference gives both the squared-norm gradient and the momentum
     Jacobian. Row ``k`` is byte-equal to ``f2`` and ``y_cov`` of
-    ``_Direction(samples[k], Y[k], None)``: the products (a stacked ``matmul``
+    ``_Direction(samples[k], Y[k])``: the products (a stacked ``matmul``
     rounds as a single one) and the arithmetic run over all rows in the scalar
     chain's order, ``log``, ``atan2`` and ``exp`` through ``math`` row by row
     (numpy's differ in the last bit). At the first row the scalar chain
@@ -396,100 +399,82 @@ def _identity(dim: int) -> np.ndarray:
 
 # --- public views ------------------------------------------------------------
 
-# the last record a public view built, with its key: (record, sector, y key)
-_shared: tuple[_Direction, Sector | None, tuple] | None = None
+# the last record a public view built, with its key: (record, y key)
+_shared: tuple[_Direction, tuple] | None = None
 
 
-def _record(sample: BackgroundSample, y: Sequence[float], sector: Sector | None) -> _Direction:
-    """The record at (sample, y, sector) for the public views.
+def _record(sample: BackgroundSample, y: Sequence[float]) -> _Direction:
+    """The record at (sample, y) for the public views.
 
-    The views share one slot: a view called with the same ``sample`` object,
-    an equal ``sector`` and a ``y`` of the same shape and bytes (so ``-0.0``
-    and ``0.0`` differ) reads the record the last view built, so a run of
-    views at one direction computes each piece once. Otherwise a record is
-    built on a copy of ``y`` and takes the slot. A build that raises leaves
-    the slot as it was, and ``_memo`` stores no piece whose guard raised.
+    The views share one slot: a view called with the same ``sample`` object
+    and a ``y`` of the same shape and bytes (so ``-0.0`` and ``0.0`` differ)
+    reads the record the last view built, so a run of views at one direction
+    computes each piece once. Otherwise a record is built on a copy of ``y``
+    and takes the slot. A build that raises leaves the slot as it was, and
+    ``_memo`` stores no piece whose guard raised.
     """
     global _shared
     y_arr = np.array(y, dtype=float)
     key = (y_arr.shape, y_arr.tobytes())
     last = _shared
-    if last is not None and last[0].sample is sample and last[1] == sector and last[2] == key:
+    if last is not None and last[0].sample is sample and last[1] == key:
         return last[0]
-    d = _Direction(sample, y_arr, sector)
-    _shared = (d, sector, key)
+    d = _Direction(sample, y_arr)
+    _shared = (d, key)
     return d
 
 
-def metric_function(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
+def metric_function(sample: BackgroundSample, y: Sequence[float]) -> float:
     """Squared anisotropic norm ``F^2`` (positive time-future, negative space-like)."""
-    return _record(sample, y, sector).f2
+    return _record(sample, y).f2
 
 
-def covariant_momentum(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
+def covariant_momentum(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Lowered direction ``y_i`` (half gradient of the squared norm)."""
-    y_cov = _record(sample, y, sector).y_cov
+    y_cov = _record(sample, y).y_cov
     _read_only(y_cov)
     return y_cov
 
 
-def metric_tensor(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
+def metric_tensor(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Covariant direction-dependent metric ``g_ij``."""
-    g_cov = _record(sample, y, sector).g_cov
+    g_cov = _record(sample, y).g_cov
     _read_only(g_cov)
     return g_cov
 
 
-def inverse_metric(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
+def inverse_metric(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Contravariant direction-dependent metric ``g^ij``."""
-    g_contra = _record(sample, y, sector).g_contra
+    g_contra = _record(sample, y).g_contra
     _read_only(g_contra)
     return g_contra
 
 
-def determinant_ratio(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
+def determinant_ratio(sample: BackgroundSample, y: Sequence[float]) -> float:
     """Closed form for ``det(g_ij) / det(a_ij)``."""
-    return _record(sample, y, sector).det_ratio
+    return _record(sample, y).det_ratio
 
 
-def cartan_vector(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def cartan_vector(sample: BackgroundSample, y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Contracted cubic form, covariant and contravariant (zeros at zero charge)."""
-    c_cov, c_contra = _record(sample, y, sector).C_vectors
+    c_cov, c_contra = _record(sample, y).C_vectors
     _read_only(c_cov, c_contra)
     return c_cov, c_contra
 
 
-def cartan_norm(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> float:
+def cartan_norm(sample: BackgroundSample, y: Sequence[float]) -> float:
     """Closed form for the squared norm ``C_h C^h`` of the contracted cubic form."""
-    return _record(sample, y, sector).CC
+    return _record(sample, y).CC
 
 
-def angular_metric(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
+def angular_metric(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Angular metric: the metric projected orthogonally to the direction."""
-    h_ang = _record(sample, y, sector).h_ang
+    h_ang = _record(sample, y).h_ang
     _read_only(h_ang)
     return h_ang
 
 
-def cartan_tensor(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> np.ndarray:
+def cartan_tensor(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Full cubic form ``C_ijk``.
 
     Raises
@@ -499,7 +484,7 @@ def cartan_tensor(
         the contracted form: at zero charge (the exact limit value is zero),
         and on rays where the contracted form itself vanishes.
     """
-    cartan = _record(sample, y, sector).cartan
+    cartan = _record(sample, y).cartan
     _read_only(cartan)
     return cartan
 
@@ -507,7 +492,7 @@ def cartan_tensor(
 def indicatrix_curvature(
     sample: BackgroundSample,
     y: Sequence[float],
-    sector: Sector | None = None,
+    *,
     seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None = None,
 ) -> float:
     """Sectional curvature of the unit shell, extracted from cubic-form products.
@@ -518,23 +503,19 @@ def indicatrix_curvature(
     """
     if not sample.c_is_unit:
         raise CNotUnit("indicatrix curvature is implemented at unit preferred-direction norm")
-    return _record(sample, y, sector).curvature(seeds)
+    return _record(sample, y).curvature(seeds)
 
 
-def frame_components(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> FrameComponents:
+def frame_components(sample: BackgroundSample, y: Sequence[float]) -> FrameComponents:
     """Direction and metric in the adapted frame, from closed frame formulas."""
-    frame = _record(sample, y, sector).frame
+    frame = _record(sample, y).frame
     _read_only(frame.R, frame.g_frame)
     return frame
 
 
-def metric_bundle(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> MetricBundle:
+def metric_bundle(sample: BackgroundSample, y: Sequence[float]) -> MetricBundle:
     """Assemble the full metric stack at one direction from one scalar chain."""
-    d = _record(sample, y, sector)
+    d = _record(sample, y)
     # pieces are read in stack order, so the first failing guard names the error
     bundle = MetricBundle(
         F2=d.f2,

@@ -8,8 +8,8 @@ a closed form cannot leak into its own check.
 Key entry points
 ----------------
 FDConfig
-    Relative step sizes (scaled per coordinate by ``1 + |x_i|``) and an
-    optional single Richardson extrapolation level.
+    Relative first-derivative step (scaled per coordinate by ``1 + |x_i|``)
+    and an optional single Richardson extrapolation level.
 fd_gradient / fd_jacobian / fd_hessian
     Central differences for scalar and vector maps. First derivatives have one
     stencil, ``_stencil``, and ``_combine`` takes its values, so a caller can
@@ -131,20 +131,22 @@ TOL_FD_SELFTEST = 1e-9
 class FDConfig:
     """Step policy for the central-difference oracles.
 
-    The step along coordinate ``i`` is ``step_rel * (1 + |x_i|)``. With
-    ``richardson`` set, each derivative is evaluated at the base step and at
-    half the step and combined to cancel the leading error term.
+    The first-derivative step along coordinate ``i`` is
+    ``step_rel_first * (1 + |x_i|)``; :func:`fd_hessian` scales
+    ``STEP_REL_SECOND`` alike. With ``richardson`` set, each derivative is
+    evaluated at the base step and at half the step and combined to cancel
+    the leading error term.
     """
 
     step_rel_first: float = 6e-6
-    step_rel_second: float = 1.2e-4
     richardson: bool = False
 
     def steps_first(self, x: np.ndarray) -> np.ndarray:
         return self.step_rel_first * (1.0 + np.abs(x))
 
-    def steps_second(self, x: np.ndarray) -> np.ndarray:
-        return self.step_rel_second * (1.0 + np.abs(x))
+
+#: Relative second-derivative step of :func:`fd_hessian`.
+STEP_REL_SECOND = 1.2e-4
 
 
 # --- first derivatives -------------------------------------------------------
@@ -218,7 +220,7 @@ def fd_hessian(
     """Central-difference Hessian of a scalar map (symmetric by construction)."""
     x_arr = np.asarray(x, dtype=float)
     n = x_arr.size
-    steps = config.steps_second(x_arr)
+    steps = STEP_REL_SECOND * (1.0 + np.abs(x_arr))
 
     def entry(i: int, j: int, scale: float) -> float:
         return _hessian_entry(fn, x_arr, i, j, scale * steps[i], scale * steps[j])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .background import BackgroundField, BackgroundSample, _built, sample as sample_background
 from .errors import DegenerateNu, GeometryError, NoConvergence
-from .kinematics import Sector, classify
+from .kinematics import classify
 from .metric import _Direction, _f2_and_momentum_rows, _record
 from .numdiff import FDConfig, _combine, _stencil
 
@@ -107,11 +107,9 @@ def charge_slope_scalars(sample: BackgroundSample, scal) -> tuple[float, float, 
 # --- closed-form spray -------------------------------------------------------
 
 
-def spray_coefficients(
-    sample: BackgroundSample, y: Sequence[float], sector: Sector | None = None
-) -> SprayData:
+def spray_coefficients(sample: BackgroundSample, y: Sequence[float]) -> SprayData:
     """Closed-form spray coefficients ``G^i`` at a sampled point."""
-    return _spray(_record(sample, y, sector))
+    return _spray(_record(sample, y))
 
 
 def _spray(d: _Direction) -> SprayData:
@@ -169,42 +167,32 @@ def _spray(d: _Direction) -> SprayData:
 # --- oracle ------------------------------------------------------------------
 
 
-def spray_oracle(
-    field: BackgroundField,
-    x: Sequence[float],
-    y: Sequence[float],
-    config: FDConfig = ORACLE_FD,
-) -> np.ndarray:
+def spray_oracle(field: BackgroundField, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     """Finite-difference spray: position-differentiate squared norm and
     momentum at fixed direction, then raise the index with the inverse metric.
     Each position of the one stencil is sampled once, and one batch gives the
     stacked vector ``[F^2, y_cov]`` at all of them."""
     x_arr = np.asarray(x, dtype=float)
-    probes = _probe_samples(field, x_arr, config)
-    return _oracle(field, probes, x_arr, np.asarray(y, dtype=float), config)
+    probes = _probe_samples(field, x_arr)
+    return _oracle(field, probes, x_arr, np.asarray(y, dtype=float))
 
 
-def _probe_samples(field: BackgroundField, x: np.ndarray, config: FDConfig) -> list:
+def _probe_samples(field: BackgroundField, x: np.ndarray) -> list:
     """The samples at the stencil of ``x``, which serve every direction there."""
-    return [sample_background(field, position) for position in _stencil(x, config)]
+    return [sample_background(field, position) for position in _stencil(x, ORACLE_FD)]
 
 
 def _oracle(
-    field: BackgroundField,
-    probes: list,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: FDConfig,
-    d: _Direction | None = None,
+    field: BackgroundField, probes: list, x: np.ndarray, y: np.ndarray, d: _Direction | None = None
 ) -> np.ndarray:
     """The spray oracle at ``(x, y)`` from the samples ``probes`` at the stencil
     of ``x``. ``d`` is the record at ``(x, y)``; without it, ``x`` is sampled
     after the differences, so that a probe's error comes first."""
     rows = _f2_and_momentum_rows(probes, np.tile(y, (len(probes), 1)))
-    stacked = _combine(rows, x, config)  # stacked[1 + k, m] = d y_k / d x^m
+    stacked = _combine(rows, x, ORACLE_FD)  # stacked[1 + k, m] = d y_k / d x^m
     grad, jac = stacked[0], stacked[1:]
     if d is None:
-        d = _Direction(sample_background(field, x), y, None)
+        d = _Direction(sample_background(field, x), y)
     return d.g_contra @ (jac @ y - 0.5 * grad)
 
 
@@ -237,7 +225,7 @@ def _rhs(
     caller already holds it."""
     velocity = state[dim:]
     if d is None:
-        d = _Direction(sample_background(field, state[:dim]), velocity, None)
+        d = _Direction(sample_background(field, state[:dim]), velocity)
     return np.concatenate([velocity, -_spray(d).G])
 
 
@@ -246,20 +234,20 @@ def _accept_node(
 ) -> tuple[_Direction | None, str | None]:
     """Sample the node ``state`` reached at ``s_next`` and measure it once;
     return its record, or ``None`` and the reason the run stops short of it.
-    Only a node outside the start sector is classified again, for the reason."""
+    Only a node outside the start sector, or refused by its record, is
+    classified again, for the reason."""
     try:
         here = sample_background(field, state[:dim])
         velocity = state[dim:]
         try:
-            node = _Direction(here, velocity, None)
+            node = _Direction(here, velocity)
             if node.scal.eps == (1 if start_tag == "time-future" else -1):
                 return node, None
         except (GeometryError, ArithmeticError):
-            pass  # classified again below, which finds the reason as before
-        sector = classify(here, velocity)
-        if sector.tag != start_tag:
-            return None, f"sector exit at s = {s_next:.9g}: velocity became {sector.tag}"
-        return _Direction(here, velocity, sector), None
+            if classify(here, velocity).tag == start_tag:
+                raise  # refused in the start sector: the refusal is the reason
+        tag = classify(here, velocity).tag
+        return None, f"sector exit at s = {s_next:.9g}: velocity became {tag}"
     except GeometryError as exc:
         return None, f"geometry degenerated at s = {s_next:.9g}: {exc}"
 
@@ -309,9 +297,8 @@ def geodesic_integrate(
     dim = x_arr.size
 
     start = sample_background(field, x_arr)
-    sector = classify(start, y_arr)
-    start_tag = sector.tag
-    node = _Direction(start, y_arr, sector)  # the record at the current node
+    start_tag = classify(start, y_arr).tag
+    node = _Direction(start, y_arr)  # the record at the current node
     f2_start = node.f2
 
     rows: list[np.ndarray] = [

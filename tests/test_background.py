@@ -26,7 +26,7 @@ from finsleroid.errors import (
     DomainError,
 )
 from finsleroid.expressions import FieldExpression
-from finsleroid.kinematics import KinematicScalars, classify, scalars
+from finsleroid.kinematics import KinematicScalars, scalars
 from finsleroid.metric import _Direction
 from finsleroid.numdiff import TOL_FRAME_CONSTANT
 from finsleroid.spray import SprayData, _spray
@@ -487,7 +487,7 @@ class TestRecordContract:
     def records(config_name: str, x: np.ndarray):
         here = sample(load_config(config_path(config_name)), x)
         y = np.array([1.0, 0.1, -0.05, 0.12])
-        return here, scalars(here, y), _spray(_Direction(here, y, classify(here, y)))
+        return here, scalars(here, y), _spray(_Direction(here, y))
 
     @pytest.mark.parametrize("cls", RECORDS)
     def test_records_stay_plain_frozen_dataclasses(self, cls):

@@ -43,7 +43,7 @@ def momenta(field, samples: np.ndarray) -> np.ndarray:
     """``y_cov`` at every row of a trajectory."""
     dim = field.dim
     return np.array(
-        [_Direction(sample(field, row[1 : 1 + dim]), row[1 + dim : 1 + 2 * dim], None).y_cov
+        [_Direction(sample(field, row[1 : 1 + dim]), row[1 + dim : 1 + 2 * dim]).y_cov
          for row in samples]
     )
 

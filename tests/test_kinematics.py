@@ -311,9 +311,9 @@ def _null_shell(here, rng, count):
     return out + [-y for y in out]
 
 
-def _chain_or_error(here, y, sector=None):
+def _chain_or_error(here, y):
     try:
-        return scalars(here, y, sector)
+        return scalars(here, y)
     except GeometryError as exc:
         return type(exc), str(exc)
 
@@ -321,7 +321,9 @@ def _chain_or_error(here, y, sector=None):
 @pytest.mark.parametrize("config_name", SHIPPED)
 def test_default_sector_chain_equals_classified_chain(config_name):
     """``scalars`` classifies its own measurement exactly as ``classify`` does:
-    every field, or the exception and its message, is the same."""
+    a supported direction gets the sector sign ``classify`` gives (or a guard
+    below unit norm refuses it), and any other is refused with the tag and
+    side ``classify`` gives."""
     field = load_config(config_path(config_name))
     rng = np.random.default_rng(41)
     for x in (np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4])):
@@ -332,7 +334,14 @@ def test_default_sector_chain_equals_classified_chain(config_name):
         assert ("space-like", "left") in shell_sectors
         assert ("unsupported", "right") in shell_sectors
         for y in [*axis, *shell, *rng.standard_normal((200, 4))]:
-            assert _chain_or_error(here, y) == _chain_or_error(here, y, classify(here, y))
+            sector, chain = classify(here, y), _chain_or_error(here, y)
+            if not sector.supported:
+                message = f"direction {tuple(y.tolist())} is {sector.tag} (side {sector.side})"
+                assert chain == (UnsupportedSector, message)
+            elif isinstance(chain, tuple):
+                assert chain[0] is not UnsupportedSector
+            else:
+                assert chain.eps == sector.eps
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -353,7 +362,7 @@ def test_supported_chains_satisfy_norm_identity_property(desk_session, component
     sector = classify(desk_session, y)
     if not sector.supported:
         return
-    k = scalars(desk_session, y, sector)
+    k = scalars(desk_session, y)
     assert k.eps == sector.eps
     gamma = float(y @ desk_session.a @ y) + float(desk_session.b_cov @ y) ** 2
     assert k.gamma == pytest.approx(gamma, rel=1e-12, abs=1e-12)

@@ -111,17 +111,16 @@ class TestEulerChain:
         here = sample(field, np.array([0.1, 0.2, 0.3, 0.4]))
         sector = classify(here, y)
         assert sector.supported
-        grad = fd_gradient(lambda v: metric_function(here, v, sector), y)
-        closed = covariant_momentum(here, y, sector)
+        grad = fd_gradient(lambda v: metric_function(here, v), y)
+        closed = covariant_momentum(here, y)
         assert np.max(np.abs(0.5 * grad - closed)) < TOL_EULER_CHAIN
 
     @pytest.mark.parametrize("config_name,y", CASES, ids=lambda v: v if isinstance(v, str) else ("t" if v[1] > 0.5 else "s"))
     def test_metric_is_momentum_jacobian(self, config_name, y):
         field = load_config(config_path(config_name))
         here = sample(field, np.array([0.1, 0.2, 0.3, 0.4]))
-        sector = classify(here, y)
-        jac = fd_jacobian(lambda v: covariant_momentum(here, v, sector), y)
-        closed = metric_tensor(here, y, sector)
+        jac = fd_jacobian(lambda v: covariant_momentum(here, v), y)
+        closed = metric_tensor(here, y)
         assert np.max(np.abs(jac - closed)) < TOL_EULER_CHAIN
         assert np.max(np.abs(jac - jac.T)) < TOL_EULER_CHAIN
 
@@ -208,9 +207,8 @@ class TestCubicForm:
     def test_cubic_form_fd_cross_check(self, desk):
         """C_ijk is half the direction-derivative of the metric tensor."""
         y = Y_TIME
-        sector = classify(desk, y)
         jac = fd_jacobian(
-            lambda v: metric_tensor(desk, v, sector).reshape(-1), y
+            lambda v: metric_tensor(desk, v).reshape(-1), y
         ).reshape(4, 4, 4)
         closed = 2.0 * cartan_tensor(desk, y)  # dg_ij/dy^k = 2 C_ijk
         assert np.max(np.abs(np.transpose(jac, (1, 2, 0)) - closed)) < 1e-4
@@ -289,7 +287,7 @@ class TestCurvature:
         """The forms come back bit-equal to the products the curvature formed."""
         rng = np.random.default_rng(19)
         for y in random_admissible(desk, rng, tag, 8, margin=0.05):
-            d = metric._Direction(desk, y, None)
+            d = metric._Direction(desk, y)
             h = d.h_ang
             u, v, huu, hvv, huv = metric._projected_pair(d.g_cov, h, d.y, d.f2, seeds)
             forms = (float(u @ h @ u), float(v @ h @ v), float(u @ h @ v))
@@ -422,7 +420,7 @@ def _bundle_of(d: metric._Direction) -> metric.MetricBundle:
 
 
 def _fresh(here, y) -> metric._Direction:
-    return metric._Direction(here, np.array(y), None)
+    return metric._Direction(here, np.array(y))
 
 
 def _curvature_of(here, y) -> float:
@@ -529,7 +527,7 @@ def _records_outcome(samples, Y):
     rows = []
     try:
         for s, y in zip(samples, Y):
-            d = metric._Direction(s, y, None)
+            d = metric._Direction(s, y)
             rows.append([d.f2, *d.y_cov])
     except (GeometryError, ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from finsleroid import spray
 from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.errors import GeometryError, NoConvergence
-from finsleroid.kinematics import Sector, classify, random_admissible, scalars
+from finsleroid.kinematics import classify, random_admissible, scalars
 from finsleroid.metric import _Direction, covariant_momentum, metric_function
 from finsleroid.numdiff import TOL_BERWALD, TOL_GEODESIC_F2, TOL_SPRAY_ORACLE, fd_hessian
 from finsleroid.spray import (
@@ -120,9 +120,8 @@ class TestQuadraticSpray:
 
     def test_direction_hessian_is_twice_connection(self, curved):
         _, here = curved
-        sector = classify(here, Y_TIME)
         for i in range(4):
-            hess = fd_hessian(lambda v: spray_coefficients(here, v, sector).G[i], Y_TIME)
+            hess = fd_hessian(lambda v: spray_coefficients(here, v).G[i], Y_TIME)
             target = here.christoffel[i] + here.christoffel[i].T
             assert np.max(np.abs(hess - target)) < TOL_BERWALD
 
@@ -233,7 +232,7 @@ class TestAcceptNode:
         field = load_config(config_path(config_name))
         node, reason = self.accept(field, X_PROBE, Y_TIME)
         here = sample(field, X_PROBE)
-        fresh = _Direction(here, Y_TIME, classify(here, Y_TIME))
+        fresh = _Direction(here, Y_TIME)
         assert reason is None
         assert node.scal == fresh.scal
         assert node.f2 == fresh.f2
@@ -360,14 +359,13 @@ def assert_same_bits(actual, expected):
 def assert_spray_matches_reference(here, y):
     """``_spray``, which skips the terms that are exactly zero here, gives the
     bits of the spray with every term evaluated; both refuse alike."""
-    sector = classify(here, y)
     try:
-        got = spray._spray(_Direction(here, y, sector))
+        got = spray._spray(_Direction(here, y))
     except GeometryError as exc:
         with pytest.raises((type(exc), ArithmeticError)):
-            spray_float64(_Direction(here, y, sector))
+            spray_float64(_Direction(here, y))
         return
-    want = spray_float64(_Direction(here, y, sector))
+    want = spray_float64(_Direction(here, y))
     for piece, expected in zip((got.G, got.E, got.Mbar, got.f2, got.riem), want):
         assert_same_bits(piece, expected)
 
@@ -390,14 +388,19 @@ def test_spray_bits_on_axis_directions(name, x, y):
     assert_spray_matches_reference(here, np.array(y))
 
 
-@pytest.mark.parametrize("y", [(1e200, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 1.0)])
-def test_spray_keeps_the_zero_terms_where_q_is_not_finite(desk, y):
-    """With a sector passed in, a y whose q is not finite turns the zero terms
-    into NaN, and the spray keeps them."""
-    sector = Sector("time-future", "right")
+@pytest.mark.parametrize("y", [(1e5, 0.0, 0.0, 0.0), (1e5, 0.0, 0.0, 1e3), (1e5, 0.0, 0.0, -1e3)])
+def test_spray_keeps_the_zero_terms_where_q_is_not_finite(y):
+    """On a constant field whose scales overflow ``gamma``, a time-future y of
+    each support side has ``q = inf``; that turns the zero terms into NaN, and
+    the spray keeps them."""
+    field = BackgroundField.constant([1e300, -1e300, -1e300, -1e300], [0.0, 0.0, 0.0, 1e150], 0.6)
+    here = sample(field, np.zeros(4))
     with np.errstate(all="ignore"):
-        got = spray._spray(_Direction(desk, np.array(y), sector)).G
-        want = spray_float64(_Direction(desk, np.array(y), sector))[0]
+        assert classify(here, y).tag == "time-future"
+        d = _Direction(here, np.array(y))
+        got = spray._spray(d).G
+        want = spray_float64(d)[0]
+    assert d.scal.q == np.inf
     assert np.isnan(want).all() and np.isnan(got).all()
 
 
