@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedImage,
     UnsupportedSector,
 )
-from .expressions import FieldExpression, expression_to_text, parse_expression
+from .expressions import FieldExpression, parse_expression
 from .kinematics import (
     AuxVectors,
     KinematicScalars,
@@ -128,7 +128,6 @@ __all__ = [
     # expressions
     "FieldExpression",
     "parse_expression",
-    "expression_to_text",
     # kinematics
     "Sector",
     "KinematicScalars",

@@ -259,7 +259,7 @@ def hj_residual(
     here = sample_background(field, x)
     coords = tuple(float(v) for v in np.asarray(x, dtype=float))
     gradient = np.array(
-        [action.differentiate(k).evaluate(coords) for k in range(field.dim)]
+        [action.differentiate(k).compiled(coords) for k in range(field.dim)]
     )
     if here.c_is_unit:
         h2 = hamiltonian(here, gradient)

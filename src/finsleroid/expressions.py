@@ -9,9 +9,9 @@ Key entry points
 ----------------
 parse_expression
     Text -> :class:`FieldExpression`, with positioned syntax errors.
-expression_to_text
-    Inverse of parsing: ``parse_expression(expression_to_text(e)).ast == e.ast``.
-FieldExpression.evaluate
+str(FieldExpression)
+    Inverse of parsing: ``parse_expression(str(e)).ast == e.ast``.
+FieldExpression.compiled
     Numeric evaluation at a coordinate tuple.
 FieldExpression.differentiate
     Exact symbolic partial derivative; this is the normative derivative route
@@ -36,7 +36,6 @@ __all__ = [
     "Node",
     "FieldExpression",
     "parse_expression",
-    "expression_to_text",
     "FUNCTIONS",
 ]
 
@@ -467,10 +466,6 @@ class FieldExpression:
     def constant(cls, value: float) -> "FieldExpression":
         return cls(_num(float(value)))
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        """Value at the coordinates ``x``; the same as :attr:`compiled`."""
-        return self.compiled(x)
-
     @cached_property
     def compiled(self) -> Callable[[Sequence[float]], float]:
         """Closure-compiled evaluator; raises ``DomainError`` where the value is undefined."""
@@ -502,6 +497,7 @@ class FieldExpression:
         return self.max_var_index < 0
 
     def __str__(self) -> str:
+        """Text that parses back to the identical tree."""
         return _to_text(self.ast)
 
 
@@ -514,8 +510,3 @@ def parse_expression(text: str) -> FieldExpression:
         With a message locating the problem by 0-based offset in ``text``.
     """
     return FieldExpression.parse(text)
-
-
-def expression_to_text(expr: FieldExpression) -> str:
-    """Render an expression to text that parses back to the identical tree."""
-    return _to_text(expr.ast)

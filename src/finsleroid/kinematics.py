@@ -7,11 +7,17 @@ and the derived chain (half-charge roots, cone margins, angular variable,
 anisotropy weight) that every closed-form tensor in the package is built from.
 
 Three private pieces are written once: ``_measure`` (a vector's ``|y|``,
-``b`` and ``gamma``, computed once per chain, which ``scalars`` also
-classifies from), ``_margins`` (the time-cone margins) and ``_chain`` (the
-sector chain at a charge). Directions read them at ``g``, and the covector
-chain of :mod:`finsleroid.dual` at ``-g``. Classification hands out the
-twelve ``Sector`` values built at import.
+``b`` and ``gamma``, computed once per chain), ``_margins`` (the time-cone
+margins) and ``_chain`` (the sector chain at a charge). Directions read them
+at ``g``, and the covector chain of :mod:`finsleroid.dual` at ``-g``.
+Classification hands out the twelve ``Sector`` values built at import.
+
+A direction has one scalar chain, ``_scalars_from``: on a measurement it
+refuses non-finite values, makes the sector decision, runs ``_chain`` and the
+trace-weight guards, and builds the record. ``scalars`` runs it on the
+measurement it takes, and the finite-difference rows of
+:mod:`finsleroid.metric` run it on each row of a stacked measurement, so every
+guard is written once.
 
 Supported directions fall into two open cones:
 
@@ -30,8 +36,8 @@ Key entry points
 classify
     Tolerance-guarded sector and side tags (never raises on finite input).
 scalars
-    The full scalar chain; raises ``UnsupportedSector`` outside the two
-    supported cones.
+    The full scalar chain; raises ``DomainError`` on a non-finite measurement
+    and ``UnsupportedSector`` outside the two supported cones.
 aux_vectors
     Lowered direction, transverse parts, and the angular gradient direction.
 random_admissible
@@ -47,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .background import BackgroundSample, _built
-from .errors import DegenerateNu, DegenerateQ, NoConvergence, UnsupportedSector
+from .errors import DegenerateNu, DegenerateQ, DomainError, NoConvergence, UnsupportedSector
 
 __all__ = [
     "Sector",
@@ -227,6 +233,8 @@ def scalars(sample: BackgroundSample, y: Sequence[float]) -> KinematicScalars:
 
     Raises
     ------
+    DomainError
+        If ``|y|``, ``b`` or ``gamma`` is not finite.
     UnsupportedSector
         If the direction is isotropic or unsupported.
     DegenerateQ / DegenerateNu
@@ -234,7 +242,19 @@ def scalars(sample: BackgroundSample, y: Sequence[float]) -> KinematicScalars:
         divides by ``q`` and ``nu``.
     """
     y_arr = np.asarray(y, dtype=float)
-    scale, b, gamma = _measure(sample.a, sample.b_cov, y_arr)
+    return _scalars_from(sample, y_arr, *_measure(sample.a, sample.b_cov, y_arr))
+
+
+def _scalars_from(
+    sample: BackgroundSample, y_arr: np.ndarray, scale: float, b: float, gamma: float
+) -> KinematicScalars:
+    """The scalar chain on a direction's measurement ``(|y|, b, gamma)``: the
+    sector decision, the chain, its guards and the record :func:`scalars` returns."""
+    if not (math.isfinite(scale) and math.isfinite(b) and math.isfinite(gamma)):
+        raise DomainError(
+            f"direction {tuple(y_arr.tolist())} measures |y| = {scale!r}, b = {b!r}, "
+            f"gamma = {gamma!r}; the scalar chain needs finite values"
+        )
     sector = _sector(sample, y_arr, scale, b, gamma)
     if not sector.supported:
         raise UnsupportedSector(

@@ -13,7 +13,8 @@ one per-direction object: each public function here is a view of one record,
 and the spray, the integrator, the oracle, the conformal map, the angle routes
 and the CLI build one record per (sample, direction) and read it instead of
 recomputing the chain. The finite differences need only ``[F^2, y_cov]`` at
-every stencil row; ``_f2_and_momentum_rows`` computes it for all rows at once,
+every stencil row; ``_f2_and_momentum_rows`` takes a stacked measurement of
+all rows, runs the records' one scalar chain on each and stacks the momentum,
 each row byte-equal to its record.
 
 Every quantity depends on the point and the direction alone: a record
@@ -54,14 +55,7 @@ import numpy as np
 
 from .background import BackgroundSample, _read_only
 from .errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
-from .kinematics import (
-    AuxVectors,
-    NU_MIN_REL,
-    Q_MIN_REL,
-    _sector,
-    aux_vectors,
-    scalars,
-)
+from .kinematics import AuxVectors, NU_MIN_REL, Q_MIN_REL, _scalars_from, aux_vectors, scalars
 
 __all__ = [
     "MetricBundle",
@@ -302,45 +296,23 @@ def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) ->
     """``[F^2, y_cov]`` at ``(samples[k], Y[k])`` for every row ``k``, so one
     finite difference gives both the squared-norm gradient and the momentum
     Jacobian. Row ``k`` is byte-equal to ``f2`` and ``y_cov`` of
-    ``_Direction(samples[k], Y[k])``: the products (a stacked ``matmul``
-    rounds as a single one) and the arithmetic run over all rows in the scalar
-    chain's order, ``log``, ``atan2`` and ``exp`` through ``math`` row by row
-    (numpy's differ in the last bit). At the first row the scalar chain
-    refuses, ``scalars`` raises for it."""
+    ``_Direction(samples[k], Y[k])``: the measurement and the momentum are
+    stacked products (a stacked ``matmul`` rounds as a single one), and
+    between them every row runs the records' one scalar chain,
+    ``kinematics._scalars_from``, so the first row it refuses raises the
+    record's own error."""
     a = np.array([s.a for s in samples])
     b_cov = np.array([s.b_cov for s in samples])
-    g, c, h_time, h_space = np.array([(s.g, s.c, s.h_time, s.h_space) for s in samples]).T
+    g = np.array([s.g for s in samples])
     rows, cols = Y[:, None, :], Y[:, :, None]
     b = np.matmul(rows, b_cov[:, :, None])[:, 0, 0]
     gamma = np.matmul(np.matmul(rows, a), cols)[:, 0, 0] + b * b
     scale = np.sqrt(np.matmul(rows, cols)[:, 0, 0])
-    sectors = [_sector(*row) for row in zip(samples, Y, scale.tolist(), b.tolist(), gamma.tolist())]
-    time = np.array([sector.tag == "time-future" for sector in sectors])
-    with np.errstate(all="ignore"):  # the scalar chain's float arithmetic does not warn
-        eps, h = np.where(time, 1.0, -1.0), np.where(time, h_time, h_space)
-        q = np.sqrt(np.abs(gamma))
-        big_b = gamma - g * b * q - b * b
-        one_minus_c2 = 1.0 - c * c
-        nu = q - eps * one_minus_c2 * g * b
-        weight = Y.shape[1] + eps * one_minus_c2 * big_b / (q * nu)  # 1 / trace weight
-        refused = [not sector.supported for sector in sectors] | (np.abs(one_minus_c2) > 1e-15) & (
-            (q <= Q_MIN_REL * scale) | (nu <= NU_MIN_REL * scale) | (q * nu == 0.0) | (weight == 0)
-        )
-        stop = int(np.argmax(refused)) if refused.any() else len(Y)
-        ratio = (b - (-0.5 * g - h) * q) / ((-0.5 * g + h) * q - b)  # of the cone margins
-        j = []  # row by row, so that a math error comes from the row the records meet it at
-        for t, r, hq, big_a, rate in zip(
-            time[:stop].tolist(), ratio.tolist(), (h * q).tolist(), (b + 0.5 * g * q).tolist(),
-            (-0.5 * (g / h)).tolist(),
-        ):
-            f = 0.5 * math.log(r) if t else math.atan2(hq, big_a) - math.pi
-            j.append(math.exp(rate * f))
-        if stop < len(Y):
-            scalars(samples[stop], Y[stop])
-            raise AssertionError("the scalar chain accepted a row the rows chain refused")
-        j = np.array(j)
+    chains = map(_scalars_from, samples, Y, scale.tolist(), b.tolist(), gamma.tolist())
+    q, big_b, j = np.array([(scal.q, scal.B, scal.J) for scal in chains]).T
+    with np.errstate(all="ignore"):  # a record's F^2 is a float product, which never warns
         y_cov = (np.matmul(a, cols)[:, :, 0] - (g * q)[:, None] * b_cov) * (j * j)[:, None]
-    return np.concatenate([(big_b * j * j)[:, None], y_cov], axis=1)
+        return np.concatenate([(big_b * j * j)[:, None], y_cov], axis=1)
 
 
 @cache

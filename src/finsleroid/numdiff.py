@@ -9,7 +9,7 @@ Key entry points
 ----------------
 FDConfig
     Relative first-derivative step (scaled per coordinate by ``1 + |x_i|``)
-    and an optional single Richardson extrapolation level.
+    and an optional single Richardson extrapolation level of first derivatives.
 fd_gradient / fd_jacobian / fd_hessian
     Central differences for scalar and vector maps. First derivatives have one
     stencil, ``_stencil``, and ``_combine`` takes its values, so a caller can
@@ -129,13 +129,11 @@ TOL_FD_SELFTEST = 1e-9
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Step policy for the central-difference oracles.
+    """Step policy for the first-derivative oracles.
 
-    The first-derivative step along coordinate ``i`` is
-    ``step_rel_first * (1 + |x_i|)``; :func:`fd_hessian` scales
-    ``STEP_REL_SECOND`` alike. With ``richardson`` set, each derivative is
-    evaluated at the base step and at half the step and combined to cancel
-    the leading error term.
+    The step along coordinate ``i`` is ``step_rel_first * (1 + |x_i|)``.
+    With ``richardson`` set, each derivative is evaluated at the base step and
+    at half the step and combined to cancel the leading error term.
     """
 
     step_rel_first: float = 6e-6
@@ -214,26 +212,16 @@ def _hessian_entry(fn, x: np.ndarray, i: int, j: int, hi: float, hj: float) -> f
     return total / (4.0 * hi * hj)
 
 
-def fd_hessian(
-    fn: Callable[[np.ndarray], float], x: Sequence[float], config: FDConfig = FDConfig()
-) -> np.ndarray:
-    """Central-difference Hessian of a scalar map (symmetric by construction)."""
+def fd_hessian(fn: Callable[[np.ndarray], float], x: Sequence[float]) -> np.ndarray:
+    """Central-difference Hessian of a scalar map (symmetric by construction),
+    at the step ``STEP_REL_SECOND * (1 + |x_i|)`` along coordinate ``i``."""
     x_arr = np.asarray(x, dtype=float)
     n = x_arr.size
     steps = STEP_REL_SECOND * (1.0 + np.abs(x_arr))
-
-    def entry(i: int, j: int, scale: float) -> float:
-        return _hessian_entry(fn, x_arr, i, j, scale * steps[i], scale * steps[j])
-
     hessian = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            coarse = entry(i, j, 1.0)
-            if config.richardson:
-                fine = entry(i, j, 0.5)
-                value = (4.0 * fine - coarse) / 3.0
-            else:
-                value = coarse
+            value = _hessian_entry(fn, x_arr, i, j, steps[i], steps[j])
             hessian[i, j] = value
             hessian[j, i] = value
     return hessian

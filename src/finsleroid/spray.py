@@ -120,14 +120,12 @@ def _spray(d: _Direction) -> SprayData:
     the value of the einsum over zeros), the drift and rotation terms where
     the charge is zero or ``b_parallel`` holds, and the charge-gradient term
     where ``dg_zero``. Every skip leaves the bits of the result as they were.
-    A non-finite ``q`` turns the zero terms into NaN, so there they are kept.
     """
     sample, y_arr, scal = d.sample, d.y, d.scal
     g, eps, q = sample.g, scal.eps, scal.q
     j2 = scal.J * scal.J
-    finite = q < math.inf
 
-    if sample.christoffel_zero and finite:
+    if sample.christoffel_zero:
         riem = np.zeros(sample.dim)
     else:
         riem = np.einsum("inm,n,m->i", sample.christoffel, y_arr, y_arr)
@@ -138,7 +136,7 @@ def _spray(d: _Direction) -> SprayData:
 
     # with a parallel b both terms add zeros of either sign to a total that
     # holds no -0.0, so they change no bit
-    if g != 0.0 and not (sample.b_parallel and finite):
+    if g != 0.0 and not sample.b_parallel:
         drift = float(y_arr @ sample.nabla_b @ y_arr)
         curl_low = sample.curl @ y_arr  # f_j = f_jn y^n
         curl_up = sample.a_inv @ curl_low

@@ -66,11 +66,10 @@ PARAMETERS = {
     "covariant_momentum": ("sample", "y"),
     "covector_stack": ("sample", "y_cov"),
     "determinant_ratio": ("sample", "y"),
-    "expression_to_text": ("expr",),
     "factor_space_angle": ("sample", "y1", "y2"),
     "factor_space_curvature": ("sample", "m", "tag"),
     "fd_gradient": ("fn", "x", "config="),
-    "fd_hessian": ("fn", "x", "config="),
+    "fd_hessian": ("fn", "x"),
     "fd_jacobian": ("fn", "x", "config="),
     "flatness_check": ("sample", "point", "tag"),
     "frame_components": ("sample", "y"),

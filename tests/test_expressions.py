@@ -20,7 +20,7 @@ from finsleroid.expressions import (
 
 
 def ev(text: str, *coords: float) -> float:
-    return parse_expression(text).evaluate(coords)
+    return parse_expression(text).compiled(coords)
 
 
 class TestEvaluation:
@@ -132,12 +132,12 @@ class TestDifferentiation:
     )
     def test_closed_forms(self, text, var, point, expected):
         derivative = parse_expression(text).differentiate(var)
-        assert derivative.evaluate(point) == pytest.approx(expected, rel=1e-14)
+        assert derivative.compiled(point) == pytest.approx(expected, rel=1e-14)
 
     def test_unused_variable_gives_zero(self):
         derivative = parse_expression("x0^2 + 3").differentiate(1)
         assert derivative.is_constant
-        assert derivative.evaluate((5.0, 5.0)) == 0.0
+        assert derivative.compiled((5.0, 5.0)) == 0.0
 
     def test_matches_finite_difference(self):
         expr = parse_expression("exp(-x0) * sin(x1) + x0 ^ 2 / (1 + x1 ^ 2)")
@@ -148,8 +148,8 @@ class TestDifferentiation:
             shifted_dn = list(point)
             shifted_up[var] += step
             shifted_dn[var] -= step
-            numeric = (expr.evaluate(shifted_up) - expr.evaluate(shifted_dn)) / (2 * step)
-            symbolic = expr.differentiate(var).evaluate(point)
+            numeric = (expr.compiled(shifted_up) - expr.compiled(shifted_dn)) / (2 * step)
+            symbolic = expr.differentiate(var).compiled(point)
             assert symbolic == pytest.approx(numeric, rel=1e-8)
 
 
@@ -158,7 +158,7 @@ class TestInterface:
         expr = FieldExpression.constant(-2.5)
         assert expr.is_constant
         assert expr.max_var_index == -1
-        assert expr.evaluate(()) == -2.5
+        assert expr.compiled(()) == -2.5
 
     def test_max_var_index(self):
         assert parse_expression("x0 + x3 * x1").max_var_index == 3
@@ -188,8 +188,8 @@ class TestInterface:
             expr = parse_expression(text)
             reparsed = parse_expression(str(expr))
             for point in ((0.5, 0.25), (2.0, 1.5)):
-                assert reparsed.evaluate(point) == pytest.approx(
-                    expr.evaluate(point), rel=1e-15
+                assert reparsed.compiled(point) == pytest.approx(
+                    expr.compiled(point), rel=1e-15
                 )
 
 
@@ -219,10 +219,10 @@ def test_render_parse_round_trip_property(ast):
     reparsed = parse_expression(str(expr))
     for point in ((0.5, -1.25, 2.0), (0.0, 0.0, 0.0)):
         try:
-            original = expr.evaluate(point)
+            original = expr.compiled(point)
         except DomainError:
             continue
-        assert reparsed.evaluate(point) == pytest.approx(original, rel=1e-12, abs=1e-12)
+        assert reparsed.compiled(point) == pytest.approx(original, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -244,8 +244,8 @@ def test_differentiation_matches_finite_difference_property(ast, var, point):
     up[var] += step
     dn[var] -= step
     try:
-        numeric = (expr.evaluate(up) - expr.evaluate(dn)) / (2 * step)
-        symbolic = expr.differentiate(var).evaluate(point)
+        numeric = (expr.compiled(up) - expr.compiled(dn)) / (2 * step)
+        symbolic = expr.differentiate(var).compiled(point)
     except DomainError:
         return
     assert symbolic == pytest.approx(numeric, rel=2e-4, abs=2e-4)

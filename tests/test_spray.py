@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 
 from finsleroid import spray
 from finsleroid.background import BackgroundField, load_config, sample
-from finsleroid.errors import GeometryError, NoConvergence
+from finsleroid.errors import DomainError, GeometryError, NoConvergence
 from finsleroid.kinematics import classify, random_admissible, scalars
-from finsleroid.metric import _Direction, covariant_momentum, metric_function
+from finsleroid.metric import (
+    _Direction,
+    _f2_and_momentum_rows,
+    covariant_momentum,
+    metric_function,
+)
 from finsleroid.numdiff import TOL_BERWALD, TOL_GEODESIC_F2, TOL_SPRAY_ORACLE, fd_hessian
 from finsleroid.spray import (
     charge_slope_scalars,
@@ -389,19 +394,27 @@ def test_spray_bits_on_axis_directions(name, x, y):
 
 
 @pytest.mark.parametrize("y", [(1e5, 0.0, 0.0, 0.0), (1e5, 0.0, 0.0, 1e3), (1e5, 0.0, 0.0, -1e3)])
-def test_spray_keeps_the_zero_terms_where_q_is_not_finite(y):
+def test_a_non_finite_measurement_is_refused(y):
     """On a constant field whose scales overflow ``gamma``, a time-future y of
-    each support side has ``q = inf``; that turns the zero terms into NaN, and
-    the spray keeps them."""
+    each support side measures ``gamma = inf``: the scalar chain refuses it
+    with ``DomainError``, for the views, the spray and the rows chain alike,
+    where the row after a finite one raises the record's own error."""
     field = BackgroundField.constant([1e300, -1e300, -1e300, -1e300], [0.0, 0.0, 0.0, 1e150], 0.6)
     here = sample(field, np.zeros(4))
+    finite = np.array([1.0, 0.0, 0.0, 0.1])
     with np.errstate(all="ignore"):
         assert classify(here, y).tag == "time-future"
-        d = _Direction(here, np.array(y))
-        got = spray._spray(d).G
-        want = spray_float64(d)[0]
-    assert d.scal.q == np.inf
-    assert np.isnan(want).all() and np.isnan(got).all()
+        assert classify(here, finite).tag == "time-future"
+        with pytest.raises(DomainError, match="the scalar chain needs finite values") as record:
+            _Direction(here, np.array(y))
+        with pytest.raises(DomainError, match="the scalar chain needs finite values"):
+            metric_function(here, y)
+        with pytest.raises(DomainError, match="the scalar chain needs finite values"):
+            spray_coefficients(here, y)
+        assert np.isfinite(_f2_and_momentum_rows([here], finite[None, :])).all()
+        with pytest.raises(DomainError) as rows:
+            _f2_and_momentum_rows([here, here], np.array([finite, y]))
+    assert str(rows.value) == str(record.value)
 
 
 # exact zeros of both signs, and magnitudes whose squares do not underflow
