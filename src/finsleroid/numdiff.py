@@ -44,6 +44,7 @@ __all__ = [
     "TOL_NOETHER_DRIFT",
     "TOL_DUAL_CLOSED",
     "TOL_DUAL_NUMERIC",
+    "TOL_DUAL_REFERENCE",
     "TOL_ANGLE_ROUTES",
     "TOL_ANGLE_EXACT",
     "TOL_UAR_ROUNDTRIP",
@@ -90,6 +91,9 @@ TOL_NOETHER_DRIFT = 1e-11
 TOL_DUAL_CLOSED = 1e-9
 #: Newton duality round trip below unit norm, relative.
 TOL_DUAL_NUMERIC = 1e-7
+#: Newton squared co-norm versus the 50-digit momentum-map reference below
+#: unit norm, relative.
+TOL_DUAL_REFERENCE = 1e-12
 #: Agreement of the three angle routes (direct, chart, factor space), absolute.
 TOL_ANGLE_ROUTES = 1e-10
 #: Exact angle invariants (self-angle, symmetry, scale invariance), absolute.

@@ -8,7 +8,10 @@ or mistyped literal cannot silently gate the suite.
 
 The reference background is four-dimensional: base metric
 ``diag(1, -1, -1, -1)``, covariant preferred direction ``(0, 0, 0, 1)``
-(unit spatial norm), anisotropy charge ``0.6``.
+(unit spatial norm), anisotropy charge ``0.6``. The ``sub_unit_*`` functions
+take the norm ``c`` of the preferred direction ``(0, 0, 0, c)`` and the charge
+as arguments; they invert the momentum map by ``mp.findroot``, which gives the
+squared co-norm below unit norm, where the package iterates.
 
 Two float64 pieces sit apart at the end. ``spray_float64`` is the closed
 spray with every term evaluated in its original order, kept so that a test
@@ -194,6 +197,46 @@ def _selfcheck():
 _selfcheck()
 
 REF = FROZEN
+
+
+# --- the squared co-norm below unit norm ---------------------------------------
+
+
+def sub_unit_f2(y, c, g):
+    """``F^2 = B J^2`` at 50 digits on ``diag(1, -1, -1, -1)`` with covariant
+    preferred direction ``(0, 0, 0, c)`` and charge ``g``; the sector is the
+    sign of ``gamma`` (the future time cone or the space-like cone)."""
+    c, g = mp.mpf(c), mp.mpf(g)
+    b = c * y[3]
+    gamma = y[0] * y[0] - y[1] * y[1] - y[2] * y[2] - y[3] * y[3] + b * b
+    q = mp.sqrt(abs(gamma))
+    if gamma > 0:
+        h = mp.sqrt(1 + g * g / 4)
+        f = mp.log((b + (g / 2 + h) * q) / ((h - g / 2) * q - b)) / 2
+    else:
+        h = mp.sqrt(1 - g * g / 4)
+        f = mp.atan2(h * q, b + g * q / 2) - mp.pi
+    return (gamma - g * b * q - b * b) * mp.exp(-(g / h) * f)
+
+
+def sub_unit_momentum(y, c, g):
+    """``p_i = (1/2) dF^2/dy^i`` of :func:`sub_unit_f2`, by ``mp.diff``."""
+    y = [mp.mpf(v) for v in y]
+    return [
+        mp.diff(lambda *v: sub_unit_f2(v, c, g), y, tuple(int(k == i) for k in range(DIM))) / 2
+        for i in range(DIM)
+    ]
+
+
+def sub_unit_h2(p, y_start, c, g):
+    """Squared co-norm of the float covector ``p``: ``F^2`` at the root of
+    ``sub_unit_momentum(y) = p`` that ``mp.findroot`` reaches from ``y_start``."""
+    p = [mp.mpf(float(v)) for v in p]
+    root = mp.findroot(
+        lambda *y: [m - t for m, t in zip(sub_unit_momentum(y, c, g), p)],
+        [mp.mpf(float(v)) for v in y_start],
+    )
+    return sub_unit_f2([root[i] for i in range(DIM)], c, g)
 
 
 # --- float64 spray with every term evaluated -------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,10 @@ from finsleroid.errors import CNotUnit, NoConvergence, UnsupportedCovector
 from finsleroid.expressions import FieldExpression
 from finsleroid.kinematics import random_admissible, scalars
 from finsleroid.metric import covariant_momentum, metric_function
-from finsleroid.numdiff import TOL_DUAL_CLOSED, TOL_DUAL_NUMERIC
+from finsleroid.numdiff import TOL_DUAL_CLOSED, TOL_DUAL_NUMERIC, TOL_DUAL_REFERENCE
 
 from conftest import config_path
-from _reference import REF
+from _reference import REF, sub_unit_h2
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 EX = np.array([0.0, 1.0, 0.0, 0.0])
@@ -191,3 +193,64 @@ def test_newton_duality_round_trip_property(c09_session, seed, tag):
     y = random_admissible(c09_session, rng, tag, 1, margin=0.05)[0]
     p = covariant_momentum(c09_session, y)
     assert abs(hamiltonian_numeric(c09_session, p) - metric_function(c09_session, y)) < TOL_DUAL_NUMERIC
+
+
+# --- the Newton route against the 50-digit reference --------------------------
+
+#: ``(c, g)`` of constant backgrounds ``diag(1, -1, -1, -1)`` with preferred
+#: direction ``(0, 0, 0, c)``; the first is ``desk_c09``.
+REFERENCE_BACKGROUNDS = {"desk_c09": (0.9, 0.6), "c05_g-1.2": (0.5, -1.2), "c03_g1.9": (0.3, 1.9)}
+REFERENCE_DRAWS = 8
+
+#: Cases the Newton route gets wrong today (ROADMAP item 1). The time-future
+#: ones return a wrong value without an error: the unit-norm dual cone routes
+#: their momenta to the space-like sector. The space-like ones stall or run
+#: out of iterations from the unit-norm seed.
+_ITEM_1 = {
+    ("c05_g-1.2", "time-future", 2): "wrong value: momentum routed to the space-like sector",
+    ("c05_g-1.2", "space-like", 1): "NoConvergence from the unit-norm seed",
+    ("c05_g-1.2", "space-like", 4): "NoConvergence from the unit-norm seed",
+    ("c03_g1.9", "time-future", 6): "wrong value: momentum routed to the space-like sector",
+    **{("c03_g1.9", "space-like", k): "NoConvergence from the unit-norm seed" for k in range(8)},
+}
+
+
+@lru_cache(maxsize=None)
+def _reference_sample(name):
+    c, g = REFERENCE_BACKGROUNDS[name]
+    field = BackgroundField.constant([1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, c], g)
+    return sample(field, np.zeros(4))
+
+
+@lru_cache(maxsize=None)
+def _reference_draws(name):
+    """Seeded directions of both sectors, ``margin=0.05``."""
+    rng = np.random.default_rng(11)
+    here = _reference_sample(name)
+    return {
+        tag: random_admissible(here, rng, tag, REFERENCE_DRAWS, margin=0.05)
+        for tag in ("time-future", "space-like")
+    }
+
+
+def _reference_cases():
+    for name in REFERENCE_BACKGROUNDS:
+        for tag in ("time-future", "space-like"):
+            for k in range(REFERENCE_DRAWS):
+                marks = []
+                if (name, tag, k) in _ITEM_1:
+                    reason = f"ROADMAP item 1: {_ITEM_1[name, tag, k]}"
+                    marks.append(pytest.mark.xfail(strict=True, reason=reason))
+                yield pytest.param(name, tag, k, marks=marks, id=f"{name}-{tag}-{k}")
+
+
+@pytest.mark.parametrize("name, tag, k", _reference_cases())
+def test_newton_route_matches_the_momentum_map_reference(name, tag, k):
+    """``hamiltonian_numeric`` at the momentum of a seeded direction against
+    ``F^2`` at the 50-digit root of the reference momentum map."""
+    here = _reference_sample(name)
+    y = _reference_draws(name)[tag][k]
+    p = covariant_momentum(here, y)
+    reference = sub_unit_h2(p, y, *REFERENCE_BACKGROUNDS[name])
+    relative = abs(hamiltonian_numeric(here, p) - reference) / abs(reference)
+    assert relative < TOL_DUAL_REFERENCE

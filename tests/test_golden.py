@@ -38,7 +38,9 @@ finite-difference routes of the ``check`` battery, the spray oracle and the
 Euler Jacobian, on every configuration and in both sectors. The curvature
 digest pins the cubic form and the indicatrix curvature, or the error each
 raises, at seeded directions of many magnitudes and for every kind of
-tangent-plane seed. ``python tests/test_golden.py`` prints all four.
+tangent-plane seed. The dual digest pins ``hamiltonian_numeric``, or the error
+it raises, at seeded covectors of magnitudes from 1e-300 to 1e300.
+``python tests/test_golden.py`` prints all five.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import pytest
 
 from finsleroid import cli
 from finsleroid.background import load_config, sample
+from finsleroid.dual import hamiltonian_numeric
 from finsleroid.errors import FinsleroidError
 from finsleroid.kinematics import random_admissible
 from finsleroid.metric import (
@@ -288,9 +291,46 @@ def test_curvature_digest():
     assert curvature_digest() == CURVATURE_DIGEST
 
 
+# --- dual digest --------------------------------------------------------------
+
+DUAL_DIGEST = "6a58e94156a13c158f2e658f39101b50d13cc504b0ce445c72e255b5e254194a"
+DUAL_SCALES = (1e-300, 1e-200, 1e-100, 1e-8, 1e-3, 1.0, 1e3, 1e8, 1e100, 1e150, 1e300)
+
+
+def dual_digest() -> str:
+    """sha256 over the ``repr`` of ``hamiltonian_numeric``, or the type and
+    message of the error it raises, under the CLI's ``errstate``, at eight
+    seeded points per configuration: the momenta of two directions of each
+    sector and three normal covectors, each at every scale in ``DUAL_SCALES``."""
+    rng = np.random.default_rng(23023)
+    digest = hashlib.sha256()
+    with np.errstate(over="raise", invalid="raise"):
+        for name in SWEEP_CONFIGS:
+            field = load_config(ROOT / "configs" / f"{name}.cfg")
+            for _ in range(8):
+                here = sample(field, rng.uniform(0.0, 0.5, 4))
+                ys = [
+                    *random_admissible(here, rng, "time-future", 2, margin=0.05),
+                    *random_admissible(here, rng, "space-like", 2, margin=0.05),
+                ]
+                covectors = [covariant_momentum(here, y) for y in ys]
+                covectors += list(rng.standard_normal((3, 4)))
+                for p in covectors:
+                    for scale in DUAL_SCALES:
+                        digest.update(_outcome(
+                            lambda: repr(hamiltonian_numeric(here, p * scale)).encode()
+                        ) + b"\n")
+    return digest.hexdigest()
+
+
+def test_dual_digest():
+    assert dual_digest() == DUAL_DIGEST
+
+
 if __name__ == "__main__":
     # print the digests to pin: python tests/test_golden.py (from the root)
     print(sweep_digest(sweep_runs()))
     print(*geodesic_digest(geodesic_starts()))
     print(oracle_digest())
     print(curvature_digest())
+    print(dual_digest())
