@@ -344,6 +344,8 @@ def uar_metric(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarra
 
 def uar_closed_diagonals(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
     """Closed form of the chart-metric diagonal."""
+    if tag not in ("time-future", "space-like"):
+        raise UnsupportedSector(f"no chart for sector {tag!r}")
     eps = 1.0 if tag == "time-future" else -1.0
     h = sample.h_time if eps > 0 else sample.h_space
     z0 = point.z0

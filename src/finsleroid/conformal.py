@@ -120,8 +120,7 @@ def _zeta_jacobian(d: _Direction, image: ConformalImage | None = None) -> np.nda
             sample.b_cov + scal.eps * sample.g * aux.v_cov / (2.0 * scal.q),
         )
     ) * scale
-    y_cov = (aux.u - sample.g * scal.q * sample.b_cov) * scal.J**2
-    weight = (sample.g * scal.q / (2.0 * scal.B)) * aux.e - (1.0 - h) * y_cov / d.f2
+    weight = (sample.g * scal.q / (2.0 * scal.B)) * aux.e - (1.0 - h) * d.y_cov / d.f2
     return core + np.outer(zeta, weight)
 
 

@@ -1,10 +1,12 @@
 """Momentum-space dual: covector chain, Hamiltonian, and the action residual.
 
 The covector chain is the direction chain at the flipped charge ``-g``: a
-covector is measured with ``a_inv`` and ``b_contra``, and its ``(b, gamma)`` go
-through ``kinematics._chain`` at ``-g``, which reproduces the squared co-norm
-exactly at unit preferred-direction norm. Below unit norm the duality is no
-longer closed-form; a damped Newton iteration inverts the momentum map instead.
+covector is measured with ``a_inv`` and ``b_contra``, and its ``(b, q, gamma)``
+go through ``kinematics._chain`` at ``-g``, which reproduces the squared
+co-norm exactly at unit preferred-direction norm. Below unit norm the duality
+is no longer closed-form; a damped Newton iteration of at most
+``NEWTON_MAX_ITER`` steps inverts the momentum map instead, with the same
+``_chain`` at ``g`` as its primal model.
 
 Key entry points
 ----------------
@@ -45,6 +47,8 @@ __all__ = [
 #: ``max(1, |b|, |q|)``: a damped step is taken once its residual norm is
 #: below it, and the iteration stops once a step is.
 NEWTON_TOL = 1e-12
+#: Newton steps :func:`hamiltonian_numeric` takes before it gives up.
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,8 @@ def covector_stack(sample: BackgroundSample, y_cov: Sequence[float]) -> Covector
         detail = "positive-support null ray" if b_hat > tol_margin else "isotropic"
         raise UnsupportedCovector(f"covector is {detail}")
 
-    q_hat, big_b_hat, _, f_hat, j_hat = _chain(b_hat, gamma_hat, -sample.g, h, eps)
+    q_hat = math.sqrt(abs(gamma_hat))
+    big_b_hat, _, f_hat, j_hat = _chain(b_hat, q_hat, gamma_hat, -sample.g, h, eps)
     return CovectorStack(
         y_cov=p,
         b_hat=b_hat,
@@ -126,38 +131,21 @@ def hamiltonian(sample: BackgroundSample, y_cov: Sequence[float]) -> float:
 # --- Newton route ------------------------------------------------------------
 
 
-def _primal_chain(b: float, q: float, g: float, eps: int, h: float) -> tuple[float, float]:
-    """Return ``(B, J^2)`` of the primal chain in the ``(b, q)`` half-plane."""
-    big_b = eps * q * q - g * b * q - b * b
-    if eps > 0:
-        low, high = _margins(b, q, g, h)
-        if low <= 0.0 or high <= 0.0:
-            raise ValueError("left the time cone")
-        f = 0.5 * math.log(low / high)
-    else:
-        f = math.atan2(h * q, b + 0.5 * g * q) - math.pi
-    j2 = math.exp(-(g / h) * f)
-    return big_b, j2
-
-
-def hamiltonian_numeric(
-    sample: BackgroundSample,
-    y_cov: Sequence[float],
-    *,
-    max_iter: int = 50,
-) -> float:
+def hamiltonian_numeric(sample: BackgroundSample, y_cov: Sequence[float]) -> float:
     """Squared co-norm by Newton inversion of the momentum map.
 
     Works for any preferred-direction norm in ``(0, 1]``; at unit norm it
     agrees with :func:`hamiltonian` (the tests pin this). The unknowns are
-    the primal support scalar and radius ``(b, q)``; the residuals match the
+    the primal support scalar and radius ``(b, q)``, modelled by
+    ``kinematics._chain`` at ``gamma = eps q^2``; the residuals match the
     dual support scalar and squared dual radius. Damped steps (successive
     halving) keep the iterate inside the sector cone.
 
     Raises
     ------
     NoConvergence
-        If the damped iteration cannot reach the requested tolerance.
+        If the damped iteration cannot reach the requested tolerance in
+        ``NEWTON_MAX_ITER`` steps.
     """
     stack = covector_stack(sample, y_cov)
     g, eps = sample.g, stack.eps
@@ -173,7 +161,8 @@ def hamiltonian_numeric(
     b = b_target / j2_seed - g * q
 
     def residual(b: float, q: float) -> tuple[np.ndarray, float, float]:
-        big_b, j2 = _primal_chain(b, q, g, eps, h)
+        big_b, _, f, _ = _chain(b, q, eps * q * q, g, h, eps)
+        j2 = math.exp(-(g / h) * f)
         r1 = (b + g * c2 * q) * j2 - b_target
         p_quad = (
             q * q
@@ -187,7 +176,7 @@ def hamiltonian_numeric(
     norm = float(np.linalg.norm(res))
     scale = max(1.0, abs(b), abs(q))
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if norm <= 1e-300:
             break
         dj2_db = -g * q * j2 / big_b
@@ -217,7 +206,7 @@ def hamiltonian_numeric(
             if q_new >= 0.0:
                 try:
                     res_new, big_b_new, j2_new = residual(b_new, q_new)
-                except ValueError:
+                except (ValueError, ZeroDivisionError):  # left the time cone
                     factor *= 0.5
                     continue
                 norm_new = float(np.linalg.norm(res_new))
@@ -236,7 +225,7 @@ def hamiltonian_numeric(
             break
     else:
         raise NoConvergence(
-            f"dual inversion did not converge in {max_iter} iterations (|res| = {norm:.3e})"
+            f"dual inversion did not converge in {NEWTON_MAX_ITER} iterations (|res| = {norm:.3e})"
         )
 
     return big_b * j2

@@ -8,9 +8,10 @@ anisotropy weight) that every closed-form tensor in the package is built from.
 
 Three private pieces are written once: ``_measure`` (a vector's ``|y|``,
 ``b`` and ``gamma``, computed once per chain), ``_margins`` (the time-cone
-margins) and ``_chain`` (the sector chain at a charge). Directions read them
-at ``g``, and the covector chain of :mod:`finsleroid.dual` at ``-g``.
-Classification hands out the twelve ``Sector`` values built at import.
+margins) and ``_chain`` (the sector chain at a charge, on ``(b, q, gamma)``
+with ``q = sqrt|gamma|`` from the caller). Directions read them at ``g``, the
+covector chain of :mod:`finsleroid.dual` at ``-g``, and its Newton model at
+``g``. Classification hands out the twelve ``Sector`` values built at import.
 
 A direction has one scalar chain, ``_scalars_from``: on a measurement it
 refuses non-finite values, makes the sector decision, runs ``_chain`` and the
@@ -170,10 +171,9 @@ def _margins(b: float, q: float, g: float, h: float) -> tuple[float, float]:
 
 
 def _chain(
-    b: float, gamma: float, g: float, h: float, eps: int
-) -> tuple[float, float, float, float, float]:
-    """``(q, B, A, f, J)`` of the sector-``eps`` chain at charge ``g``."""
-    q = math.sqrt(abs(gamma))
+    b: float, q: float, gamma: float, g: float, h: float, eps: int
+) -> tuple[float, float, float, float]:
+    """``(B, A, f, J)`` of the sector-``eps`` chain at charge ``g``, ``q = sqrt|gamma|``."""
     big_b = gamma - g * b * q - b * b
     big_a = b + 0.5 * g * q
     if eps > 0:
@@ -181,7 +181,7 @@ def _chain(
         f = 0.5 * math.log(low / high)
     else:
         f = math.atan2(h * q, big_a) - math.pi
-    return q, big_b, big_a, f, math.exp(-0.5 * (g / h) * f)
+    return big_b, big_a, f, math.exp(-0.5 * (g / h) * f)
 
 
 # --- classification ----------------------------------------------------------
@@ -264,7 +264,8 @@ def _scalars_from(
 
     g = sample.g
     h = sample.h_time if eps > 0 else sample.h_space
-    q, big_b, big_a, f, j = _chain(b, gamma, g, h, eps)
+    q = math.sqrt(abs(gamma))
+    big_b, big_a, f, j = _chain(b, q, gamma, g, h, eps)
     big_l = q - eps * 0.5 * g * b
     chi = f / h
 

@@ -58,8 +58,6 @@ __all__ = [
     "TOL_FACTOR_CURVATURE",
     "TOL_FRAME_CONSTANT",
     "TOL_FRAME_VARYING",
-    "TOL_BACKGROUND_FD",
-    "TOL_IDENTITY",
     "TOL_FD_SELFTEST",
 ]
 
@@ -120,10 +118,6 @@ TOL_FACTOR_CURVATURE = 1e-5
 TOL_FRAME_CONSTANT = 1e-12
 #: Adapted-frame reconstruction of the base metric: position-dependent fields.
 TOL_FRAME_VARYING = 1e-9
-#: Symbolic field derivatives versus finite differences, relative.
-TOL_BACKGROUND_FD = 1e-6
-#: Exact algebraic identities between scalar-chain quantities, absolute.
-TOL_IDENTITY = 1e-12
 #: Finite-difference self-test on polynomials of degree at most four.
 TOL_FD_SELFTEST = 1e-9
 

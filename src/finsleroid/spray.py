@@ -197,7 +197,6 @@ def _oracle(
 # --- integration -------------------------------------------------------------
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),

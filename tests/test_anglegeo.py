@@ -252,6 +252,13 @@ class TestGuards:
         with pytest.raises(UnsupportedSector):
             uar_from_angles(desk, UarPoint(1.0, 0.0, 0.0, 0.0), "isotropic")
 
+    @pytest.mark.parametrize("tag", ["isotropic", "bogus"])
+    def test_chart_metric_refuses_a_sector_without_a_chart(self, desk, tag):
+        point = UarPoint(1.0, 0.3, 0.2, -0.1)
+        for route in (uar_metric, uar_closed_diagonals, flatness_check):
+            with pytest.raises(UnsupportedSector, match=f"no chart for sector '{tag}'"):
+                route(desk, point, tag)
+
 
 @pytest.fixture(scope="module")
 def desk_session():

@@ -77,7 +77,7 @@ PARAMETERS = {
         "field", "x0", "y0", "length", "method=", "step=", "tol=", "max_steps=",
     ),
     "hamiltonian": ("sample", "y_cov"),
-    "hamiltonian_numeric": ("sample", "y_cov", "max_iter="),
+    "hamiltonian_numeric": ("sample", "y_cov"),
     "hj_residual": ("field", "action", "mass", "x"),
     "indicatrix_curvature": ("sample", "y", "seeds="),
     "inverse_metric": ("sample", "y"),

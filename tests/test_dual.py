@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsleroid import dual
 from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.dual import covector_stack, hamiltonian, hamiltonian_numeric, hj_residual
 from finsleroid.errors import CNotUnit, NoConvergence, UnsupportedCovector
@@ -113,10 +114,11 @@ class TestCovectorGuards:
         with pytest.raises(CNotUnit):
             hamiltonian(c09, p)
 
-    def test_newton_iteration_budget(self, c09):
+    def test_newton_iteration_budget(self, c09, monkeypatch):
+        monkeypatch.setattr(dual, "NEWTON_MAX_ITER", 1)
         p = covariant_momentum(c09, Y_TIME)
         with pytest.raises(NoConvergence):
-            hamiltonian_numeric(c09, p, max_iter=1)
+            hamiltonian_numeric(c09, p)
 
 
 class TestActionResidual:

@@ -16,7 +16,9 @@ from finsleroid import background, cli, kinematics, metric, spray
 from finsleroid.anglegeo import angle_closed_form, uar_to_angles
 from finsleroid.background import load_config, sample
 from finsleroid.conformal import pushforward_metric_check
+from finsleroid.dual import hamiltonian_numeric
 from finsleroid.metric import (
+    covariant_momentum,
     frame_components,
     indicatrix_curvature,
     inverse_metric,
@@ -33,12 +35,13 @@ Y_TIME = np.array([1.0, 0.1, -0.05, 0.12])
 Y_TIME_2 = np.array([1.0, -0.2, 0.1, 0.3])
 
 
-def _count_calls(monkeypatch, original) -> list[int]:
-    """Replace every package binding of ``original`` with one counter."""
-    calls: list[int] = []
+def _count_calls(monkeypatch, original) -> list[tuple]:
+    """Replace every package binding of ``original`` with one counter, which
+    keeps the positional arguments of each call."""
+    calls: list[tuple] = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -235,3 +238,14 @@ def test_rk4_measures_each_chain_once(config_name, classifications, monkeypatch)
 def test_spray_oracle_classifies_nothing(variable_g, classifications):
     spray_oracle(variable_g, X_PROBE, Y_TIME)
     assert len(classifications) == 0
+
+
+def test_newton_residual_runs_the_one_chain(c09, monkeypatch):
+    """``hamiltonian_numeric`` models the primal with ``kinematics._chain``
+    at the charge ``g``, after the covector chain read it at ``-g``."""
+    p = covariant_momentum(c09, Y_TIME)
+    chain_runs = _count_calls(monkeypatch, kinematics._chain)
+    hamiltonian_numeric(c09, p)
+    charges = [args[3] for args in chain_runs]
+    assert charges[0] == -c09.g
+    assert len(charges) > 1 and set(charges[1:]) == {c09.g}
