@@ -196,7 +196,7 @@ def _oracle(
 
 # --- integration -------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau, without its nodes: the spray is autonomous
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),

@@ -1,8 +1,9 @@
 """One scalar chain per (sample, direction) across the package.
 
-Every module binding of ``kinematics.scalars`` (or ``kinematics.classify``) is
-replaced by one counter, so a consumer that rebuilt the chain, or classified
-a direction again, would show up as an extra call.
+Every module binding of ``kinematics.scalars`` (or ``kinematics.classify``, or
+a private piece of the chain) is replaced by one counter, so a consumer that
+rebuilt the chain, or classified a direction again, would show up as an extra
+call.
 """
 
 from __future__ import annotations
