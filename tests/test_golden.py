@@ -39,8 +39,11 @@ Euler Jacobian, on every configuration and in both sectors. The curvature
 digest pins the cubic form and the indicatrix curvature, or the error each
 raises, at seeded directions of many magnitudes and for every kind of
 tangent-plane seed. The dual digest pins ``hamiltonian_numeric``, or the error
-it raises, at seeded covectors of magnitudes from 1e-300 to 1e300.
-``python tests/test_golden.py`` prints all five.
+it raises, at seeded covectors of magnitudes from 1e-300 to 1e300. The
+sector digest pins the ``classify`` tags of seeded directions, many of them
+built to sit at set relative offsets from a cone wall or the augmented null
+shell, in either time orientation. ``python tests/test_golden.py`` prints all
+six.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from finsleroid import cli
 from finsleroid.background import load_config, sample
 from finsleroid.dual import hamiltonian_numeric
 from finsleroid.errors import FinsleroidError
-from finsleroid.kinematics import random_admissible
+from finsleroid.kinematics import classify, random_admissible
 from finsleroid.metric import (
     cartan_tensor,
     covariant_momentum,
@@ -327,6 +330,62 @@ def test_dual_digest():
     assert dual_digest() == DUAL_DIGEST
 
 
+# --- sector digest ------------------------------------------------------------
+
+SECTOR_DIGEST = "4a1b8532231a019a26932ed8f7de8568b704a1709693968c14dcfa2707db0bf1"
+#: Relative offsets of the built directions from the wall they are built at;
+#: they straddle the classification tolerances of ``kinematics``.
+SECTOR_OFFSETS = (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9, 1e-8, -1e-8, 1e-6, -1e-6)
+SECTOR_SCALES = (1.0, 2.0**-40, 1e7)
+
+
+def sector_directions(here, rng) -> list[np.ndarray]:
+    """Seeded directions at ``here``: 40 Gaussian ones, then ones built from
+    adapted-frame components ``R`` (so ``b = c R[-1]`` and ``gamma = R[0]^2 -
+    |R[1:-1]|^2 - (1 - c^2) R[-1]^2``) with either sign of ``R[0]``, the time
+    orientation: at ``gamma = 1`` with ``b`` at each ``SECTOR_OFFSETS`` from
+    the wall slopes ``g_plus`` and ``g_minus``, and at ``gamma`` equal to each
+    offset with ``b`` negative, positive or at an offset from zero. Each built
+    direction is taken at every scale in ``SECTOR_SCALES``."""
+    dim, c = here.dim, here.c
+    g_plus, g_minus = -0.5 * here.g + here.h_time, -0.5 * here.g - here.h_time
+    targets = [  # (gamma, b)
+        (1.0, slope * (1.0 + off)) for slope in (g_plus, g_minus) for off in SECTOR_OFFSETS
+    ]
+    targets += [(off, b) for off in SECTOR_OFFSETS for b in (-0.5, 0.5, off)]
+    directions = list(rng.standard_normal((40, dim)))
+    for gamma, b in targets:
+        transverse = rng.standard_normal(dim - 2)
+        transverse *= rng.uniform(0.0, 1.0) / np.sqrt(transverse @ transverse)
+        last = b / c
+        r0 = np.sqrt(gamma + transverse @ transverse + (1.0 - c * c) * last * last)
+        for sign in (1.0, -1.0):
+            components = np.concatenate([[sign * r0], transverse, [last]])
+            y = here.frame_inv @ components
+            directions += [scale * y for scale in SECTOR_SCALES]
+    return directions
+
+
+def sector_digest() -> str:
+    """sha256 over the bytes of every direction of ``sector_directions`` and
+    the tag and side ``classify`` gives it, at three seeded points per
+    configuration."""
+    rng = np.random.default_rng(24024)
+    digest = hashlib.sha256()
+    for name in SWEEP_CONFIGS:
+        field = load_config(ROOT / "configs" / f"{name}.cfg")
+        for _ in range(3):
+            here = sample(field, rng.uniform(0.0, 0.5, 4))
+            for y in sector_directions(here, rng):
+                sector = classify(here, y)
+                digest.update(y.tobytes() + f" {sector.tag} {sector.side}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_sector_digest():
+    assert sector_digest() == SECTOR_DIGEST
+
+
 if __name__ == "__main__":
     # print the digests to pin: python tests/test_golden.py (from the root)
     print(sweep_digest(sweep_runs()))
@@ -334,3 +393,4 @@ if __name__ == "__main__":
     print(oracle_digest())
     print(curvature_digest())
     print(dual_digest())
+    print(sector_digest())
