@@ -17,7 +17,8 @@ sample
     assemble connection coefficients, the covariant derivative of the
     preferred direction, and the time leg of an adapted orthonormal frame
     whose last leg is aligned with the preferred direction and whose time leg
-    fixes the future orientation. The full frame is built on first access.
+    fixes the future orientation. The full frame belongs to the direction
+    stage and is built on first access.
 
 Design choices
 --------------
@@ -44,15 +45,18 @@ and ``sample`` fills the record from their mappings through ``_built``. The
 adapted frame is built by Gram-Schmidt in a fixed deterministic order (last
 leg first, then the time leg, then the space legs, from fresh axis seeds)
 with each leg's sign pinned so results are reproducible across runs and
-platforms. ``sample`` stores only the time leg, which is all that orientation
-tests need; the space legs, ``frame`` and ``frame_inv`` are built on first
-access and are bit-identical to an eager build.
+platforms. The direction stage stores only the time leg and the time
+covector ``time_leg @ a``, which is all that orientation tests need, and a
+holder of the rest of the frame: the space legs, ``frame`` and ``frame_inv``
+are built on the holder's first access and are bit-identical to an eager
+build. Every sample that shares a stage's result shares its holder, so when
+``a`` and ``b`` are constant the frame is built once per field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -215,6 +219,34 @@ class BackgroundField:
 # --- sampled values ----------------------------------------------------------
 
 
+class _FrameHolder:
+    """The adapted frame of one direction-stage result, built on first access
+    from the ``(a, b_contra, c, time_leg)`` it holds."""
+
+    def __init__(self, a: np.ndarray, b_contra: np.ndarray, c: float, time_leg: np.ndarray):
+        self.inputs = (a, b_contra, c, time_leg)
+
+    def serves(self, sample: "BackgroundSample") -> bool:
+        """Whether ``sample`` holds this holder's inputs: the same arrays and ``c``."""
+        a, b_contra, c, time_leg = self.inputs
+        return (
+            sample.a is a and sample.b_contra is b_contra and sample.c == c
+            and sample.time_leg is time_leg
+        )
+
+    @cached_property
+    def frame_inv(self) -> np.ndarray:
+        frame_inv = _build_frame(*self.inputs).T.copy()
+        _read_only(frame_inv)
+        return frame_inv
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        frame = np.linalg.inv(self.frame_inv)
+        _read_only(frame)
+        return frame
+
+
 @dataclass(frozen=True)
 class BackgroundSample:
     """All background data evaluated at one chart point.
@@ -222,10 +254,16 @@ class BackgroundSample:
     Index conventions: ``da[k, i, j]`` is the ``x^k`` derivative of ``a_ij``;
     ``db[k, j]`` of ``b_j``; ``christoffel[k, i, j]`` carries the upper index
     first; ``nabla_b[i, j]`` is the covariant derivative of ``b_j`` along
-    ``x^i``. ``time_leg[i]`` is the adapted frame's time leg, stored at
-    sampling time. ``frame[p, i]`` maps vectors to frame components ``R^p``;
-    ``frame_inv[i, p]`` maps back, with ``frame_inv = inv(frame)``. Both are
-    built on first access; ``frame_inv[:, 0]`` equals ``time_leg``.
+    ``x^i``. ``time_leg[i]`` is the adapted frame's time leg and
+    ``time_cov = time_leg @ a`` its lowered form, both stored at sampling
+    time. ``frame[p, i]`` maps vectors to frame components ``R^p``;
+    ``frame_inv[i, p]`` maps back, with ``frame_inv = inv(frame)``, and
+    ``frame_inv[:, 0]`` equals ``time_leg``. Both are read from
+    ``frame_holder``, the direction stage's holder, which builds them on first
+    access; a stage that reads only constants has one holder per field, so its
+    frame is built once per field. A sample whose ``a``, ``b_contra``, ``c``
+    or ``time_leg`` is not its holder's (one made by ``dataclasses.replace``)
+    builds its frame from its own fields at each access.
     ``curl[i, j] = db[i, j] - db[j, i]`` is the curl of ``b``; the connection
     parts of ``nabla_b`` cancel in it.
 
@@ -254,18 +292,22 @@ class BackgroundSample:
     christoffel_zero: bool
     b_parallel: bool
     dg_zero: bool
+    time_cov: np.ndarray
+    frame_holder: _FrameHolder = field(repr=False, compare=False)
 
-    @cached_property
+    def _frames(self) -> _FrameHolder:
+        holder = self.frame_holder
+        if holder.serves(self):
+            return holder
+        return _FrameHolder(self.a, self.b_contra, self.c, self.time_leg)
+
+    @property
     def frame_inv(self) -> np.ndarray:
-        frame_inv = _build_frame(self.a, self.b_contra, self.c, self.time_leg).T.copy()
-        _read_only(frame_inv)
-        return frame_inv
+        return self._frames().frame_inv
 
-    @cached_property
+    @property
     def frame(self) -> np.ndarray:
-        frame = np.linalg.inv(self.frame_inv)
-        _read_only(frame)
-        return frame
+        return self._frames().frame
 
     @property
     def dim(self) -> int:
@@ -532,7 +574,8 @@ def _direction_stage(
     values: np.ndarray, dim: int, base: dict, coords: tuple[float, ...] | None
 ) -> dict:
     """The preferred-direction fields of a sample over the base stage's, keyed
-    by ``BackgroundSample`` field name; raises the norm and time-leg errors."""
+    by ``BackgroundSample`` field name, with the holder of the adapted frame
+    they define; raises the norm and time-leg errors."""
     flat = _flat_slices(dim)
     b_cov = values[flat["b_cov"]].copy()
     db = values[flat["db"]].reshape(dim, dim).copy()
@@ -547,14 +590,16 @@ def _direction_stage(
     if c_sq > 1.0 + 1e-12:
         raise DomainError(f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}){_at(coords)}")
     c = min(math.sqrt(c_sq), 1.0)
-    # the frame's first Gram-Schmidt step; the other legs wait for ``frame``
+    # the frame's first Gram-Schmidt step; the other legs wait for the holder
     time_leg = _next_leg(base["a"], [(-b_contra / c, -1.0)], 1.0)
+    time_cov = time_leg @ base["a"]
     nabla_b = db - np.einsum("k,kij->ij", b_cov, base["christoffel"])
     curl = db - db.T
-    _read_only(b_cov, db, b_contra, nabla_b, time_leg, curl)
+    _read_only(b_cov, db, b_contra, nabla_b, time_leg, time_cov, curl)
     return dict(
         b_cov=b_cov, db=db, b_contra=b_contra, c=c, nabla_b=nabla_b, time_leg=time_leg,
-        curl=curl, b_parallel=not (nabla_b.any() or curl.any()),
+        curl=curl, b_parallel=not (nabla_b.any() or curl.any()), time_cov=time_cov,
+        frame_holder=_FrameHolder(base["a"], b_contra, c, time_leg),
     )
 
 

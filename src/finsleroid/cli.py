@@ -44,6 +44,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -595,6 +596,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(?:\d|\.\d|inf|nan).*", re.IGNORECASE)
 
 
+@cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="finsleroid",

@@ -13,12 +13,12 @@ with ``q = sqrt|gamma|`` from the caller). Directions read them at ``g``, the
 covector chain of :mod:`finsleroid.dual` at ``-g``, and its Newton model at
 ``g``. Classification hands out the twelve ``Sector`` values built at import.
 
-A direction has one scalar chain, ``_scalars_from``: on a measurement it
+A direction has one scalar chain, ``_scalar_values``: on a measurement it
 refuses non-finite values, makes the sector decision, runs ``_chain`` and the
-trace-weight guards, and builds the record. ``scalars`` runs it on the
-measurement it takes, and the finite-difference rows of
-:mod:`finsleroid.metric` run it on each row of a stacked measurement, so every
-guard is written once.
+trace-weight guards, and returns the chain's plain values. ``scalars`` wraps
+them in its record on the measurement it takes, and the finite-difference
+rows of :mod:`finsleroid.metric` read them on each row of a stacked
+measurement without a record, so every guard is written once.
 
 Supported directions fall into two open cones:
 
@@ -196,7 +196,9 @@ def classify(sample: BackgroundSample, y: Sequence[float]) -> Sector:
 def _sector(
     sample: BackgroundSample, y_arr: np.ndarray, scale: float, b: float, gamma: float
 ) -> Sector:
-    """The classification decision on a direction's ``(|y|, b, gamma)``."""
+    """The classification decision on a direction's ``(|y|, b, gamma)``; the
+    time orientation is the sign of ``time_cov @ y``, the sample's stored
+    ``time_leg @ a`` applied to ``y`` (so ``time_leg @ a @ y`` bit for bit)."""
     tol_gamma = GAMMA_TOL_REL * scale * scale
     tol_margin = MARGIN_TOL_REL * scale
 
@@ -212,7 +214,7 @@ def _sector(
         if abs(margin_low) <= tol_margin or abs(margin_high) <= tol_margin:
             tag = "isotropic"
         elif margin_low > 0.0 and margin_high > 0.0 and (
-            float(sample.time_leg @ sample.a @ y_arr) > 0.0
+            float(sample.time_cov @ y_arr) > 0.0
         ):
             tag = "time-future"
         else:
@@ -242,14 +244,22 @@ def scalars(sample: BackgroundSample, y: Sequence[float]) -> KinematicScalars:
         divides by ``q`` and ``nu``.
     """
     y_arr = np.asarray(y, dtype=float)
-    return _scalars_from(sample, y_arr, *_measure(sample.a, sample.b_cov, y_arr))
+    scale, b, gamma = _measure(sample.a, sample.b_cov, y_arr)
+    q, big_b, j, eps, h, big_a, f, nu, x_weight = _scalar_values(sample, y_arr, scale, b, gamma)
+    g = sample.g
+    return _built(KinematicScalars, {
+        "b": b, "gamma": gamma, "q": q, "eps": eps, "h": h, "g_plus": -0.5 * g + h,
+        "g_minus": -0.5 * g - h, "B": big_b, "L": q - eps * 0.5 * g * b, "A": big_a, "f": f,
+        "J": j, "chi": f / h, "nu": nu, "X": x_weight, "scale": scale,
+    })
 
 
-def _scalars_from(
+def _scalar_values(
     sample: BackgroundSample, y_arr: np.ndarray, scale: float, b: float, gamma: float
-) -> KinematicScalars:
-    """The scalar chain on a direction's measurement ``(|y|, b, gamma)``: the
-    sector decision, the chain, its guards and the record :func:`scalars` returns."""
+) -> tuple[float, float, float, int, float, float, float, float, float]:
+    """The scalar chain on a direction's measurement ``(|y|, b, gamma)`` as the
+    plain values ``(q, B, J, eps, h, A, f, nu, X)``: the finiteness check, the
+    sector decision, the chain and its guards."""
     if not (math.isfinite(scale) and math.isfinite(b) and math.isfinite(gamma)):
         raise DomainError(
             f"direction {tuple(y_arr.tolist())} measures |y| = {scale!r}, b = {b!r}, "
@@ -266,8 +276,6 @@ def _scalars_from(
     h = sample.h_time if eps > 0 else sample.h_space
     q = math.sqrt(abs(gamma))
     big_b, big_a, f, j = _chain(b, q, gamma, g, h, eps)
-    big_l = q - eps * 0.5 * g * b
-    chi = f / h
 
     one_minus_c2 = 1.0 - sample.c * sample.c
     nu = q - eps * one_minus_c2 * g * b
@@ -279,12 +287,7 @@ def _scalars_from(
         if nu <= NU_MIN_REL * scale:
             raise DegenerateNu(f"dual radius nu = {nu!r} is not positive")
         x_weight = 1.0 / (sample.dim + eps * one_minus_c2 * big_b / (q * nu))
-
-    return _built(KinematicScalars, {
-        "b": b, "gamma": gamma, "q": q, "eps": eps, "h": h, "g_plus": -0.5 * g + h,
-        "g_minus": -0.5 * g - h, "B": big_b, "L": big_l, "A": big_a, "f": f, "J": j,
-        "chi": chi, "nu": nu, "X": x_weight, "scale": scale,
-    })
+    return q, big_b, j, eps, h, big_a, f, nu, x_weight
 
 
 def aux_vectors(
@@ -344,7 +347,7 @@ def random_admissible(
         if found == count:
             break
         y = rng.standard_normal(sample.dim)
-        norm = float(np.linalg.norm(y))
+        norm = math.sqrt(float(y.dot(y)))  # np.linalg.norm, as in _measure
         if norm < 1e-12:
             continue
         y /= norm

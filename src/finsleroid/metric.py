@@ -14,8 +14,8 @@ and the spray, the integrator, the oracle, the conformal map, the angle routes
 and the CLI build one record per (sample, direction) and read it instead of
 recomputing the chain. The finite differences need only ``[F^2, y_cov]`` at
 every stencil row; ``_f2_and_momentum_rows`` takes a stacked measurement of
-all rows, runs the records' one scalar chain on each and stacks the momentum,
-each row byte-equal to its record.
+all rows, runs the records' one scalar chain on each without building a
+record and stacks the momentum, each row byte-equal to its record.
 
 Every quantity depends on the point and the direction alone: a record
 classifies its direction itself, and no caller can hand it a sector. The
@@ -55,7 +55,7 @@ import numpy as np
 
 from .background import BackgroundSample, _read_only
 from .errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
-from .kinematics import AuxVectors, NU_MIN_REL, Q_MIN_REL, _scalars_from, aux_vectors, scalars
+from .kinematics import AuxVectors, NU_MIN_REL, Q_MIN_REL, _scalar_values, aux_vectors, scalars
 
 __all__ = [
     "MetricBundle",
@@ -299,8 +299,9 @@ def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) ->
     ``_Direction(samples[k], Y[k])``: the measurement and the momentum are
     stacked products (a stacked ``matmul`` rounds as a single one), and
     between them every row runs the records' one scalar chain,
-    ``kinematics._scalars_from``, so the first row it refuses raises the
-    record's own error."""
+    ``kinematics._scalar_values``, so the first row it refuses raises the
+    record's own error. Only ``q``, ``B`` and ``J`` of each row's chain are
+    read, as plain values: no ``KinematicScalars`` is built."""
     a = np.array([s.a for s in samples])
     b_cov = np.array([s.b_cov for s in samples])
     g = np.array([s.g for s in samples])
@@ -308,8 +309,8 @@ def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) ->
     b = np.matmul(rows, b_cov[:, :, None])[:, 0, 0]
     gamma = np.matmul(np.matmul(rows, a), cols)[:, 0, 0] + b * b
     scale = np.sqrt(np.matmul(rows, cols)[:, 0, 0])
-    chains = map(_scalars_from, samples, Y, scale.tolist(), b.tolist(), gamma.tolist())
-    q, big_b, j = np.array([(scal.q, scal.B, scal.J) for scal in chains]).T
+    chains = map(_scalar_values, samples, Y, scale.tolist(), b.tolist(), gamma.tolist())
+    q, big_b, j = np.array([chain[:3] for chain in chains]).T
     with np.errstate(all="ignore"):  # a record's F^2 is a float product, which never warns
         y_cov = (np.matmul(a, cols)[:, :, 0] - (g * q)[:, None] * b_cov) * (j * j)[:, None]
         return np.concatenate([(big_b * j * j)[:, None], y_cov], axis=1)

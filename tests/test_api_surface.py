@@ -37,6 +37,7 @@ PARAMETERS = {
     "BackgroundSample": (
         "x", "a", "a_inv", "b_cov", "b_contra", "c", "g", "h_time", "h_space", "da", "db", "dg",
         "christoffel", "nabla_b", "time_leg", "curl", "christoffel_zero", "b_parallel", "dg_zero",
+        "time_cov", "frame_holder",
     ),
     "ConformalImage": ("zeta", "kappa", "S2", "p"),
     "CovectorStack": ("y_cov", "b_hat", "q_hat", "B_hat", "f_hat", "J_hat", "eps"),

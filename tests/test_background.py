@@ -12,6 +12,7 @@ from finsleroid.background import (
     BackgroundField,
     BackgroundSample,
     _base_stage,
+    _build_frame,
     _charge_stage,
     _direction_stage,
     load_config,
@@ -285,6 +286,38 @@ class TestCheapSampling:
         assert here.frame is frame
         assert not frame.flags.writeable and not here.frame_inv.flags.writeable
 
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_time_cov_is_the_lowered_time_leg(self, config_name):
+        field = load_config(config_path(config_name))
+        for x in POINTS:
+            here = sample(field, x)
+            assert here.time_cov.tobytes() == (here.time_leg @ here.a).tobytes()
+            assert not here.time_cov.flags.writeable
+
+    def test_samples_of_a_constant_direction_stage_share_one_frame(self):
+        field = load_config(config_path("desk_variable_g"))
+        first, second = (sample(field, x) for x in POINTS[:2])
+        assert first.frame_holder is second.frame_holder
+        assert first.frame_inv is second.frame_inv and first.frame is second.frame
+        varying = load_config(config_path("desk_shifted_b"))
+        assert sample(varying, POINTS[0]).frame_holder is not sample(varying, POINTS[1]).frame_holder
+
+    def test_replaced_sample_builds_its_own_frame(self):
+        # desk_curved_a: ``a`` varies with x0; desk_shifted_b: ``b_contra`` and ``c`` with x1
+        for config_name, names in (("desk_curved_a", ("a",)), ("desk_shifted_b", ("b_contra", "c"))):
+            field = load_config(config_path(config_name))
+            first, second = (sample(field, np.array(x)) for x in ([0.1, 0.1, 0, 0], [3.0, 0.4, 0, 0]))
+            built = first.frame_inv
+            assert dataclasses.replace(first).frame_inv is built
+            for name in names:
+                mixed = dataclasses.replace(first, **{name: getattr(second, name)})
+                legs = _build_frame(mixed.a, mixed.b_contra, mixed.c, mixed.time_leg)
+                assert mixed.frame_inv.tobytes() == legs.T.copy().tobytes() != built.tobytes()
+                assert mixed.frame.tobytes() == np.linalg.inv(legs.T).tobytes()
+        flipped = -first.time_leg
+        mixed = dataclasses.replace(first, time_leg=flipped)
+        assert mixed.frame_inv[:, 0].tobytes() == flipped.tobytes()
+
     def test_only_varying_entries_are_evaluated(self):
         constant = load_config(config_path("desk"))
         varying = load_config(config_path("desk_variable_g"))
@@ -310,7 +343,7 @@ class TestCheapSampling:
 POINTS = [np.array(p) for p in ([0.1, 0.4, 0.2, 0.3], [0.3, 0.05, -0.2, 0.1], [0.0, 0.6, 0.5, -0.4])]
 SAMPLE_FIELDS = (
     "x", "a", "a_inv", "b_cov", "b_contra", "c", "g", "h_time", "h_space",
-    "da", "db", "dg", "christoffel", "nabla_b", "time_leg",
+    "da", "db", "dg", "christoffel", "nabla_b", "time_leg", "time_cov",
 )
 
 
@@ -417,7 +450,11 @@ class TestStageResults:
             here = sample(field, x)
             for result in results:
                 for name, value in result.items():
-                    assert np.asarray(getattr(here, name)).tobytes() == np.asarray(value).tobytes()
+                    if name == "frame_holder":  # a holder is compared by the frame it builds
+                        got, value = here.frame_holder.frame_inv, value.frame_inv
+                    else:
+                        got = getattr(here, name)
+                    assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
         # the stages that ran once, when the field was built, hand over the same names
         by_stage = dict(zip(("base", "direction", "charge"), results))
         for name, stage in field._constant_stages.items():

@@ -16,6 +16,8 @@ import sys
 import numpy as np
 import pytest
 
+from finsleroid import cli
+
 from _reference import REF
 from conftest import config_path
 
@@ -458,6 +460,22 @@ class TestTopLevel:
     def test_unknown_subcommand_exits_two(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        inits = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["eval", "--config", DESK, *ORIGIN, "--vector", "1", "0", "0", "0"]) == 0
+        # the first call builds the parser and its six subparsers; the second reuses them
+        assert len(inits) == 7
+        assert capsys.readouterr().out.count("sector = time-future") == 2
 
     def test_console_script_matches_module(self):
         module = run_cli("eval", "--config", DESK, *ORIGIN, "--vector", "1", "0", "0", "0")

@@ -179,6 +179,34 @@ def test_check_samples_each_position_once_per_draw(config_name, samples_taken):
     assert len(samples_taken) == draws * (1 + 4 * field.dim)
 
 
+@pytest.mark.parametrize("config_name, builds", [("desk_variable_g", 1), ("desk_shifted_b", 9)])
+def test_check_builds_one_frame_per_direction_stage(config_name, builds, monkeypatch):
+    """The frame identity reads each draw's frame. On ``desk_variable_g`` the
+    direction stage reads only constants, so one frame serves the whole
+    battery; on ``desk_shifted_b`` every draw's point has its own."""
+    frames = _count_calls(monkeypatch, background._build_frame)
+    cli.run_check(load_config(config_path(config_name)), 9, 3)
+    assert len(frames) == builds
+
+
+def test_rows_chain_builds_no_record(variable_g, monkeypatch):
+    """The finite-difference rows read the chain's plain values; only
+    ``scalars`` wraps them in a ``KinematicScalars``."""
+    records = []
+    built = kinematics._built
+
+    def counted(cls, *parts):
+        records.append(cls)
+        return built(cls, *parts)
+
+    monkeypatch.setattr(kinematics, "_built", counted)
+    here = sample(variable_g, X_PROBE)
+    metric._f2_and_momentum_rows([here] * 16, np.tile(Y_TIME, (16, 1)))
+    assert records == []
+    kinematics.scalars(here, Y_TIME)
+    assert records == [kinematics.KinematicScalars]
+
+
 def test_pushforward_metric_check_reads_one_chain(desk, chains):
     pushforward_metric_check(desk, Y_TIME)
     assert len(chains) == 1
