@@ -86,7 +86,7 @@ from .numdiff import (
     _combine,
     _stencil,
 )
-from .spray import ORACLE_FD, _oracle, _probe_samples, _spray, geodesic_integrate
+from .spray import ORACLE_FD, _first_step, _oracle, _probe_samples, _spray, geodesic_integrate
 
 __all__ = ["main", "RunReport"]
 
@@ -214,6 +214,10 @@ def cmd_geodesic(args) -> int:
     _positive_arg(args.length, "--length")
     if args.step is not None:
         _positive_arg(args.step, "--step")
+    try:
+        _first_step(args.length, args.method, args.step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # open the output first, so that an unwritable path fails before integrating
     with contextlib.nullcontext() if args.out is None else open(
         args.out, "w", encoding="utf-8"

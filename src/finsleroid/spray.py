@@ -249,6 +249,21 @@ def _accept_node(
         return None, f"geometry degenerated at s = {s_next:.9g}: {exc}"
 
 
+def _first_step(length: float, method: str, step: float | None) -> float:
+    """``step``, or the default: ``length / 4096`` for rk4, ``length / 100`` for
+    rk45. A ``length`` whose default step underflows to zero is a ``ValueError``."""
+    if step is not None:
+        return float(step)
+    count = 4096 if method == "rk4" else 100
+    h = length / count
+    if h == 0.0:
+        raise ValueError(
+            f"length {length!r} is too short: its default {method} step "
+            f"length / {count} underflows to 0"
+        )
+    return h
+
+
 def geodesic_integrate(
     field: BackgroundField,
     x0: Sequence[float],
@@ -263,24 +278,28 @@ def geodesic_integrate(
     """Integrate the spray equation from ``(x0, y0)`` over parameter ``length``.
 
     ``method`` is ``rk4`` (fixed step, default ``length / 4096``) or ``rk45``
-    (adaptive embedded pair controlled by ``tol``). After every accepted
+    (adaptive embedded pair controlled by ``tol``, first step by default
+    ``length / 100``). After every accepted
     substep the velocity is re-classified; leaving the initial sector (or
     entering a degenerate configuration) truncates the trajectory at the last
     good node and records the reason. Each accepted node is measured once,
     into one direction record that classifies it and gives its squared norm
     and, in the rk4 loop, the next step's first stage. ``max_steps`` bounds
     the rk4 step count and the rk45 accepted steps; rk45 rejects a non-finite
-    error estimate and bounds the rejections in a row.
+    error estimate, bounds the rejections in a row, and stops at a step too
+    small to advance ``s``.
 
     Raises
     ------
     ValueError
         Unknown ``method``, a ``length`` or ``step`` that is not positive
-        and finite, or a ``tol`` that is not finite or is below the float
+        and finite, a ``length`` so short that its default step underflows to
+        zero, or a ``tol`` that is not finite or is below the float
         resolution ``np.finfo(float).eps``.
     NoConvergence
-        If the run needs more than ``max_steps`` steps, or rk45 more than
-        ``_MAX_REJECTED_IN_A_ROW`` rejections in a row.
+        If the run needs more than ``max_steps`` steps, rk45 more than
+        ``_MAX_REJECTED_IN_A_ROW`` rejections in a row, or an rk45 step
+        ``h`` with ``s + h == s``.
     """
     if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown integration method {method!r}")
@@ -289,6 +308,7 @@ def geodesic_integrate(
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not (math.isfinite(tol) and tol >= _EPS):  # below it, err overflows or reads 0
         raise ValueError(f"tol must be finite and at least {_EPS!r}, got {tol!r}")
+    h = _first_step(length, method, step)
     x_arr = np.asarray(x0, dtype=float)
     y_arr = np.asarray(y0, dtype=float)
     dim = x_arr.size
@@ -306,7 +326,6 @@ def geodesic_integrate(
     exit_reason: str | None = None
 
     if method == "rk4":
-        h = float(step) if step is not None else length / 4096.0
         steps_needed = length / h - 1e-12  # compared unrounded, so an infinite count raises too
         if steps_needed > max_steps:
             raise NoConvergence(
@@ -332,7 +351,6 @@ def geodesic_integrate(
             s_now += h
             rows.append(np.concatenate([[s_now], state, [node.f2]]))
     else:
-        h = float(step) if step is not None else length / 100.0
         step_used = h
         k_cache = _rhs(field, state, dim, node)
         accepted = rejected = 0
@@ -346,6 +364,10 @@ def geodesic_integrate(
                     f"adaptive integrator rejected {rejected} steps in a row at s = {s_now:.9g}"
                 )
             h = min(h, length - s_now)
+            if s_now + h == s_now:
+                raise NoConvergence(
+                    f"adaptive step {h!r} no longer advances s = {s_now:.9g}"
+                )
             try:
                 stages = [k_cache]
                 for row_idx in range(1, 7):

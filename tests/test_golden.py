@@ -26,7 +26,8 @@ before it can give a NaN curvature (their configurations are
 and ``eval_err_huge_vector`` cases give directions whose squared length
 leaves the normal float range; ``eval_err_tiny_vector`` gives one whose squared
 length is normal but whose frame metric divides by a product that underflows
-to zero. A refactor must
+to zero; the ``geodesic_err_*_short_length`` cases give a length whose
+default rk4 or rk45 step underflows to zero. A refactor must
 leave every byte as it is; a case is rewritten only for an intended change of
 output, and the change log says so.
 

@@ -279,6 +279,32 @@ class TestInterface:
             geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method=method, tol=tol)
 
 
+class TestStepsThatCannotAdvance:
+    """A default step that underflows to zero is refused before integrating,
+    and an rk45 step too small to advance ``s`` ends the run at once."""
+
+    @pytest.mark.parametrize("method, length", [("rk4", 1e-320), ("rk45", 5e-324)])
+    def test_default_step_that_underflows_is_refused(self, desk_field, method, length):
+        with pytest.raises(ValueError, match=rf"default {method} step .* underflows to 0"):
+            geodesic_integrate(desk_field, np.zeros(4), (1.0, 0.0, 0.0, 0.2), length, method=method)
+
+    def test_step_that_does_not_advance_s_ends_the_run(self, desk_field, monkeypatch):
+        # past x0 = 1/4 the right-hand side is scaled up by 1e30, so each step
+        # that reaches there is rejected and the accepted steps close in on
+        # s = 1/4 until a step no longer changes s
+        rhs = spray._rhs
+
+        def stiff_past_the_wall(field, state, dim, d=None):
+            k = rhs(field, state, dim, d)
+            return 1e30 * k if state[0] > 0.25 else k
+
+        monkeypatch.setattr(spray, "_rhs", stiff_past_the_wall)
+        with pytest.raises(NoConvergence, match=r"no longer advances s = 0\.25$"):
+            geodesic_integrate(
+                desk_field, np.zeros(4), Y_TIME, 1.0, method="rk45", max_steps=2000
+            )
+
+
 class TestAdaptiveRejections:
     """The rk45 loop rejects a step whose error estimate is not finite, and a
     run of rejections in a row ends in ``NoConvergence``."""
