@@ -2,7 +2,8 @@
 
 Every subcommand runs in a real subprocess so that argument parsing, record
 formatting, stream separation, and exit codes are exercised exactly as a
-shell user sees them.  Numeric fields are parsed back to floats and compared
+shell user sees them; only the test that the parser is built once per process
+calls ``cli.main`` in this one.  Numeric fields are parsed back to floats and compared
 against the frozen desk anchors; textual assertions use the library's own
 error messages verified elsewhere in the suite.
 """
@@ -466,7 +467,7 @@ class TestTopLevel:
         init = cli._Parser.__init__
 
         def counted(self, *args, **kwargs):
-            inits.append(kwargs.get("prog"))
+            inits.append(self)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counted)
