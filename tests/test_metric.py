@@ -513,6 +513,46 @@ class TestSharedRecord:
         assert _bits(frame_components(desk, y)) == _bits(fresh.frame)
 
 
+#: the array-valued pieces of a record (``y`` is the caller's own array)
+ARRAY_PIECES = ("y_cov", "g_cov", "g_contra", "C_vectors", "h_ang", "cartan", "frame")
+
+
+def _assert_read_only(d: metric._Direction) -> set[str]:
+    """Each array piece of ``d`` that its guards allow is read-only; return
+    the names of the pieces read."""
+    read = set()
+    for name in ARRAY_PIECES:
+        try:
+            value = getattr(d, name)
+        except GeometryError:
+            continue
+        read.add(name)
+        for arr in _flat(value):
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 7.0
+    return read
+
+
+class TestRecordArrays:
+    """A record marks each array it makes read-only when it makes it, so the
+    package's own readers hold the arrays the views return."""
+
+    @pytest.mark.parametrize("config_name", CONFIGS)
+    def test_every_array_piece_is_read_only(self, config_samples, config_name):
+        here = config_samples[config_name]
+        rng = np.random.default_rng(47)
+        read = set()
+        for tag in ("time-future", "space-like"):
+            for y in random_admissible(here, rng, tag, 4, margin=0.05):
+                d = metric._Direction(here, y)
+                read |= _assert_read_only(d)
+                # desk_curved_a has zero charge: its contracted forms are zeros
+                assert d.null_charge == (not np.any(d.C_vectors))
+        # at zero charge the cubic form raises NullCartan
+        assert read == set(ARRAY_PIECES) - ({"cartan"} if d.null_charge else set())
+
+
 def _rows_outcome(samples, Y):
     """The bytes of the rows chain over ``(samples[k], Y[k])``, or the type and
     message of the error it raises."""
