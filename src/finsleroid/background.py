@@ -236,15 +236,11 @@ class _FrameHolder:
 
     @cached_property
     def frame_inv(self) -> np.ndarray:
-        frame_inv = _build_frame(*self.inputs).T.copy()
-        _read_only(frame_inv)
-        return frame_inv
+        return _read_only(_build_frame(*self.inputs).T.copy())
 
     @cached_property
     def frame(self) -> np.ndarray:
-        frame = np.linalg.inv(self.frame_inv)
-        _read_only(frame)
-        return frame
+        return _read_only(np.linalg.inv(self.frame_inv))
 
 
 @dataclass(frozen=True)
@@ -528,9 +524,13 @@ def _flat_slices(dim: int) -> dict[str, slice]:
     return slices
 
 
-def _read_only(*arrays: np.ndarray) -> None:
+def _read_only(*arrays: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Mark ``arrays`` read-only where they are made and return them: the one
+    array, or the tuple of several, so a maker can end in ``return
+    _read_only(...)``."""
     for arr in arrays:
         arr.setflags(write=False)  # builds no flags object, unlike arr.flags
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def _at(coords: tuple[float, ...] | None) -> str:

@@ -23,8 +23,9 @@ public views (and ``spray.spray_coefficients``) share the last record they
 built: called again with the same sample object and the same direction
 bytes, a view reads that record, so ``metric_bundle``, ``indicatrix_curvature``
 and ``frame_components`` at one direction compute the chain and each piece
-once. Since the record is shared, every array a view
-returns is read-only, as the sample's arrays are; copy one to change it.
+once. A record marks each array it makes read-only as it makes it, as the
+sample's stages do, so the views return its arrays as they are and the
+package's own readers hold the same read-only arrays; copy one to change it.
 
 Key entry points
 ----------------
@@ -163,7 +164,7 @@ class _Direction:
     def y_cov(self) -> np.ndarray:
         sample, scal = self.sample, self.scal
         u = sample.a @ self.y
-        return (u - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J)
+        return _read_only((u - sample.g * scal.q * sample.b_cov) * (scal.J * scal.J))
 
     @_memo
     def g_cov(self) -> np.ndarray:
@@ -176,7 +177,7 @@ class _Direction:
         bv = b_cov[:, None] * v + v[:, None] * b_cov
         vv = v[:, None] * v
         inner = -q * (b + g * q) * bb + q * bv - eps * (b / q) * vv
-        return (sample.a - (g / scal.B) * inner) * j2
+        return _read_only((sample.a - (g / scal.B) * inner) * j2)
 
     @_memo
     def g_contra(self) -> np.ndarray:
@@ -191,7 +192,7 @@ class _Direction:
         bv = b_up[:, None] * v_up + v_up[:, None] * b_up
         vv = v_up[:, None] * v_up
         inner = -b * q * bb + q * bv - eps * ((b + g * c2 * q) / scal.nu) * vv
-        return (sample.a_inv + (g / scal.B) * inner) / j2
+        return _read_only((sample.a_inv + (g / scal.B) * inner) / j2)
 
     @_memo
     def det_ratio(self) -> float:
@@ -208,7 +209,7 @@ class _Direction:
         sample, scal = self.sample, self.scal
         if self.null_charge:
             zero = np.zeros(sample.dim)
-            return zero, zero.copy()
+            return _read_only(zero, zero.copy())
         self.require_q("cubic-form vector")
         self.require_nu("cubic-form vector")
         aux = self.aux
@@ -218,7 +219,7 @@ class _Direction:
         c_contra = (g / (2.0 * self.f2)) * (q / scal.X) * (
             -sample.b_contra + eps * ((b + g * c2 * q) / (q * scal.nu)) * aux.v_contra
         )
-        return c_cov, c_contra
+        return _read_only(c_cov, c_contra)
 
     @_memo
     def CC(self) -> float:
@@ -229,7 +230,7 @@ class _Direction:
 
     @_memo
     def h_ang(self) -> np.ndarray:
-        return self.g_cov - np.outer(self.y_cov, self.y_cov) / self.f2
+        return _read_only(self.g_cov - np.outer(self.y_cov, self.y_cov) / self.f2)
 
     @_memo
     def cartan(self) -> np.ndarray:
@@ -246,7 +247,7 @@ class _Direction:
         outer = np.einsum("i,jk->ijk", c_cov, h_ang)
         sym = outer + outer.transpose(1, 0, 2) + outer.transpose(1, 2, 0)
         triple = np.einsum("i,j,k->ijk", c_cov, c_cov, c_cov)
-        return x * (sym - (n + 1.0 - 1.0 / x) * triple / cc)
+        return _read_only(x * (sym - (n + 1.0 - 1.0 / x) * triple / cc))
 
     def curvature(
         self, seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None
@@ -289,7 +290,7 @@ class _Direction:
         g_frame[dim - 1, dim - 1] = -1.0 + (g / (big_b * q)) * (
             (g * q**3 - b * s2) * c * c + eps * b * z * z + 2.0 * s2 * b
         )
-        return FrameComponents(R=r, g_frame=g_frame * j2)
+        return FrameComponents(R=_read_only(r), g_frame=_read_only(g_frame * j2))
 
 
 def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) -> np.ndarray:
@@ -321,9 +322,7 @@ def _frame_signature(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The frame metric's transverse signs ``(+1, -1, ...)`` and their
     diagonal block, built once per dimension."""
     trans = np.concatenate([[1.0], -np.ones(dim - 2)])
-    block = np.diag(trans)
-    _read_only(trans, block)
-    return trans, block
+    return _read_only(trans, np.diag(trans))
 
 
 def _projected_pair(
@@ -365,9 +364,7 @@ def _projected_pair(
 @cache
 def _identity(dim: int) -> np.ndarray:
     """The read-only ``dim``-by-``dim`` identity whose rows seed the tangent pair."""
-    eye = np.eye(dim)
-    _read_only(eye)
-    return eye
+    return _read_only(np.eye(dim))
 
 
 # --- public views ------------------------------------------------------------
@@ -404,23 +401,17 @@ def metric_function(sample: BackgroundSample, y: Sequence[float]) -> float:
 
 def covariant_momentum(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Lowered direction ``y_i`` (half gradient of the squared norm)."""
-    y_cov = _record(sample, y).y_cov
-    _read_only(y_cov)
-    return y_cov
+    return _record(sample, y).y_cov
 
 
 def metric_tensor(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Covariant direction-dependent metric ``g_ij``."""
-    g_cov = _record(sample, y).g_cov
-    _read_only(g_cov)
-    return g_cov
+    return _record(sample, y).g_cov
 
 
 def inverse_metric(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Contravariant direction-dependent metric ``g^ij``."""
-    g_contra = _record(sample, y).g_contra
-    _read_only(g_contra)
-    return g_contra
+    return _record(sample, y).g_contra
 
 
 def determinant_ratio(sample: BackgroundSample, y: Sequence[float]) -> float:
@@ -430,9 +421,7 @@ def determinant_ratio(sample: BackgroundSample, y: Sequence[float]) -> float:
 
 def cartan_vector(sample: BackgroundSample, y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Contracted cubic form, covariant and contravariant (zeros at zero charge)."""
-    c_cov, c_contra = _record(sample, y).C_vectors
-    _read_only(c_cov, c_contra)
-    return c_cov, c_contra
+    return _record(sample, y).C_vectors
 
 
 def cartan_norm(sample: BackgroundSample, y: Sequence[float]) -> float:
@@ -442,9 +431,7 @@ def cartan_norm(sample: BackgroundSample, y: Sequence[float]) -> float:
 
 def angular_metric(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
     """Angular metric: the metric projected orthogonally to the direction."""
-    h_ang = _record(sample, y).h_ang
-    _read_only(h_ang)
-    return h_ang
+    return _record(sample, y).h_ang
 
 
 def cartan_tensor(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
@@ -457,9 +444,7 @@ def cartan_tensor(sample: BackgroundSample, y: Sequence[float]) -> np.ndarray:
         the contracted form: at zero charge (the exact limit value is zero),
         and on rays where the contracted form itself vanishes.
     """
-    cartan = _record(sample, y).cartan
-    _read_only(cartan)
-    return cartan
+    return _record(sample, y).cartan
 
 
 def indicatrix_curvature(
@@ -481,16 +466,14 @@ def indicatrix_curvature(
 
 def frame_components(sample: BackgroundSample, y: Sequence[float]) -> FrameComponents:
     """Direction and metric in the adapted frame, from closed frame formulas."""
-    frame = _record(sample, y).frame
-    _read_only(frame.R, frame.g_frame)
-    return frame
+    return _record(sample, y).frame
 
 
 def metric_bundle(sample: BackgroundSample, y: Sequence[float]) -> MetricBundle:
     """Assemble the full metric stack at one direction from one scalar chain."""
     d = _record(sample, y)
     # pieces are read in stack order, so the first failing guard names the error
-    bundle = MetricBundle(
+    return MetricBundle(
         F2=d.f2,
         y_cov=d.y_cov,
         g_cov=d.g_cov,
@@ -500,10 +483,5 @@ def metric_bundle(sample: BackgroundSample, y: Sequence[float]) -> MetricBundle:
         C_contra=d.C_vectors[1],
         CC=d.CC,
         h_ang=d.h_ang,
-        cartan=np.zeros((sample.dim,) * 3) if d.null_charge else d.cartan,
+        cartan=_read_only(np.zeros((sample.dim,) * 3)) if d.null_charge else d.cartan,
     )
-    _read_only(
-        bundle.y_cov, bundle.g_cov, bundle.g_contra, bundle.C_cov, bundle.C_contra,
-        bundle.h_ang, bundle.cartan,
-    )
-    return bundle
