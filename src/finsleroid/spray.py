@@ -251,16 +251,29 @@ def _accept_node(
 
 def _first_step(length: float, method: str, step: float | None) -> float:
     """``step``, or the default: ``length / 4096`` for rk4, ``length / 100`` for
-    rk45. A ``length`` whose default step underflows to zero is a ``ValueError``."""
+    rk45. A ``length`` whose default step underflows to zero is a ``ValueError``,
+    and so is an rk4 run whose loop step ``h = length / n_steps`` (not the step
+    asked for) leaves ``h / 6`` below the normal floats: the update
+    ``(h / 6) * (k1 + ...)`` would lose the motion."""
     if step is not None:
-        return float(step)
-    count = 4096 if method == "rk4" else 100
-    h = length / count
-    if h == 0.0:
-        raise ValueError(
-            f"length {length!r} is too short: its default {method} step "
-            f"length / {count} underflows to 0"
-        )
+        h = float(step)
+    else:
+        count = 4096 if method == "rk4" else 100
+        h = length / count
+        if h == 0.0:
+            raise ValueError(
+                f"length {length!r} is too short: its default {method} step "
+                f"length / {count} underflows to 0"
+            )
+    steps_needed = length / h - 1e-12  # as the rk4 loop counts them
+    # an infinite count is left to the loop, which refuses it by max_steps
+    if method == "rk4" and steps_needed < math.inf:
+        n_steps = max(1, math.ceil(steps_needed))
+        if length / n_steps / 6.0 < np.finfo(float).tiny:
+            raise ValueError(
+                f"rk4 step h = {length!r} / {n_steps} = {length / n_steps!r} leaves "
+                f"h / 6 below the normal float range"
+            )
     return h
 
 
@@ -294,8 +307,10 @@ def geodesic_integrate(
     ValueError
         Unknown ``method``, a ``length`` or ``step`` that is not positive
         and finite, a ``length`` so short that its default step underflows to
-        zero, or a ``tol`` that is not finite or is below the float
-        resolution ``np.finfo(float).eps``.
+        zero, an rk4 run whose loop step ``h = length / n_steps`` leaves
+        ``h / 6`` below the normal floats (the update would lose the motion),
+        or a ``tol`` that is not finite or is below the float resolution
+        ``np.finfo(float).eps``.
     NoConvergence
         If the run needs more than ``max_steps`` steps, rk45 more than
         ``_MAX_REJECTED_IN_A_ROW`` rejections in a row, or an rk45 step

@@ -27,7 +27,9 @@ and ``eval_err_huge_vector`` cases give directions whose squared length
 leaves the normal float range; ``eval_err_tiny_vector`` gives one whose squared
 length is normal but whose frame metric divides by a product that underflows
 to zero; the ``geodesic_err_*_short_length`` cases give a length whose
-default rk4 or rk45 step underflows to zero. A refactor must
+default rk4 or rk45 step underflows to zero, and the
+``geodesic_err_rk4_subnormal_*`` cases an rk4 step, default or requested,
+whose sixth is below the normal floats. A refactor must
 leave every byte as it is; a case is rewritten only for an intended change of
 output, and the change log says so.
 

@@ -288,6 +288,23 @@ class TestStepsThatCannotAdvance:
         with pytest.raises(ValueError, match=rf"default {method} step .* underflows to 0"):
             geodesic_integrate(desk_field, np.zeros(4), (1.0, 0.0, 0.0, 0.2), length, method=method)
 
+    @pytest.mark.parametrize("length, step", [(2e-320, None), (1e-320, 1.0), (1e-306, None)])
+    def test_rk4_step_whose_sixth_is_subnormal_is_refused(self, desk_field, length, step):
+        """The update ``(h / 6) * (k1 + ...)`` would lose the motion; the check
+        reads the step the loop takes, ``length / n_steps``, not the one asked for."""
+        with pytest.raises(ValueError, match=r"rk4 step h = .* h / 6 below the normal float"):
+            geodesic_integrate(desk_field, np.zeros(4), (1.0, 0.0, 0.0, 0.2), length, step=step)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_tiny_length_whose_steps_stay_normal_runs(self, desk_field, method):
+        """On ``desk`` the straight line from the origin has ``x0 = s``."""
+        traj = geodesic_integrate(
+            desk_field, np.zeros(4), (1.0, 0.0, 0.0, 0.2), 1e-300, method=method
+        )
+        assert traj.exit_reason is None
+        s, x0 = traj.samples[-1, :2]
+        assert s > 0.0 and abs(x0 - s) <= 1e-12 * s
+
     def test_step_that_does_not_advance_s_ends_the_run(self, desk_field, monkeypatch):
         # past x0 = 1/4 the right-hand side is scaled up by 1e30, so each step
         # that reaches there is rejected and the accepted steps close in on
