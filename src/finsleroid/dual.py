@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import BackgroundField, BackgroundSample, sample as sample_background
+from .background import BackgroundField, BackgroundSample, _read_only, sample as sample_background
 from .errors import CNotUnit, NoConvergence, UnsupportedCovector
 from .expressions import FieldExpression
 from .kinematics import GAMMA_TOL_REL, MARGIN_TOL_REL, _chain, _margins, _measure
@@ -78,7 +78,7 @@ def covector_stack(sample: BackgroundSample, y_cov: Sequence[float]) -> Covector
         Outside the two supported dual cones (isotropic covectors, past
         orientation, the gap region, and the positive-support null ray).
     """
-    p = np.asarray(y_cov, dtype=float)
+    p = _read_only(np.array(y_cov, dtype=float))  # a copy: the stack keeps no caller's array
     scale, b_hat, gamma_hat = _measure(sample.a_inv, sample.b_contra, p)
     tol_gamma = GAMMA_TOL_REL * scale * scale
     tol_margin = MARGIN_TOL_REL * scale

@@ -68,6 +68,16 @@ class TestDualChain:
         assert abs(stack.b_hat - (scal.b + desk.g * scal.q) * j2) < 1e-12
         assert abs(stack.q_hat - scal.q * j2) < 1e-12
 
+    def test_stack_holds_a_read_only_copy(self, desk):
+        """A later write into the caller's covector leaves the frozen stack as it was."""
+        p = np.array([0.84, 0.0, 0.0, -0.51])
+        stack = covector_stack(desk, p)
+        assert stack.y_cov is not p
+        with pytest.raises(ValueError, match="read-only"):
+            stack.y_cov[0] = 9.0
+        p[0] = 9.0
+        assert stack.y_cov[0] == 0.84
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("y", [Y_TIME, Y_SPACE], ids=["time", "space"])
