@@ -59,6 +59,7 @@ __all__ = [
     "TOL_FRAME_CONSTANT",
     "TOL_FRAME_VARYING",
     "TOL_FD_SELFTEST",
+    "TOL_CHART_COVARIANCE",
 ]
 
 # --- tolerances (single source of truth) ------------------------------------
@@ -120,6 +121,9 @@ TOL_FRAME_CONSTANT = 1e-12
 TOL_FRAME_VARYING = 1e-9
 #: Finite-difference self-test on polynomials of degree at most four.
 TOL_FD_SELFTEST = 1e-9
+#: The stack in a constant linear change of chart versus its tensor
+#: transform, relative to the largest component (rounding alone).
+TOL_CHART_COVARIANCE = 1e-12
 
 
 # --- configuration -----------------------------------------------------------
