@@ -15,6 +15,7 @@ from finsleroid.expressions import (
     Neg,
     Num,
     Var,
+    _tokenize,
     parse_expression,
 )
 
@@ -105,6 +106,57 @@ class TestSyntaxErrors:
     def test_dangling_tokens(self):
         with pytest.raises(ConfigSyntaxError):
             parse_expression("1 2")
+
+
+#: tokens as ``(kind, text, offset)``, the end token included
+TOKEN_CASES = [
+    ("1.", [("num", "1.", 0), ("end", "", 2)]),
+    (".5.3", [("num", ".5", 0), ("num", ".3", 2), ("end", "", 4)]),
+    ("1e", [("num", "1", 0), ("ident", "e", 1), ("end", "", 2)]),
+    ("1e+", [("num", "1", 0), ("ident", "e", 1), ("+", "+", 2), ("end", "", 3)]),
+    ("1.e5", [("num", "1.e5", 0), ("end", "", 4)]),
+    ("1E-3*x1", [("num", "1E-3", 0), ("*", "*", 4), ("ident", "x1", 5), ("end", "", 7)]),
+    ("2x0", [("num", "2", 0), ("ident", "x0", 1), ("end", "", 3)]),
+    ("x0 2", [("ident", "x0", 0), ("num", "2", 3), ("end", "", 4)]),
+    ("e5", [("ident", "e5", 0), ("end", "", 2)]),
+    ("1..2", [("num", "1.", 0), ("num", ".2", 2), ("end", "", 4)]),
+    (
+        "a_1(x0)",
+        [("ident", "a_1", 0), ("(", "(", 3), ("ident", "x0", 4), (")", ")", 6), ("end", "", 7)],
+    ),
+    ("\tx0", [("ident", "x0", 1), ("end", "", 3)]),
+    ("x0 ", [("ident", "x0", 0), ("end", "", 3)]),
+]
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, expected", TOKEN_CASES)
+    def test_token_table(self, text, expected):
+        assert [(t.kind, t.text, t.offset) for t in _tokenize(text)] == expected
+
+    @pytest.mark.parametrize("text, offset", [(".e5", 0), ("x0 + .", 5), ("1 , 2", 2)])
+    def test_stray_characters(self, text, offset):
+        with pytest.raises(ConfigSyntaxError, match=f"unexpected character .+ at offset {offset}$"):
+            _tokenize(text)
+
+
+#: ASCII fragments that random expression text is built from
+_FRAGMENTS = (
+    list("0123456789.eE+-*/^() \t\n$#!,_")
+    + ["x0", "x1", "x12", "sin", "exp", "ln", "sqrt", "abs", "foo", "1e3", ".5", "2.5E-1"]
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+def test_ascii_text_parses_or_is_a_syntax_error(text):
+    """Any ASCII text parses, and its printed form parses to the same tree;
+    or it raises ``ConfigSyntaxError``. Nothing else escapes."""
+    try:
+        expr = parse_expression(text)
+    except ConfigSyntaxError:
+        return
+    assert parse_expression(str(expr)).ast == expr.ast
 
 
 class TestDifferentiation:
