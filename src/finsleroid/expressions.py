@@ -5,6 +5,13 @@ built from ``+ - * / ^`` (with ``^`` binding tightest and associating to the
 right), parentheses, unary minus, decimal literals, and the function set
 ``sin cos tan exp ln sqrt sinh cosh tanh atan abs``.
 
+The tokens are ASCII. A number is ``[0-9]+(.[0-9]*)?`` or ``.[0-9]+``,
+followed by an exponent ``[eE][+-]?[0-9]+`` only where the exponent has a
+digit (``1e+`` is the number ``1``, the name ``e`` and ``+``). A name is
+``[A-Za-z_][A-Za-z0-9_]*``. Whitespace, Unicode spaces included, separates
+tokens; any other character, a digit or letter beyond ASCII among them, is a
+syntax error at its offset.
+
 Key entry points
 ----------------
 parse_expression
@@ -21,6 +28,7 @@ FieldExpression.differentiate
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
@@ -100,7 +108,14 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 # --- tokenizer ---------------------------------------------------------------
 
-_OPERATORS = set("+-*/^()")
+# ``\s`` matches what ``str.isspace`` accepts, so Unicode spaces still
+# separate tokens; every other character outside ASCII is a ``bad`` one.
+_TOKEN = re.compile(
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
+)
 
 
 @dataclass(frozen=True)
@@ -112,42 +127,12 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        raise ConfigSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, token, offset = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ConfigSyntaxError(f"unexpected character {token!r} at offset {offset}")
+        tokens.append(_Token(token if kind == "op" else kind, token, offset))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -200,6 +185,16 @@ class _Parser:
             node = BinOp("^", node, self.factor())
         return node
 
+    def parenthesized(self) -> Node:
+        """``( expr )``, from the opening parenthesis at ``peek()``."""
+        self.advance()
+        node = self.expr()
+        closing = self.peek()
+        if closing.kind != ")":
+            raise self.fail("expected ')'", closing)
+        self.advance()
+        return node
+
     def base(self) -> Node:
         token = self.peek()
         if token.kind == "-":
@@ -209,25 +204,13 @@ class _Parser:
             self.advance()
             return Num(float(token.text))
         if token.kind == "(":
-            self.advance()
-            node = self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise self.fail("expected ')'", closing)
-            self.advance()
-            return node
+            return self.parenthesized()
         if token.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
                 if token.text not in FUNCTIONS:
                     raise self.fail(f"unknown function {token.text!r}", token)
-                self.advance()
-                arg = self.expr()
-                closing = self.peek()
-                if closing.kind != ")":
-                    raise self.fail("expected ')'", closing)
-                self.advance()
-                return Call(token.text, arg)
+                return Call(token.text, self.parenthesized())
             name = token.text
             if name.startswith("x") and name[1:].isdigit():
                 return Var(int(name[1:]))

@@ -319,6 +319,16 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert "line 2: syntax error at column 9" in result.stderr
 
+    def test_non_ascii_digit_in_config_exits_two(self, tmp_path):
+        bad = tmp_path / "superscript.cfg"
+        bad.write_text("dim = 4\na.0.0 = 1\ng = 0.\u00b2\n", encoding="utf-8")
+        result = run_cli("eval", "--config", str(bad), *ORIGIN, "--vector", "1", "0", "0", "0")
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[:-1] == [
+            "configuration error: line 3: syntax error at column 5: "
+            "unexpected character '\u00b2' at offset 2"
+        ]
+
     def test_sampler_exhaustion_exits_three(self, tmp_path):
         # a valid Lorentzian base whose time-future cone is too thin to hit
         thin = tmp_path / "thin_cone.cfg"
@@ -404,6 +414,15 @@ class TestHamiltonianCommand:
         assert result.returncode == 0
         records = parse_records(result.stdout)
         assert float(records["hj_residual"]) < 1e-12
+
+    def test_non_ascii_action_exits_two(self):
+        result = run_cli(
+            "hamiltonian", "--config", DESK, *ORIGIN, "--action", "x0\u00b2", "--mass", "1"
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[:-1] == [
+            "configuration error: unexpected character '\u00b2' at offset 2"
+        ]
 
     def test_null_ray_covector_exits_three(self):
         result = run_cli(

@@ -95,6 +95,19 @@ class TestSyntaxErrors:
         with pytest.raises(ConfigSyntaxError, match=r"unexpected character '\$' at offset 2"):
             parse_expression("1 $ 2")
 
+    @pytest.mark.parametrize(
+        "text, char, offset",
+        [("\u00b2", "\u00b2", 0), ("x0\u00b2", "\u00b2", 2), ("\u0663 + 1", "\u0663", 0)],
+    )
+    def test_non_ascii_character(self, text, char, offset):
+        """Digits and letters beyond ASCII are stray characters, not numbers or names."""
+        with pytest.raises(ConfigSyntaxError) as info:
+            parse_expression(text)
+        assert str(info.value) == f"unexpected character {char!r} at offset {offset}"
+
+    def test_unicode_space_separates_tokens(self):
+        assert parse_expression("x0\u00a0+\u20031").ast == BinOp("+", Var(0), Num(1.0))
+
     def test_unknown_function(self):
         with pytest.raises(ConfigSyntaxError):
             parse_expression("frob(x0)")
