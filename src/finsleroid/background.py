@@ -56,6 +56,7 @@ build. Every sample that shares a stage's result shares its holder, so when
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
@@ -318,7 +319,7 @@ class BackgroundSample:
 
 
 def _parse_index(part: str, key: str, lineno: int) -> int:
-    if not part.isdigit():
+    if not re.fullmatch("[0-9]+", part):
         raise ConfigSyntaxError(f"line {lineno}: malformed key {key!r}")
     return int(part)
 
@@ -329,7 +330,8 @@ def parse_config(text: str) -> BackgroundField:
     Raises
     ------
     ConfigSyntaxError
-        Malformed lines or value expressions; value-expression problems are
+        Malformed lines or value expressions, or a ``dim`` or key index that
+        is not ASCII digits (``dim`` may carry a sign); value-expression problems are
         reported as ``syntax error at column <n>`` where ``<n>`` is the
         1-based column at which the value expression starts.
     ConfigDimensionError
@@ -363,12 +365,11 @@ def parse_config(text: str) -> BackgroundField:
             raise ConfigDuplicateError(f"line {lineno}: duplicate key {key!r}")
 
         if key == "dim":
-            try:
-                dim_value = int(value_text)
-            except ValueError:
+            if not re.fullmatch("[+-]?[0-9]+", value_text):
                 raise ConfigSyntaxError(
                     f"line {lineno}: syntax error at column {value_col}: dim must be an integer"
-                ) from None
+                )
+            dim_value = int(value_text)
             if dim_value < 2:
                 raise ConfigDimensionError(f"line {lineno}: dim must be at least 2")
             dim = dim_value
@@ -439,8 +440,20 @@ def parse_config(text: str) -> BackgroundField:
 
 
 def load_config(path: str | Path) -> BackgroundField:
-    """Read and parse a configuration file."""
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a configuration file.
+
+    Raises
+    ------
+    ConfigSyntaxError
+        Besides :func:`parse_config`'s cases, a file that is not UTF-8, with
+        the byte offset of the first undecodable byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return parse_config(text)
 
 
 # --- sampling ----------------------------------------------------------------

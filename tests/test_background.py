@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ class TestParseErrors:
     def test_dim_too_small(self):
         with pytest.raises(ConfigDimensionError):
             parse_config("dim = 1\n")
+
+    @pytest.mark.parametrize("dim", ["-3", "+1"])
+    def test_signed_dim_reads_as_a_number(self, dim):
+        with pytest.raises(ConfigDimensionError, match="dim must be at least 2"):
+            parse_config(f"dim = {dim}\n")
+
+    @pytest.mark.parametrize("dim", ["1_0", "\u0664", "\uff14", "4.0", "\u00b2"])
+    def test_dim_is_ascii_digits(self, dim):
+        with pytest.raises(ConfigSyntaxError, match="dim must be an integer"):
+            parse_config(f"dim = {dim}\n")
+
+    @pytest.mark.parametrize(
+        "key", ["a.\u0660.\u0660", "a.\u00b2.0", "b.\u0663", "b.+1", "b.1_0"]
+    )
+    def test_key_index_is_ascii_digits(self, key):
+        with pytest.raises(ConfigSyntaxError, match=re.escape(f"line 2: malformed key {key!r}")):
+            parse_config(f"dim = 4\n{key} = 1\n")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(DESK_TEXT.encode() + b"# \xff\xfe\n")
+        with pytest.raises(ConfigSyntaxError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: not UTF-8 text at byte {len(DESK_TEXT) + 2}"
 
     def test_index_out_of_range(self):
         with pytest.raises(ConfigDimensionError, match="out of range"):

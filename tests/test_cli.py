@@ -329,6 +329,15 @@ class TestCheckCommand:
             "unexpected character '\u00b2' at offset 2"
         ]
 
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"dim = 4\n# \xff\xfe\na.0.0 = 1\n")
+        result = run_cli("eval", "--config", str(bad), *ORIGIN, "--vector", "1", "0", "0", "0")
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[:-1] == [
+            f"configuration error: {bad}: not UTF-8 text at byte 10"
+        ]
+
     def test_sampler_exhaustion_exits_three(self, tmp_path):
         # a valid Lorentzian base whose time-future cone is too thin to hit
         thin = tmp_path / "thin_cone.cfg"
