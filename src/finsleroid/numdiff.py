@@ -121,8 +121,8 @@ TOL_FRAME_CONSTANT = 1e-12
 TOL_FRAME_VARYING = 1e-9
 #: Finite-difference self-test on polynomials of degree at most four.
 TOL_FD_SELFTEST = 1e-9
-#: The stack in a constant linear change of chart versus its tensor
-#: transform, relative to the largest component (rounding alone).
+#: The stack in a change of chart (constant linear, or curved) versus its
+#: tensor transform, relative to the largest component (rounding alone).
 TOL_CHART_COVARIANCE = 1e-12
 
 

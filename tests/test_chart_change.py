@@ -13,12 +13,24 @@ at ``p' = L^T p``) must not change, and the covariants must transform:
 the cubic form on each index, and the spray ``G' = L^-1 G`` (``L`` is
 constant). A refusal must be the same in both charts. ``frame_components``
 and the angular chart depend on the chart by construction and are left out.
+
+A second chart varies with position: ``x = phi(x')`` with
+``phi_i = x'_i + 0.05 f_i(x'_p) x'_q`` (``f_i`` is ``sin`` or ``exp``), its
+Jacobian ``J`` written as expression text. The rewritten configurations are
+nested expressions that the parser, the symbolic derivative and the compiled
+evaluator all see. The tensors transform with ``J`` at the point, and the
+spray picks up the second derivatives of ``phi``:
+``G' = J^-1 (G(phi(x'), J y') + d^2 phi(y', y'))``. In this chart ``desk``
+and ``desk_c09`` have a curved base with a nonzero charge and a parallel
+``b``, so the spray's drift and curl terms run and must cancel to the base
+connection quadratic (the Berwald case).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
@@ -55,8 +67,70 @@ def chart_matrix(seed: int, dim: int = 4) -> np.ndarray:
     return np.eye(dim) + 0.1 * np.random.default_rng(seed).standard_normal((dim, dim))
 
 
-def transformed_config(text: str, L: np.ndarray) -> str:
-    """The configuration ``text`` rewritten in the chart ``x = L x'``."""
+class LinearChart:
+    """``x = L x'``; a coefficient of the rewritten config is one literal,
+    the product of its entries of ``L``."""
+
+    def __init__(self, L: np.ndarray) -> None:
+        self.L, self.dim = L, L.shape[0]
+
+    def coordinate(self, i: int) -> str:
+        return "(" + " + ".join(f"({float(self.L[i, j])!r})*x{j}" for j in range(self.dim)) + ")"
+
+    def coefficient(self, *entries: tuple[int, int]) -> str:
+        return f"({math.prod(float(self.L[e]) for e in entries)!r})"
+
+
+#: ``phi_i = x_i + EPS s_i(x)`` with ``s_i = f_i(x_p) x_q``, as ``(f_i, p, q)``
+CURVED_MAP = (("sin", 1, 2), ("exp", 3, 0), ("sin", 0, 3), ("exp", 1, 2))
+EPS = 0.05
+#: ``f``, ``f'`` and ``f''`` of each function in ``CURVED_MAP``: text, then numbers
+SLOPES = {"sin": ("cos", np.sin, np.cos, lambda t: -np.sin(t)), "exp": ("exp",) + (np.exp,) * 3}
+
+
+class CurvedChart:
+    """``x = phi(x')``, with ``phi`` and its Jacobian ``J`` written as text:
+    a coefficient of the rewritten config is the product of its entries of
+    ``J``, each an expression in ``x'``, or ``None`` where one is zero."""
+
+    dim = 4
+
+    def coordinate(self, i: int) -> str:
+        f, p, q = CURVED_MAP[i]
+        return f"(x{i} + {EPS!r}*{f}(x{p})*x{q})"
+
+    def jacobian_text(self, i: int, k: int) -> str | None:
+        f, p, q = CURVED_MAP[i]
+        terms = ["1"] * (i == k)
+        terms += [f"{EPS!r}*{SLOPES[f][0]}(x{p})*x{q}"] * (k == p)
+        terms += [f"{EPS!r}*{f}(x{p})"] * (k == q)
+        return " + ".join(terms) or None
+
+    def coefficient(self, *entries: tuple[int, int]) -> str | None:
+        texts = [self.jacobian_text(i, k) for i, k in entries]
+        return None if None in texts else "*".join(f"({t})" for t in texts)
+
+    def point(self, x: np.ndarray) -> np.ndarray:
+        return np.array([x[i] + EPS * SLOPES[f][1](x[p]) * x[q] for i, (f, p, q) in enumerate(CURVED_MAP)])
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        J = np.eye(self.dim)
+        for i, (f, p, q) in enumerate(CURVED_MAP):
+            J[i, p] += EPS * SLOPES[f][2](x[p]) * x[q]
+            J[i, q] += EPS * SLOPES[f][1](x[p])
+        return J
+
+    def second(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``d^2 phi(y, y)``: the second derivatives of ``phi`` on ``y`` twice."""
+        return np.array([
+            EPS * (SLOPES[f][3](x[p]) * x[q] * y[p] ** 2 + 2.0 * SLOPES[f][2](x[p]) * y[p] * y[q])
+            for f, p, q in CURVED_MAP
+        ])
+
+
+def transformed_config(text: str, chart) -> str:
+    """The configuration ``text`` rewritten in ``chart``: every ``x_i``
+    becomes ``chart.coordinate(i)``, ``a' = J^T a J`` and ``b' = J^T b``."""
     dim, entries = None, {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0]
@@ -72,23 +146,24 @@ def transformed_config(text: str, L: np.ndarray) -> str:
                 entries[key] = value
 
     def pulled_back(key: str) -> str:
-        def new_coords(match: re.Match) -> str:
-            row = L[int(match[1])]
-            return "(" + " + ".join(f"({float(row[j])!r})*x{j}" for j in range(dim)) + ")"
+        return "(" + _COORD.sub(lambda match: chart.coordinate(int(match[1])), entries[key]) + ")"
 
-        return "(" + _COORD.sub(new_coords, entries[key]) + ")"
-
-    def combination(terms: list[tuple[float, str]]) -> str:
-        present = [f"({float(c)!r})*{pulled_back(k)}" for c, k in terms if k in entries]
+    def combination(terms: list[tuple[str | None, str]]) -> str:
+        present = [f"{c}*{pulled_back(k)}" for c, k in terms if k in entries and c is not None]
         return " + ".join(present) or "0"
 
     lines = [f"dim = {dim}"]
     for k in range(dim):
         for m in range(k, dim):
-            terms = [(L[i, k] * L[j, m], f"a.{i}.{j}") for i in range(dim) for j in range(dim)]
+            terms = [
+                (chart.coefficient((i, k), (j, m)), f"a.{i}.{j}")
+                for i in range(dim)
+                for j in range(dim)
+            ]
             lines.append(f"a.{k}.{m} = {combination(terms)}")
     for k in range(dim):
-        lines.append(f"b.{k} = {combination([(L[i, k], f'b.{i}') for i in range(dim)])}")
+        terms = [(chart.coefficient((i, k)), f"b.{i}") for i in range(dim)]
+        lines.append(f"b.{k} = {combination(terms)}")
     lines.append(f"g = {pulled_back('g') if 'g' in entries else '0'}")
     return "\n".join(lines) + "\n"
 
@@ -97,7 +172,7 @@ def _charts(name: str, seed: int):
     """``(L, sample in the shipped chart, sample in the new chart)``."""
     L = chart_matrix(seed)
     text = Path(config_path(name)).read_text(encoding="utf-8")
-    new_field = parse_config(transformed_config(text, L))
+    new_field = parse_config(transformed_config(text, LinearChart(L)))
     x_new = np.linalg.solve(L, X_OLD)
     return L, sample(load_config(config_path(name)), L @ x_new), sample(new_field, x_new)
 
@@ -189,6 +264,50 @@ def test_indicatrix_curvature_is_chart_invariant(config_name, seed):
         )
 
 
+def _curved_charts(name: str):
+    """``(J, d^2 phi, sample at phi(x'), sample in the curved chart at x')``."""
+    chart, x_new = CurvedChart(), X_OLD
+    text = Path(config_path(name)).read_text(encoding="utf-8")
+    old = sample(load_config(config_path(name)), chart.point(x_new))
+    new = sample(parse_config(transformed_config(text, chart)), x_new)
+    return chart.jacobian(x_new), lambda y: chart.second(x_new, y), old, new
+
+
+@pytest.mark.parametrize("config_name", CONFIGS)
+def test_stack_transforms_with_a_curved_chart(config_name):
+    """The tensors transform with the pointwise Jacobian, and the spray as
+    ``G' = J^-1 (G(phi(x'), J y') + d^2 phi(y', y'))``."""
+    J, second, old, new = _curved_charts(config_name)
+    compared = 0
+    for y, _ in _pairs(old, 0):
+        y_new = np.linalg.solve(J, y)
+        compared += _agree(lambda: metric_function(old, y), lambda: metric_function(new, y_new))
+        for view, transform in COVARIANTS[:-1]:
+            compared += _agree(
+                lambda: view(old, y), lambda: view(new, y_new), lambda v: transform(J, v)
+            )
+        compared += _agree(
+            lambda: spray_coefficients(old, y).G,
+            lambda: spray_coefficients(new, y_new).G,
+            lambda G: np.linalg.solve(J, G + second(y_new)),
+        )
+    # at zero charge the cubic form refuses
+    assert compared >= 8 * 5
+
+
+@pytest.mark.parametrize("config_name", ["desk", "desk_c09"])
+def test_berwald_spray_in_a_curved_chart(config_name):
+    """Parallel ``b`` and constant ``g != 0``: in the curved chart the
+    connection is not zero and ``b_parallel`` does not hold to the bit, yet
+    the spray is the base connection's quadratic ``Gamma(y, y)``."""
+    _, _, old, new = _curved_charts(config_name)
+    assert new.g != 0.0 and not new.christoffel_zero
+    for y, _ in _pairs(new, 0):
+        G = spray_coefficients(new, y).G
+        quadratic = np.einsum("inm,n,m->i", new.christoffel, y, y)
+        assert _rel(G, quadratic) <= TOL_CHART_COVARIANCE, (_rel(G, quadratic), G, quadratic)
+
+
 def _check_exit(config: str, seed: int) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(["check", "--config", config, "--samples", "12", "--seed", str(seed)])
@@ -200,5 +319,5 @@ def _check_exit(config: str, seed: int) -> int:
 def test_check_battery_passes_in_a_new_chart(config_name, tmp_path):
     text = Path(config_path(config_name)).read_text(encoding="utf-8")
     config = tmp_path / f"{config_name}.cfg"
-    config.write_text(transformed_config(text, chart_matrix(0)), encoding="utf-8")
+    config.write_text(transformed_config(text, LinearChart(chart_matrix(0))), encoding="utf-8")
     assert [_check_exit(str(config), seed) for seed in range(3)] == [0, 0, 0]
