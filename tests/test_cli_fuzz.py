@@ -2,7 +2,9 @@
 
 The commands ``eval``, ``angle``, ``conformal``, ``hamiltonian`` and
 ``geodesic`` run in process on all shipped configurations, with vectors and
-lengths of magnitudes from 1e-320 to 1e300. The contract each run keeps:
+lengths of magnitudes from 1e-320 to 1e300. Short expression texts, made of
+ASCII tokens and a few characters beyond ASCII, go in as a config's ``g`` line
+and as ``hamiltonian --action``. The contract each run keeps:
 
 * the exit code is 0, 2 or 3; 1 would be an identity breach, and the engine
   has none that is real;
@@ -114,6 +116,42 @@ def test_geodesic(config, point, velocity, scale, unit, method):
     if method == "rk4" and length / 8 > 0.0:
         argv += ["--step", _number(length / 8)]
     assert_contract(argv)
+
+
+#: operands: ASCII numbers and names, then characters beyond ASCII (a
+#: superscript two, an Arabic-Indic three and a Greek pi)
+_OPERANDS = ["0", "1", "2.5", ".5", "1e3", "1.e-2", "e", "x0", "x1", "x3", "x9"]
+_OPERANDS += ["\u00b2", "\u0663", "\u03c0"]
+#: joints: operators, a no-break space, juxtaposition and a stray character
+_JOINTS = ["+", " - ", "*", "/", "^", "\u00a0+", "", " ", "$"]
+expressions = st.recursive(
+    st.sampled_from(_OPERANDS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(_JOINTS), inner).map("".join),
+        st.tuples(st.sampled_from(["sin", "exp", "ln", "sqrt", "abs", "-", ""]), inner).map(
+            lambda call: f"{call[0]}({call[1]})"
+        ),
+    ),
+    max_leaves=6,
+)
+DESK_WITHOUT_G = "dim = 4\na.0.0 = 1\na.1.1 = -1\na.2.2 = -1\na.3.3 = -1\nb.3 = 1\n"
+
+
+@settings(SETTINGS, max_examples=150)
+@given(expressions, points)
+def test_expression_as_charge(tmp_path_factory, text, point):
+    config = tmp_path_factory.getbasetemp() / "charge.cfg"
+    config.write_text(f"{DESK_WITHOUT_G}g = {text}\n", encoding="utf-8")
+    assert_contract(
+        ["eval", "--config", str(config), "--point", *point, "--vector", "1", "0", "0", "0.2"]
+    )
+
+
+@settings(SETTINGS, max_examples=150)
+@given(expressions, points)
+def test_expression_as_action(text, point):
+    assert_contract(["hamiltonian", "--config", config_path("desk"), "--point", *point,
+                     f"--action={text}", "--mass", "1"])
 
 
 @pytest.mark.xfail(
