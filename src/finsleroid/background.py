@@ -330,8 +330,8 @@ def parse_config(text: str) -> BackgroundField:
     Raises
     ------
     ConfigSyntaxError
-        Malformed lines or value expressions, or a ``dim`` or key index that
-        is not ASCII digits (``dim`` may carry a sign); value-expression problems are
+        Malformed lines or value expressions, or a ``dim`` or key index not
+        made of ASCII digits (``dim`` may be signed); value-expression problems are
         reported as ``syntax error at column <n>`` where ``<n>`` is the
         1-based column at which the value expression starts.
     ConfigDimensionError
@@ -440,14 +440,8 @@ def parse_config(text: str) -> BackgroundField:
 
 
 def load_config(path: str | Path) -> BackgroundField:
-    """Read and parse a configuration file.
-
-    Raises
-    ------
-    ConfigSyntaxError
-        Besides :func:`parse_config`'s cases, a file that is not UTF-8, with
-        the byte offset of the first undecodable byte.
-    """
+    """Read and parse a configuration file; one that is not UTF-8 is a
+    ``ConfigSyntaxError`` naming the offset of its first undecodable byte."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")

@@ -109,7 +109,7 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 # --- tokenizer ---------------------------------------------------------------
 
 # ``\s`` matches what ``str.isspace`` accepts, so Unicode spaces still
-# separate tokens; every other character outside ASCII is a ``bad`` one.
+# separate tokens; any other character the first three groups refuse is ``bad``.
 _TOKEN = re.compile(
     r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
