@@ -275,13 +275,19 @@ def _curved_charts(name: str):
 
 @pytest.mark.parametrize("config_name", CONFIGS)
 def test_stack_transforms_with_a_curved_chart(config_name):
-    """The tensors transform with the pointwise Jacobian, and the spray as
-    ``G' = J^-1 (G(phi(x'), J y') + d^2 phi(y', y'))``."""
+    """The invariants hold, the tensors transform with the Jacobian at the
+    point, and the spray as ``G' = J^-1 (G(phi(x'), J y') + d^2 phi(y', y'))``."""
     J, second, old, new = _curved_charts(config_name)
     compared = 0
-    for y, _ in _pairs(old, 0):
-        y_new = np.linalg.solve(J, y)
+    for y, y2 in _pairs(old, 0):
+        y_new, y2_new = np.linalg.solve(J, y), np.linalg.solve(J, y2)
+        p = covariant_momentum(old, y)
         compared += _agree(lambda: metric_function(old, y), lambda: metric_function(new, y_new))
+        compared += _agree(lambda: angle(old, y, y2), lambda: angle(new, y_new, y2_new))
+        compared += _agree(
+            lambda: scalar_product(old, y, y2), lambda: scalar_product(new, y_new, y2_new)
+        )
+        compared += _agree(lambda: hamiltonian(old, p), lambda: hamiltonian(new, J.T @ p))
         for view, transform in COVARIANTS[:-1]:
             compared += _agree(
                 lambda: view(old, y), lambda: view(new, y_new), lambda v: transform(J, v)
@@ -291,7 +297,7 @@ def test_stack_transforms_with_a_curved_chart(config_name):
             lambda: spray_coefficients(new, y_new).G,
             lambda G: np.linalg.solve(J, G + second(y_new)),
         )
-    # at zero charge the cubic form refuses
+    # below unit norm the three unit-norm invariants refuse, and at zero charge the cubic form
     assert compared >= 8 * 5
 
 
