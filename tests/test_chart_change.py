@@ -101,9 +101,13 @@ class CurvedChart:
 
     def jacobian_text(self, i: int, k: int) -> str | None:
         f, p, q = CURVED_MAP[i]
-        terms = ["1"] * (i == k)
-        terms += [f"{EPS!r}*{SLOPES[f][0]}(x{p})*x{q}"] * (k == p)
-        terms += [f"{EPS!r}*{f}(x{p})"] * (k == q)
+        terms = []
+        if k == i:
+            terms.append("1")
+        if k == p:
+            terms.append(f"{EPS!r}*{SLOPES[f][0]}(x{p})*x{q}")
+        if k == q:
+            terms.append(f"{EPS!r}*{f}(x{p})")
         return " + ".join(terms) or None
 
     def coefficient(self, *entries: tuple[int, int]) -> str | None:
@@ -111,7 +115,7 @@ class CurvedChart:
         return None if None in texts else "*".join(f"({t})" for t in texts)
 
     def point(self, x: np.ndarray) -> np.ndarray:
-        return np.array([x[i] + EPS * SLOPES[f][1](x[p]) * x[q] for i, (f, p, q) in enumerate(CURVED_MAP)])
+        return x + EPS * np.array([SLOPES[f][1](x[p]) * x[q] for f, p, q in CURVED_MAP])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         J = np.eye(self.dim)
