@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .background import BackgroundSample, _read_only
+from .background import BackgroundSample, _built, _read_only
 from .errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
 from .kinematics import AuxVectors, NU_MIN_REL, Q_MIN_REL, _scalar_values, aux_vectors, scalars
 
@@ -230,7 +230,7 @@ class _Direction:
 
     @_memo
     def h_ang(self) -> np.ndarray:
-        return _read_only(self.g_cov - np.outer(self.y_cov, self.y_cov) / self.f2)
+        return _read_only(self.g_cov - self.y_cov[:, None] * self.y_cov / self.f2)
 
     @_memo
     def cartan(self) -> np.ndarray:
@@ -281,16 +281,16 @@ class _Direction:
         s2 = q * q - eps * b * b
 
         g_frame = np.zeros((dim, dim))
-        g_frame[: dim - 1, : dim - 1] = trans_block + eps * g * (
-            b / (big_b * q)
-        ) * np.outer(er, er)
+        g_frame[: dim - 1, : dim - 1] = trans_block + eps * g * (b / (big_b * q)) * (
+            er[:, None] * er
+        )
         edge = (g / (big_b * q)) * (-eps * b * z - s2 * c) * er
         g_frame[dim - 1, : dim - 1] = edge
         g_frame[: dim - 1, dim - 1] = edge
         g_frame[dim - 1, dim - 1] = -1.0 + (g / (big_b * q)) * (
             (g * q**3 - b * s2) * c * c + eps * b * z * z + 2.0 * s2 * b
         )
-        return FrameComponents(R=_read_only(r), g_frame=_read_only(g_frame * j2))
+        return _built(FrameComponents, {"R": _read_only(r), "g_frame": _read_only(g_frame * j2)})
 
 
 def _f2_and_momentum_rows(samples: Sequence[BackgroundSample], Y: np.ndarray) -> np.ndarray:
@@ -473,15 +473,15 @@ def metric_bundle(sample: BackgroundSample, y: Sequence[float]) -> MetricBundle:
     """Assemble the full metric stack at one direction from one scalar chain."""
     d = _record(sample, y)
     # pieces are read in stack order, so the first failing guard names the error
-    return MetricBundle(
-        F2=d.f2,
-        y_cov=d.y_cov,
-        g_cov=d.g_cov,
-        g_contra=d.g_contra,
-        det_ratio=d.det_ratio,
-        C_cov=d.C_vectors[0],
-        C_contra=d.C_vectors[1],
-        CC=d.CC,
-        h_ang=d.h_ang,
-        cartan=_read_only(np.zeros((sample.dim,) * 3)) if d.null_charge else d.cartan,
-    )
+    return _built(MetricBundle, {
+        "F2": d.f2,
+        "y_cov": d.y_cov,
+        "g_cov": d.g_cov,
+        "g_contra": d.g_contra,
+        "det_ratio": d.det_ratio,
+        "C_cov": d.C_vectors[0],
+        "C_contra": d.C_vectors[1],
+        "CC": d.CC,
+        "h_ang": d.h_ang,
+        "cartan": _read_only(np.zeros((sample.dim,) * 3)) if d.null_charge else d.cartan,
+    })
