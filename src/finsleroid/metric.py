@@ -36,8 +36,9 @@ determinant_ratio
 cartan_vector / cartan_tensor
     Contracted and full cubic forms, plus the angular (projected) metric.
 indicatrix_curvature
-    Sectional-curvature extraction on the unit shell from the cubic-form
-    curvature products; constant by construction, which the tests verify.
+    Sectional-curvature extraction on the unit shell: the Gauss equation
+    contracted on one h-orthogonal tangent pair, from the cubic form and the
+    inverse metric; constant by construction, which the tests verify.
 frame_components
     Direction and metric expressed in the adapted frame, via closed frame
     formulas (the congruence route cross-checks them).
@@ -47,7 +48,6 @@ metric_bundle
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -256,15 +256,15 @@ class _Direction:
         if self.null_charge:
             return -float(eps)
         # read in stack order, so the first failing guard names the error
-        g_cov, g_contra, h_ang, cartan = self.g_cov, self.g_contra, self.h_ang, self.cartan
-        c_mixed = np.einsum("ha,ian->ihn", g_contra, cartan)  # C_i{}^h{}_n
-        term = np.einsum("inh,jhm->ijmn", cartan, c_mixed)
-        riem = term - term.transpose(0, 1, 3, 2)  # the second term swaps m and n
-
-        u, v, huu, hvv, huv = _projected_pair(g_cov, h_ang, self.y, self.f2, seeds)
-        numerator = self.f2 * float(np.einsum("ijmn,i,j,m,n->", riem, u, v, u, v))
-        kappa = numerator / (huu * hvv - huv * huv)
-        return -eps * (1.0 + kappa)
+        _, g_contra, h_ang, cartan = self.g_cov, self.g_contra, self.h_ang, self.cartan
+        u, v, huu, hvv = _tangent_pair(self.y_cov, h_ang, self.y, self.f2, seeds)
+        # the Gauss equation contracted on (u, v): no rank-4 tensor is built
+        n = self.y.size
+        flat = cartan.reshape(n, n * n)
+        c_u = (u @ flat).reshape(n, n)
+        c_uv, c_uu, c_vv = c_u @ v, c_u @ u, (v @ flat).reshape(n, n) @ v
+        products = float(c_uv @ g_contra @ c_uv) - float(c_uu @ g_contra @ c_vv)
+        return -eps * (1.0 + self.f2 * products / (huu * hvv))
 
     @_memo
     def frame(self) -> FrameComponents:
@@ -325,39 +325,50 @@ def _frame_signature(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(trans, np.diag(trans))
 
 
-def _projected_pair(
-    g_cov: np.ndarray,
+def _tangent_pair(
+    y_cov: np.ndarray,
     h_ang: np.ndarray,
     y_arr: np.ndarray,
     f2: float,
     seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None,
-) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """``(u, v, h(u, u), h(v, v), h(u, v))``: the first nondegenerate pair of
-    seeds (basis indices or vectors, every basis vector by default) projected
-    off ``y``, and the angular forms the test of ``v`` computed. Each product
-    is formed at the step and in the order a one-candidate-at-a-time search
-    meets it, so the first float error and the ``DegenerateQ`` stay put."""
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(u, v, h(u, u), h(v, v))``: an h-orthogonal pair tangent to the unit
+    shell, from seeds (basis indices or vectors, every basis vector by
+    default) projected off ``y``.
+
+    By default ``u`` is the projected seed of largest ``|h(w, w)| / |w|^2``
+    and ``v`` the other whose part h-orthogonal to ``u`` has the largest
+    ``|h(v, v)| / |v|^2`` (the Schur complement of ``h(u, u)`` over ``|v|^2``;
+    over ``|w|^2`` it can pick a ``v`` near the h-null cone, whose cubic-form
+    products cancel far more digits). With seeds given, ``u`` is the first
+    seed that does not project to zero and ``v`` the other. ``v`` is made
+    h-orthogonal to ``u`` and ``h(v, v)`` formed anew from it; a ``v`` that
+    keeps less than ``1e-10`` of ``u``'s angular weight is degenerate."""
     eye = _identity(y_arr.size)
-    candidates = list(eye) if seeds is None else [
+    rows = eye if seeds is None else np.array([
         eye[int(s)] if isinstance(s, (int, np.integer)) else np.asarray(s, dtype=float)
         for s in seeds
-    ]
-    gy = g_cov @ y_arr
-    u = None
-    for t in candidates:
-        w = t - (float(gy @ t) / f2) * y_arr
-        if math.sqrt(float(w.dot(w))) < 1e-10:
-            continue
-        if u is None:
-            u = w
-            continue
-        uh = u @ h_ang
-        huu = float(uh @ u)
-        huw = float(uh @ w)
-        hww = float(w @ h_ang @ w)
-        if abs(huu * hww - huw * huw) < 1e-10 * (abs(huu * hww) + w @ w * (u @ u)):
-            continue
-        return u, w, huu, hww, huw
+    ])
+    w = rows - ((rows @ y_cov) / f2)[:, None] * y_arr
+    forms = (w @ h_ang @ w.T).tolist()
+    gram = (w @ w.T).tolist()
+    live = [t for t in range(len(gram)) if gram[t][t] >= 1e-20]
+    if seeds is None:  # the seed of largest angular norm first
+        live.sort(key=lambda t: -abs(forms[t][t]) / gram[t][t])
+    if len(live) > 1 and forms[live[0]][live[0]] != 0.0:
+        i = live[0]
+        huu, h_u, w_u = forms[i][i], forms[i], gram[i]
+        ranks = {}
+        for t in live[1:]:  # h(v, v) / |v|^2 at v = w_t - r u, from the Gram forms
+            r = h_u[t] / huu
+            length = gram[t][t] - 2.0 * r * w_u[t] + r * r * w_u[i]
+            apart = length > 1e-12 * gram[t][t]  # else w_t lies along u
+            ranks[t] = abs(forms[t][t] - r * h_u[t]) / length if apart else 0.0
+        j = max(ranks, key=ranks.get) if seeds is None else live[1]
+        if ranks[j] >= 1e-10 * abs(huu) / w_u[i]:
+            u = w[i]
+            v = w[j] - (h_u[j] / huu) * u
+            return u, v, huu, float(v @ h_ang @ v)
     raise DegenerateQ("could not find a nondegenerate tangent pair for curvature extraction")
 
 

@@ -243,22 +243,7 @@ def test_stack_transforms_with_the_chart(config_name, seed):
     assert compared >= 8 * 6
 
 
-#: the one case whose curvature extraction rounds further than the chart bound
-CURVATURE_ROUNDING = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 10: on desk the curvature extraction rounds 1.3e-12 off its "
-    "closed form in the shipped chart, and the two charts differ by 1.4e-12",
-)
-
-
-@pytest.mark.parametrize(
-    "config_name, seed",
-    [
-        pytest.param(name, seed, marks=[CURVATURE_ROUNDING] * ((name, seed) == ("desk", 1)))
-        for seed in (0, 1)
-        for name in CONFIGS
-    ],
-)
+@pytest.mark.parametrize("config_name, seed", [(n, seed) for seed in (0, 1) for n in CONFIGS])
 def test_indicatrix_curvature_is_chart_invariant(config_name, seed):
     L, old, new = _charts(config_name, seed)
     for y, _ in _pairs(old, seed):

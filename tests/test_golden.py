@@ -102,7 +102,7 @@ def test_stdout_and_exit_code_match(name, monkeypatch, capsys):
 # --- digest sweep -------------------------------------------------------------
 
 SWEEP_CONFIGS = ("desk", "desk_c09", "desk_curved_a", "desk_shifted_b", "desk_variable_g")
-SWEEP_DIGEST = "3c8da3d3f317d96cfe1a886ce0cf3578c921b04bfecac596e7b398cde6787bc7"
+SWEEP_DIGEST = "c87cd353cdf9120f618a267102d289e26ed375aa29a88eed6d6faac6915b6c43"
 
 
 def _plain(values) -> list[str]:
@@ -248,7 +248,7 @@ def test_oracle_digest():
 
 # --- curvature digest ---------------------------------------------------------
 
-CURVATURE_DIGEST = "ee17af882505f0f34f179af3d4ab6f444e16e03a1ad41ca530ed10a8c5a81934"
+CURVATURE_DIGEST = "1f07725c497b894fbf2b9a92187a2e1b39f5b3f07a0f5fc590c21dffb8f9b11f"
 CURVATURE_SCALES = (1e-160, 1e-150, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e150, 1e160)
 CURVATURE_SEEDS = (
     None,

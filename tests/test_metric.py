@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from finsleroid.errors import (
     NullCartan,
     UnsupportedSector,
 )
-from finsleroid.kinematics import classify, random_admissible, scalars
+from finsleroid.kinematics import _margins, _measure, classify, random_admissible, scalars
 from finsleroid.metric import (
     angular_metric,
     cartan_norm,
@@ -38,6 +39,7 @@ from finsleroid.metric import (
 from finsleroid.numdiff import (
     TOL_DET_RATIO,
     TOL_EULER_CHAIN,
+    TOL_INDICATRIX,
     TOL_METRIC_INVERSE,
     FDConfig,
     _stencil,
@@ -284,20 +286,112 @@ class TestCurvature:
     )
     @pytest.mark.parametrize("tag", ["time-future", "space-like"])
     def test_tangent_pair_returns_the_forms_of_its_pair(self, desk, tag, seeds):
-        """The forms come back bit-equal to the products the curvature formed."""
+        """The pair is tangent and h-orthogonal to rounding, and the curvature
+        is the Gauss equation on it over the forms the pair returns."""
         rng = np.random.default_rng(19)
         for y in random_admissible(desk, rng, tag, 8, margin=0.05):
             d = metric._Direction(desk, y)
             h = d.h_ang
-            u, v, huu, hvv, huv = metric._projected_pair(d.g_cov, h, d.y, d.f2, seeds)
-            forms = (float(u @ h @ u), float(v @ h @ v), float(u @ h @ v))
-            assert [f.hex() for f in (huu, hvv, huv)] == [f.hex() for f in forms]
+            u, v, huu, hvv = metric._tangent_pair(d.y_cov, h, d.y, d.f2, seeds)
+            size = np.linalg.norm(u) * np.linalg.norm(v)
+            assert abs(float(u @ d.y_cov)) < 1e-13 * np.linalg.norm(u) * np.linalg.norm(d.y_cov)
+            assert abs(float(v @ d.y_cov)) < 1e-13 * np.linalg.norm(v) * np.linalg.norm(d.y_cov)
+            assert abs(float(u @ h @ v)) < 1e-13 * np.abs(h).max() * size
+            assert abs(huu - float(u @ h @ u)) < 1e-14 * abs(huu)
+            assert hvv.hex() == float(v @ h @ v).hex()
+            term = np.einsum("inh,ha,jam->ijmn", d.cartan, d.g_contra, d.cartan)
+            riem = term - term.transpose(0, 1, 3, 2)
+            gauss = float(np.einsum("ijmn,i,j,m,n->", riem, u, v, u, v))
+            expected = -d.scal.eps * (1.0 + d.f2 * gauss / (huu * hvv))
+            assert abs(d.curvature(seeds) - expected) < 1e-10  # the rank-4 route rounds further
 
     def test_tangent_pair_seeds_share_one_read_only_identity(self):
         eye = metric._identity(4)
         assert eye is metric._identity(4)
         assert not eye.flags.writeable
         assert np.array_equal(eye, np.eye(4))
+
+
+#: the unit-norm wall margins of the near-wall test, and its constant backgrounds
+#: charges (a = diag(1, -1, -1, -1), b = dx3)
+WALL_MARGINS = (0.1, 1e-2, 1e-3, 1e-4)
+WALL_CHARGES = (0.3, 0.6, 1.2, 1.9, -1.5)
+
+
+def _wall_margin(here, y, tag: str) -> float:
+    """The wall margin of ``y / |y|`` in sector ``tag``: ``min(low, high)`` in
+    the time-future cone, the transverse radius ``q`` in the space-like one,
+    and -1 outside the sector."""
+    y = y / np.linalg.norm(y)
+    _, b, gamma = _measure(here.a, here.b_cov, y)
+    if tag == "space-like":
+        return math.sqrt(-gamma) if gamma < 0.0 else -1.0
+    if gamma <= 0.0 or float(here.time_cov @ y) <= 0.0:
+        return -1.0
+    return min(_margins(b, math.sqrt(gamma), here.g, here.h_time))
+
+
+def _near_wall(here, tag: str, margin: float, count: int) -> list[np.ndarray]:
+    """``count`` seeded unit directions in sector ``tag`` at wall margin
+    ``margin``: each bisects the chord from a draw of the sector (margin 0.1)
+    to a draw of the other sector for the point where the margin crosses."""
+    rng = np.random.default_rng(27)
+    other = "space-like" if tag == "time-future" else "time-future"
+    pairs = zip(
+        random_admissible(here, rng, tag, count, margin=0.1),
+        random_admissible(here, rng, other, count, margin=0.1),
+    )
+    out = []
+    for inside, outside in pairs:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _wall_margin(here, inside + mid * (outside - inside), tag) > margin:
+                lo = mid
+            else:
+                hi = mid
+        y = inside + lo * (outside - inside)
+        out.append(y / np.linalg.norm(y))
+    return out
+
+
+def _wall_sample(name: str):
+    if name == "desk":
+        return sample(load_config(config_path("desk")), np.array([0.3, 0.1, 0.2, 0.4]))
+    field = BackgroundField.constant([1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 1.0], float(name))
+    return sample(field, np.zeros(4))
+
+
+#: where the extraction still misses TOL_INDICATRIX: every case at margin 1e-3
+#: and below, and two at 1e-2
+WALL_MISS = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: near a wall the cubic form grows as a power of 1/margin and "
+    "the Gauss contraction cancels its digits; a refusal below a stated margin is open",
+)
+WALL_CASES = [
+    pytest.param(name, tag, margin, marks=[WALL_MISS] * (
+        margin <= 1e-3 or (name, tag, margin) in {("1.2", "space-like", 1e-2),
+                                                   ("-1.5", "time-future", 1e-2)}
+    ))
+    for name in ("desk", *map(str, WALL_CHARGES))
+    for tag in ("time-future", "space-like")
+    for margin in WALL_MARGINS
+]
+
+
+class TestCurvatureNearWalls:
+    @pytest.mark.parametrize("name, tag, margin", WALL_CASES)
+    def test_curvature_is_the_charge_constant(self, name, tag, margin):
+        here = _wall_sample(name)
+        eps = 1.0 if tag == "time-future" else -1.0
+        constant = -eps - here.g * here.g / 4.0
+        worst = 0.0
+        for y in _near_wall(here, tag, margin, 20):
+            assert classify(here, y).tag == tag
+            assert abs(_wall_margin(here, y, tag) - margin) < 1e-6 * margin
+            worst = max(worst, abs(indicatrix_curvature(here, y) - constant))
+        assert worst < TOL_INDICATRIX
 
 
 class TestFrame:
