@@ -372,6 +372,8 @@ def parse_config(text: str) -> BackgroundField:
             dim_value = int(value_text)
             if dim_value < 2:
                 raise ConfigDimensionError(f"line {lineno}: dim must be at least 2")
+            if dim_value > 16:  # the derivative layout grows as dim^3
+                raise ConfigDimensionError(f"line {lineno}: dim must be at most 16")
             dim = dim_value
             continue
 

@@ -201,8 +201,11 @@ class _Parser:
             self.advance()
             return Neg(self.base())
         if token.kind == "num":
+            value = float(token.text)
+            if math.isinf(value):
+                raise self.fail(f"number {token.text!r} overflows", token)
             self.advance()
-            return Num(float(token.text))
+            return Num(value)
         if token.kind == "(":
             return self.parenthesized()
         if token.kind == "ident":

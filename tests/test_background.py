@@ -123,6 +123,11 @@ class TestParseErrors:
         with pytest.raises(ConfigDimensionError):
             parse_config("dim = 1\n")
 
+    @pytest.mark.parametrize("dim", ["17", "300"])
+    def test_dim_too_large_refused_before_any_build(self, dim):
+        with pytest.raises(ConfigDimensionError, match="line 1: dim must be at most 16"):
+            parse_config(f"dim = {dim}\n")
+
     @pytest.mark.parametrize("dim", ["-3", "+1"])
     def test_signed_dim_reads_as_a_number(self, dim):
         with pytest.raises(ConfigDimensionError, match="dim must be at least 2"):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from finsleroid import cli
+from finsleroid.numdiff import TOL_INDICATRIX
 
 from _reference import REF
 from conftest import config_path
@@ -123,6 +124,21 @@ class TestEvalCommand:
         assert row[1] == "boundary"
         assert rel_close(row[header.index("F2")], REF["F2_ex"])
         assert rel_close(row[header.index("indicatrix_curvature")], REF["curvature_space"])
+
+    def test_space_like_curvature_at_charge_near_two(self, tmp_path):
+        """ROADMAP item 11: at g = 1.9 this space-like direction printed
+        0.098149 for the constant 1 - g^2/4 = 0.0975."""
+        config = tmp_path / "charge_1_9.cfg"
+        config.write_text(
+            "dim = 4\na.0.0 = 1\na.1.1 = -1\na.2.2 = -1\na.3.3 = -1\nb.3 = 1\ng = 1.9\n"
+        )
+        vector = ("-0.6964096504580652", "0.612631526996714", "-0.34918442691876983",
+                  "-0.13329083567882735")
+        result = run_cli("eval", "--config", str(config), *ORIGIN, "--vector", *vector)
+        assert result.returncode == 0
+        records = parse_records(result.stdout)
+        assert records["sector"] == "space-like"
+        assert abs(float(records["indicatrix_curvature"]) - 0.0975) < TOL_INDICATRIX
 
     def test_missing_config_exits_two(self):
         result = run_cli("eval", "--config", "/nonexistent/nowhere.cfg",
@@ -328,6 +344,24 @@ class TestCheckCommand:
             "configuration error: line 3: syntax error at column 5: "
             "unexpected character '\u00b2' at offset 2"
         ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dim = 17\n", "line 1: dim must be at most 16"),
+            (
+                "dim = 4\na.0.0 = 1\ng = sin(1e400)\n",
+                "line 3: syntax error at column 5: number '1e400' overflows at offset 4",
+            ),
+        ],
+        ids=["dim_17", "overflowing_literal"],
+    )
+    def test_config_refused_in_one_line_exits_two(self, tmp_path, text, message):
+        bad = tmp_path / "refused.cfg"
+        bad.write_text(text)
+        result = run_cli("eval", "--config", str(bad), *ORIGIN, "--vector", "1", "0", "0", "0")
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[:-1] == [f"configuration error: {message}"]
 
     def test_config_that_is_not_utf8_exits_two(self, tmp_path):
         bad = tmp_path / "latin1.cfg"

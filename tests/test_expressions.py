@@ -105,6 +105,14 @@ class TestSyntaxErrors:
             parse_expression(text)
         assert str(info.value) == f"unexpected character {char!r} at offset {offset}"
 
+    def test_overflowing_literal_is_refused_at_its_offset(self):
+        """A literal that reads as infinity never reaches a tree: its printed
+        text would need ``int(inf)``."""
+        with pytest.raises(ConfigSyntaxError) as info:
+            parse_expression("sin(1e400)")
+        assert str(info.value) == "number '1e400' overflows at offset 4"
+        assert parse_expression("1.7e308").ast == Num(1.7e308)
+
     def test_unicode_space_separates_tokens(self):
         assert parse_expression("x0\u00a0+\u20031").ast == BinOp("+", Var(0), Num(1.0))
 
