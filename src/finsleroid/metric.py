@@ -36,9 +36,8 @@ determinant_ratio
 cartan_vector / cartan_tensor
     Contracted and full cubic forms, plus the angular (projected) metric.
 indicatrix_curvature
-    Sectional-curvature extraction on the unit shell: the Gauss equation
-    contracted on one h-orthogonal tangent pair, from the cubic form and the
-    inverse metric; constant by construction, which the tests verify.
+    Sectional curvature of the unit shell by the Gauss equation contracted on
+    one tangent pair; constant by construction, which the tests verify.
 frame_components
     Direction and metric expressed in the adapted frame, via closed frame
     formulas (the congruence route cross-checks them).
@@ -259,10 +258,9 @@ class _Direction:
         _, g_contra, h_ang, cartan = self.g_cov, self.g_contra, self.h_ang, self.cartan
         u, v, huu, hvv = _tangent_pair(self.y_cov, h_ang, self.y, self.f2, seeds)
         # the Gauss equation contracted on (u, v): no rank-4 tensor is built
-        n = self.y.size
-        flat = cartan.reshape(n, n * n)
-        c_u = (u @ flat).reshape(n, n)
-        c_uv, c_uu, c_vv = c_u @ v, c_u @ u, (v @ flat).reshape(n, n) @ v
+        flat = cartan.reshape(self.y.size, -1)
+        c_u = (u @ flat).reshape(h_ang.shape)
+        c_uv, c_uu, c_vv = c_u @ v, c_u @ u, (v @ flat).reshape(h_ang.shape) @ v
         products = float(c_uv @ g_contra @ c_uv) - float(c_uu @ g_contra @ c_vv)
         return -eps * (1.0 + self.f2 * products / (huu * hvv))
 
@@ -333,42 +331,33 @@ def _tangent_pair(
     seeds: tuple[Sequence[float], Sequence[float]] | tuple[int, int] | None,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """``(u, v, h(u, u), h(v, v))``: an h-orthogonal pair tangent to the unit
-    shell, from seeds (basis indices or vectors, every basis vector by
-    default) projected off ``y``.
-
-    By default ``u`` is the projected seed of largest ``|h(w, w)| / |w|^2``
-    and ``v`` the other whose part h-orthogonal to ``u`` has the largest
-    ``|h(v, v)| / |v|^2`` (the Schur complement of ``h(u, u)`` over ``|v|^2``;
-    over ``|w|^2`` it can pick a ``v`` near the h-null cone, whose cubic-form
-    products cancel far more digits). With seeds given, ``u`` is the first
-    seed that does not project to zero and ``v`` the other. ``v`` is made
-    h-orthogonal to ``u`` and ``h(v, v)`` formed anew from it; a ``v`` that
-    keeps less than ``1e-10`` of ``u``'s angular weight is degenerate."""
+    shell, from seeds (basis indices or vectors) projected off ``y``. Given
+    seeds, ``u`` is the first that is not null and ``v`` the other. By default
+    ``u`` is the basis vector of largest ``|h(w, w)| / |w|^2``, and ``v`` the one
+    of largest ``|h(v, v)| / |v|^2`` once made h-orthogonal to ``u``; over
+    ``|w|^2`` instead, ``v`` can sit near the h-null cone and cancel digits."""
     eye = _identity(y_arr.size)
-    rows = eye if seeds is None else np.array([
-        eye[int(s)] if isinstance(s, (int, np.integer)) else np.asarray(s, dtype=float)
-        for s in seeds
-    ])
+    rows = eye if seeds is None else np.array(
+        [eye[int(s)] if isinstance(s, (int, np.integer)) else s for s in seeds], dtype=float
+    )
     w = rows - ((rows @ y_cov) / f2)[:, None] * y_arr
-    forms = (w @ h_ang @ w.T).tolist()
-    gram = (w @ w.T).tolist()
-    live = [t for t in range(len(gram)) if gram[t][t] >= 1e-20]
-    if seeds is None:  # the seed of largest angular norm first
+    forms, gram = (w @ h_ang @ w.T).tolist(), (w @ w.T).tolist()
+    live = [t for t, row in enumerate(gram) if row[t] >= 1e-20]
+    if seeds is None:
         live.sort(key=lambda t: -abs(forms[t][t]) / gram[t][t])
     if len(live) > 1 and forms[live[0]][live[0]] != 0.0:
-        i = live[0]
+        i, *others = live
         huu, h_u, w_u = forms[i][i], forms[i], gram[i]
-        ranks = {}
-        for t in live[1:]:  # h(v, v) / |v|^2 at v = w_t - r u, from the Gram forms
+
+        def weight(t: int) -> float:  # at v = w_t - r u; 0 where w_t lies along u
             r = h_u[t] / huu
             length = gram[t][t] - 2.0 * r * w_u[t] + r * r * w_u[i]
-            apart = length > 1e-12 * gram[t][t]  # else w_t lies along u
-            ranks[t] = abs(forms[t][t] - r * h_u[t]) / length if apart else 0.0
-        j = max(ranks, key=ranks.get) if seeds is None else live[1]
-        if ranks[j] >= 1e-10 * abs(huu) / w_u[i]:
-            u = w[i]
-            v = w[j] - (h_u[j] / huu) * u
-            return u, v, huu, float(v @ h_ang @ v)
+            return abs(forms[t][t] - r * h_u[t]) / length if length > 1e-12 * gram[t][t] else 0.0
+
+        j = max(others, key=weight) if seeds is None else others[0]
+        if weight(j) >= 1e-10 * abs(huu) / w_u[i]:  # else v is degenerate
+            v = w[j] - (h_u[j] / huu) * w[i]
+            return w[i], v, huu, float(v @ h_ang @ v)  # h(v, v) anew: the Schur form cancels
     raise DegenerateQ("could not find a nondegenerate tangent pair for curvature extraction")
 
 
