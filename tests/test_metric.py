@@ -312,8 +312,8 @@ class TestCurvature:
         assert np.array_equal(eye, np.eye(4))
 
 
-#: the unit-norm wall margins of the near-wall test, and its constant backgrounds
-#: charges (a = diag(1, -1, -1, -1), b = dx3)
+#: the unit-norm wall margins of the near-wall test, and the charges of its
+#: constant backgrounds (a = diag(1, -1, -1, -1), b = dx3)
 WALL_MARGINS = (0.1, 1e-2, 1e-3, 1e-4)
 WALL_CHARGES = (0.3, 0.6, 1.2, 1.9, -1.5)
 
@@ -366,8 +366,9 @@ def _wall_sample(name: str):
 #: and below, and two at 1e-2
 WALL_MISS = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 11: near a wall the cubic form grows as a power of 1/margin and "
-    "the Gauss contraction cancels its digits; a refusal below a stated margin is open",
+    reason="ROADMAP item 11: near a wall the cubic form grows as a power of 1/margin, and "
+    "its double-precision entries no longer fix the curvature to TOL_INDICATRIX; a refusal "
+    "below a stated margin is open",
 )
 WALL_CASES = [
     pytest.param(name, tag, margin, marks=[WALL_MISS] * (
