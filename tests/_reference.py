@@ -17,9 +17,9 @@ Two float64 pieces sit apart at the end. ``spray_float64`` is the closed
 spray with every term evaluated in its original order, kept so that a test
 can hold the package's spray, which skips terms that are exactly zero, to the
 same bits. The chart formulas (``time_profiles``, ``space_profiles``,
-``uar_from_angles_float64``, ``chart_jacobian_float64`` and
-``zeta_inverse_float64``) keep one branch per sector, so that a test can hold
-the package's single-path chart code to them. They read a direction record or
+``uar_from_angles_float64``, ``chart_jacobian_float64``, ``chart_eta_float64``,
+``scalar_product_float64`` and ``zeta_inverse_float64``) keep one branch per
+sector, so that a test can hold the package's single-path chart code to them. They read a direction record or
 a sample by attribute and import nothing from the package either.
 """
 
@@ -380,6 +380,23 @@ def chart_jacobian_float64(z0, eta, phi, chi, g, h, tag):
             z0 * sin,
         ]
     return jac
+
+
+def chart_eta_float64(d):
+    """Chart boost ``eta`` of the off-axis direction record ``d`` (read by
+    attribute: ``sample.frame``, ``y``, ``scal.eps``, ``scal.q``)."""
+    r = d.sample.frame @ d.y
+    if d.scal.eps > 0:
+        return math.asinh(math.hypot(r[1], r[2]) / d.scal.q)
+    return math.asinh(r[0] / d.scal.q)
+
+
+def scalar_product_float64(d1, d2, tau, exponent):
+    """Scalar product of two same-sector direction records (read by attribute:
+    ``scal.eps``, ``f2``) with pair invariant ``tau``, scaled by ``2**exponent``."""
+    if d1.scal.eps > 0:
+        return math.ldexp(math.sqrt(d1.f2) * math.sqrt(d2.f2) * tau, exponent)
+    return math.ldexp(-math.sqrt(-d1.f2) * math.sqrt(-d2.f2) * tau, exponent)
 
 
 def zeta_inverse_float64(sample, zeta):

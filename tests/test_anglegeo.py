@@ -13,6 +13,8 @@ from finsleroid.anglegeo import (
     UarPoint,
     _chart_jacobian,
     _clamped,
+    _pair_cosine,
+    _paired_records,
     _profiles,
     angle,
     angle_closed_form,
@@ -27,7 +29,7 @@ from finsleroid.background import BackgroundField, load_config, sample
 from finsleroid.conformal import factor_space_angle, zeta_inverse, zeta_map
 from finsleroid.errors import ChartDomain, CNotUnit, DomainError, MixedSectors, UnsupportedSector
 from finsleroid.kinematics import random_admissible
-from finsleroid.metric import metric_function
+from finsleroid.metric import _Direction, metric_function
 from finsleroid.numdiff import (
     TOL_ANGLE_EXACT,
     TOL_ANGLE_ROUTES,
@@ -341,3 +343,26 @@ class TestSectorFormulasAgainstReference:
         for here, _, y in self._cases():
             zeta = zeta_map(here, y).zeta
             assert np.array_equal(zeta_inverse(here, zeta), _reference.zeta_inverse_float64(here, zeta))
+
+    def test_chart_boost_is_bit_equal(self):
+        for here, _, y in self._cases():
+            assert uar_to_angles(here, y).eta == _reference.chart_eta_float64(_Direction(here, y))
+
+    def test_scalar_product_is_bit_equal(self):
+        cases = list(self._cases())
+        pairs = 0
+        for (here, tag, y1), (there, tag2, y2) in zip(cases, cases[1:]):
+            if there is not here or tag2 != tag:
+                continue
+            d1, d2, exponent = _paired_records(here, y1, y2)
+            try:
+                tau = _pair_cosine(d1, d2)
+            except DomainError:
+                # a space-like pair past the circular domain subtends no angle
+                with pytest.raises(DomainError):
+                    scalar_product(here, y1, y2)
+                continue
+            expected = _reference.scalar_product_float64(d1, d2, tau, exponent)
+            assert scalar_product(here, y1, y2) == expected
+            pairs += 1
+        assert pairs >= 100
