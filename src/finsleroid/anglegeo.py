@@ -15,6 +15,11 @@ boost angle ``eta``, an azimuth ``phi``, and the normalised angular variable
 metric is diagonal, and a further two-variable substitution exhibits it as
 conformally flat.
 
+Every chart formula is written once for both sectors, which differ only by
+the sector sign ``eps`` and the half-charge root ``h``: a chart point has the
+frame components ``z0 (p e0, p e1 cos phi, p e1 sin phi, s)``, with the signed
+profiles ``p = eps * lead``, ``s = eps * other`` and the boost legs ``(e0, e1)``.
+
 Key entry points
 ----------------
 angle / scalar_product
@@ -81,6 +86,13 @@ def _require_unit(sample: BackgroundSample, what: str) -> None:
 def _require_dim4(sample: BackgroundSample, what: str) -> None:
     if sample.dim != 4:
         raise ChartDomain(f"{what} is implemented for dimension 4")
+
+
+def _chart_sector(sample: BackgroundSample, tag: str) -> tuple[float, float]:
+    """Sector sign ``eps`` and half-charge root ``h`` of a chart sector."""
+    if tag not in ("time-future", "space-like"):
+        raise UnsupportedSector(f"no chart for sector {tag!r}")
+    return (1.0, sample.h_time) if tag == "time-future" else (-1.0, sample.h_space)
 
 
 def _binary_normalised(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -183,9 +195,8 @@ def scalar_product(
     _require_unit(sample, "the anisotropic scalar product")
     d1, d2, exponent = _paired_records(sample, y1, y2)
     tau = _pair_cosine(d1, d2)
-    if d1.scal.eps > 0:
-        return math.ldexp(math.sqrt(d1.f2) * math.sqrt(d2.f2) * tau, exponent)
-    return math.ldexp(-math.sqrt(-d1.f2) * math.sqrt(-d2.f2) * tau, exponent)
+    eps = d1.scal.eps
+    return math.ldexp(eps * math.sqrt(eps * d1.f2) * math.sqrt(eps * d2.f2) * tau, exponent)
 
 
 # --- chart -------------------------------------------------------------------
@@ -220,39 +231,20 @@ def uar_from_angles(sample: BackgroundSample, point: UarPoint, tag: str) -> np.n
     """Direction for chart coordinates ``point`` in sector ``tag``."""
     _require_unit(sample, "the angular chart")
     _require_dim4(sample, "the angular chart")
-    if point.z0 <= 0.0:
-        raise ChartDomain(f"chart norm z0 = {point.z0!r} must be positive")
-    g = sample.g
-    if tag == "time-future":
-        h = sample.h_time
-        ch, sh, _ = _profiles(point.chi, g, h, 1)
-        radial = point.z0 * ch
-        frame_components = np.array(
-            [
-                radial * math.cosh(point.eta),
-                radial * math.sinh(point.eta) * math.cos(point.phi),
-                radial * math.sinh(point.eta) * math.sin(point.phi),
-                point.z0 * sh,
-            ]
-        )
-    elif tag == "space-like":
-        h = sample.h_space
-        if not -math.pi / h - CLAMP_TOL <= point.chi <= CLAMP_TOL:
-            raise ChartDomain(
-                f"space-sector chi = {point.chi!r} outside (-pi/h, 0]"
-            )
-        sin, cos, _ = _profiles(point.chi, g, h, -1)
-        radial = -point.z0 * sin
-        frame_components = np.array(
-            [
-                point.z0 * math.sinh(point.eta) * -sin,
-                radial * math.cosh(point.eta) * math.cos(point.phi),
-                radial * math.cosh(point.eta) * math.sin(point.phi),
-                -point.z0 * cos,
-            ]
-        )
-    else:
-        raise UnsupportedSector(f"no chart for sector {tag!r}")
+    z0 = point.z0
+    if z0 <= 0.0:
+        raise ChartDomain(f"chart norm z0 = {z0!r} must be positive")
+    eps, h = _chart_sector(sample, tag)
+    if eps < 0 and not -math.pi / h - CLAMP_TOL <= point.chi <= CLAMP_TOL:
+        raise ChartDomain(f"space-sector chi = {point.chi!r} outside (-pi/h, 0]")
+    lead, other, _ = _profiles(point.chi, sample.g, h, eps)
+    p, s = eps * lead, eps * other
+    e0, e1 = _boost(point.eta, eps)
+    # z0 e0 first in the space sector: the product order the reference chart pins
+    first = z0 * p * e0 if eps > 0 else z0 * e0 * p
+    frame_components = np.array(
+        [first, z0 * p * e1 * math.cos(point.phi), z0 * p * e1 * math.sin(point.phi), z0 * s]
+    )
     return sample.frame_inv @ frame_components
 
 
@@ -280,10 +272,7 @@ def _uar_point(d: _Direction) -> UarPoint:
         phi = math.atan2(r[2], r[1])
         if phi < 0.0:
             phi += 2.0 * math.pi
-        if scal.eps > 0:
-            eta = math.asinh(rho / scal.q)
-        else:
-            eta = math.asinh(r[0] / scal.q)
+        eta = math.asinh((rho if scal.eps > 0 else r[0]) / scal.q)
     return UarPoint(z0=z0, eta=eta, phi=phi, chi=scal.chi)
 
 
@@ -312,11 +301,8 @@ def angle_closed_form(
 
 
 def _chart_jacobian(point: UarPoint, g: float, h: float, tag: str) -> np.ndarray:
-    """Analytic Jacobian ``d(frame components)/d(z0, eta, phi, chi)``.
-
-    In both sectors the frame components are ``z0 (p e0, p e1 cos phi,
-    p e1 sin phi, s)``, with ``(p, s)`` the sector-signed profiles and
-    ``(e0, e1)`` the boost legs, whose ``eta`` derivative swaps them."""
+    """Analytic Jacobian ``d(frame components)/d(z0, eta, phi, chi)``; the
+    ``eta`` derivative swaps the boost legs."""
     eps = 1.0 if tag == "time-future" else -1.0
     z0, cphi, sphi = point.z0, math.cos(point.phi), math.sin(point.phi)
     lead, other, other_star = _profiles(point.chi, g, h, eps)
@@ -337,17 +323,14 @@ def uar_metric(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarra
     y = uar_from_angles(sample, point, tag)
     g_cov = metric_tensor(sample, y)
     g_frame = sample.frame_inv.T @ g_cov @ sample.frame_inv
-    h = sample.h_time if tag == "time-future" else sample.h_space
+    _, h = _chart_sector(sample, tag)
     jac = _chart_jacobian(point, sample.g, h, tag)
     return jac.T @ g_frame @ jac
 
 
 def uar_closed_diagonals(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
     """Closed form of the chart-metric diagonal."""
-    if tag not in ("time-future", "space-like"):
-        raise UnsupportedSector(f"no chart for sector {tag!r}")
-    eps = 1.0 if tag == "time-future" else -1.0
-    h = sample.h_time if eps > 0 else sample.h_space
+    eps, h = _chart_sector(sample, tag)
     z0 = point.z0
     lead, _ = _pair(h * point.chi, eps)
     _, e1 = _boost(point.eta, eps)
@@ -368,8 +351,7 @@ def flatness_check(
     factor (expected ``(1/h^2)|F^2|^(1-h)``) and the relative residual.
     """
     a_chart = uar_metric(sample, point, tag)
-    eps = 1.0 if tag == "time-future" else -1.0
-    h = sample.h_time if eps > 0 else sample.h_space
+    eps, h = _chart_sector(sample, tag)
     z0 = point.z0
     power = z0**h
     lead, other = _pair(h * point.chi, eps)

@@ -156,7 +156,6 @@ def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:
     if s2 > 0.0:
         eps, h, expected = 1, sample.h_time, "time-future"
         f = math.asinh(zb / math.sqrt(s2))
-        signed_norm = s2 ** (0.5 / h)
         lead, other = _pair(f, eps)
     else:
         eps, h, expected = -1, sample.h_space, "space-like"
@@ -164,11 +163,11 @@ def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:
         if u <= -1.0 + 1e-12:
             raise UnsupportedImage("image vector lies on the excluded branch endpoint")
         f = -math.acos(min(u, 1.0))
-        signed_norm = -((-s2) ** (0.5 / h))
         # below 2**-26, acos(u) is pi/2 - u rounded to 2**-53 absolute, so cos f
         # would carry u to a relative 2**-27 or worse; the exact pair there,
         # acos (whose bits the reports pin) everywhere else
         lead, other = (-math.sqrt(1.0 - u * u), u) if abs(u) < 2.0**-26 else _pair(f, eps)
+    signed_norm = eps * abs(s2) ** (0.5 / h)
     b = signed_norm * (other - 0.5 * (g / h) * lead) / math.exp(-0.5 * (g / h) * f)
     chi = f / h
     inv_j = math.exp(0.5 * g * chi)
