@@ -95,6 +95,11 @@ def _chart_sector(sample: BackgroundSample, tag: str) -> tuple[float, float]:
     return (1.0, sample.h_time) if tag == "time-future" else (-1.0, sample.h_space)
 
 
+def _require_finite(point: UarPoint) -> None:
+    if not all(map(math.isfinite, (point.z0, point.eta, point.phi, point.chi))):
+        raise ChartDomain(f"chart point {point} has a non-finite coordinate")
+
+
 def _binary_normalised(v: np.ndarray) -> tuple[np.ndarray, int]:
     """``v`` times ``2**-e`` and the exponent ``e`` that brings its largest
     component into ``[0.5, 1)``. The scaling is exact, so a quantity that is
@@ -231,6 +236,7 @@ def uar_from_angles(sample: BackgroundSample, point: UarPoint, tag: str) -> np.n
     """Direction for chart coordinates ``point`` in sector ``tag``."""
     _require_unit(sample, "the angular chart")
     _require_dim4(sample, "the angular chart")
+    _require_finite(point)
     z0 = point.z0
     if z0 <= 0.0:
         raise ChartDomain(f"chart norm z0 = {z0!r} must be positive")
@@ -331,6 +337,7 @@ def uar_metric(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarra
 def uar_closed_diagonals(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
     """Closed form of the chart-metric diagonal."""
     eps, h = _chart_sector(sample, tag)
+    _require_finite(point)
     z0 = point.z0
     lead, _ = _pair(h * point.chi, eps)
     _, e1 = _boost(point.eta, eps)

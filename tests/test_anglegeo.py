@@ -26,7 +26,7 @@ from finsleroid.anglegeo import (
     uar_to_angles,
 )
 from finsleroid.background import BackgroundField, load_config, sample
-from finsleroid.conformal import factor_space_angle, zeta_inverse, zeta_map
+from finsleroid.conformal import factor_space_angle, factor_space_curvature, zeta_inverse, zeta_map
 from finsleroid.errors import ChartDomain, CNotUnit, DomainError, MixedSectors, UnsupportedSector
 from finsleroid.kinematics import random_admissible
 from finsleroid.metric import _Direction, metric_function
@@ -253,6 +253,32 @@ class TestGuards:
             uar_from_angles(desk, UarPoint(1.0, 0.0, 0.0, 0.5), "space-like")
         with pytest.raises(UnsupportedSector):
             uar_from_angles(desk, UarPoint(1.0, 0.0, 0.0, 0.0), "isotropic")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("tag", ["time-future", "space-like"])
+    def test_non_finite_chart_coordinate_is_refused(self, desk, tag, bad):
+        rng = np.random.default_rng(2817)
+        chi_range = (-1.0, 1.0) if tag == "time-future" else (-3.0, -0.1)
+        for index in range(4):
+            for _ in range(3):
+                coords = [
+                    rng.uniform(0.5, 2.0),
+                    rng.uniform(-1.0, 1.0),
+                    rng.uniform(0.0, 2.0 * math.pi),
+                    rng.uniform(*chi_range),
+                ]
+                coords[index] = bad
+                for route in (uar_from_angles, uar_closed_diagonals):
+                    with pytest.raises(ChartDomain, match=r"chart point UarPoint\(.*non-finite"):
+                        route(desk, UarPoint(*coords), tag)
+                if index > 0:
+                    # the factor space is the unit shell: its coordinates are (eta, phi, chi)
+                    with pytest.raises(ChartDomain, match="non-finite"):
+                        factor_space_curvature(desk, coords[1:], tag)
+
+    def test_finite_boost_past_the_float_range_overflows(self, desk):
+        with pytest.raises(OverflowError):
+            uar_from_angles(desk, UarPoint(1.0, 1000.0, 0.2, 0.3), "time-future")
 
     @pytest.mark.parametrize("tag", ["isotropic", "bogus"])
     def test_chart_metric_refuses_a_sector_without_a_chart(self, desk, tag):
