@@ -84,6 +84,7 @@ from .numdiff import (
     TOL_UAR_F2,
     TOL_UAR_ROUNDTRIP,
     _combine,
+    _relmax,
     _stencil,
 )
 from .spray import ORACLE_FD, _first_step, _oracle, _probe_samples, _spray, geodesic_integrate
@@ -293,12 +294,6 @@ class RunReport:
     worst: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     worst_at: dict[str, str] = field(default_factory=dict)
-
-
-def _relmax(difference: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(float(np.abs(reference).max()), 1e-300)
-    # a numpy division, so that an overflow raises under the command's errstate
-    return float(np.abs(difference).max() / scale)
 
 
 def _check_shard(

@@ -33,7 +33,7 @@ from .background import BackgroundSample
 from .errors import MixedSectors, UnsupportedImage
 from .kinematics import classify
 from .metric import _Direction
-from .numdiff import FDConfig, fd_jacobian
+from .numdiff import FDConfig, _relmax, fd_jacobian
 from .anglegeo import (
     UarPoint,
     _arc,
@@ -137,10 +137,7 @@ def _pushforward_residual(d: _Direction, image: ConformalImage) -> float:
     (unit norm checked)."""
     jac = _zeta_jacobian(d, image)
     reconstructed = image.p * jac.T @ d.sample.a @ jac
-    g_cov = d.g_cov
-    return float(
-        np.abs(reconstructed - g_cov).max() / max(np.abs(g_cov).max(), 1e-300)
-    )
+    return _relmax(reconstructed - d.g_cov, d.g_cov)
 
 
 def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:

@@ -126,6 +126,14 @@ TOL_FD_SELFTEST = 1e-9
 TOL_CHART_COVARIANCE = 1e-12
 
 
+def _relmax(difference: np.ndarray, reference: np.ndarray) -> float:
+    """Largest entry of ``difference`` relative to the largest of ``reference``:
+    the residual the tolerances above bound."""
+    scale = max(float(np.abs(reference).max()), 1e-300)
+    # a numpy division, so that an overflow raises under the command's errstate
+    return float(np.abs(difference).max() / scale)
+
+
 # --- configuration -----------------------------------------------------------
 
 
