@@ -95,9 +95,19 @@ def _chart_sector(sample: BackgroundSample, tag: str) -> tuple[float, float]:
     return (1.0, sample.h_time) if tag == "time-future" else (-1.0, sample.h_space)
 
 
-def _require_finite(point: UarPoint) -> None:
+def _require_chart_point(
+    sample: BackgroundSample, point: UarPoint, tag: str
+) -> tuple[float, float]:
+    """``_chart_sector`` of ``tag`` for a point in its chart: finite, with
+    ``z0 > 0`` and, in the space sector, ``chi`` in ``(-pi/h, 0]``."""
     if not all(map(math.isfinite, (point.z0, point.eta, point.phi, point.chi))):
         raise ChartDomain(f"chart point {point} has a non-finite coordinate")
+    if point.z0 <= 0.0:
+        raise ChartDomain(f"chart norm z0 = {point.z0!r} must be positive")
+    eps, h = _chart_sector(sample, tag)
+    if eps < 0 and not -math.pi / h - CLAMP_TOL <= point.chi <= CLAMP_TOL:
+        raise ChartDomain(f"space-sector chi = {point.chi!r} outside (-pi/h, 0]")
+    return eps, h
 
 
 def _binary_normalised(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -236,13 +246,8 @@ def uar_from_angles(sample: BackgroundSample, point: UarPoint, tag: str) -> np.n
     """Direction for chart coordinates ``point`` in sector ``tag``."""
     _require_unit(sample, "the angular chart")
     _require_dim4(sample, "the angular chart")
-    _require_finite(point)
+    eps, h = _require_chart_point(sample, point, tag)
     z0 = point.z0
-    if z0 <= 0.0:
-        raise ChartDomain(f"chart norm z0 = {z0!r} must be positive")
-    eps, h = _chart_sector(sample, tag)
-    if eps < 0 and not -math.pi / h - CLAMP_TOL <= point.chi <= CLAMP_TOL:
-        raise ChartDomain(f"space-sector chi = {point.chi!r} outside (-pi/h, 0]")
     lead, other, _ = _profiles(point.chi, sample.g, h, eps)
     p, s = eps * lead, eps * other
     e0, e1 = _boost(point.eta, eps)
@@ -336,8 +341,7 @@ def uar_metric(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarra
 
 def uar_closed_diagonals(sample: BackgroundSample, point: UarPoint, tag: str) -> np.ndarray:
     """Closed form of the chart-metric diagonal."""
-    eps, h = _chart_sector(sample, tag)
-    _require_finite(point)
+    eps, h = _require_chart_point(sample, point, tag)
     z0 = point.z0
     lead, _ = _pair(h * point.chi, eps)
     _, e1 = _boost(point.eta, eps)

@@ -254,6 +254,19 @@ class TestGuards:
         with pytest.raises(UnsupportedSector):
             uar_from_angles(desk, UarPoint(1.0, 0.0, 0.0, 0.0), "isotropic")
 
+    @pytest.mark.parametrize(
+        "point, tag, message",
+        [
+            (UarPoint(-1.0, 0.1, 0.2, 0.3), "time-future", r"z0 = -1\.0 must be positive"),
+            (UarPoint(1.0, 0.1, 0.2, 0.5), "space-like", r"chi = 0\.5 outside \(-pi/h, 0\]"),
+        ],
+        ids=["z0", "chi"],
+    )
+    def test_closed_diagonals_refuse_what_the_chart_refuses(self, desk, point, tag, message):
+        for route in (uar_from_angles, uar_closed_diagonals):
+            with pytest.raises(ChartDomain, match=f"^chart norm {message}$|^space-sector {message}$"):
+                route(desk, point, tag)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("tag", ["time-future", "space-like"])
     def test_non_finite_chart_coordinate_is_refused(self, desk, tag, bad):

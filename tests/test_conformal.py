@@ -120,6 +120,14 @@ class TestInverse:
         with pytest.raises(UnsupportedImage, match="isotropic"):
             zeta_inverse(desk, [1.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_image_rejected(self, desk, index, bad):
+        zeta = [0.5, 0.1, 0.2, 0.3]
+        zeta[index] = bad
+        with pytest.raises(UnsupportedImage, match=r"^image vector \(.*\) has a non-finite component$"):
+            zeta_inverse(desk, zeta)
+
     def test_excluded_branch_endpoint_rejected(self, desk):
         with pytest.raises(UnsupportedImage, match="branch"):
             zeta_inverse(desk, [0.0, 0.0, 0.0, 1.0])
