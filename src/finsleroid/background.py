@@ -14,11 +14,10 @@ parse_config reports syntax problems with the 1-based column at which the
     offending value expression starts.
 sample
     Evaluate every field and its exact symbolic first derivatives at a point,
-    assemble connection coefficients, the covariant derivative of the
-    preferred direction, and the time leg of an adapted orthonormal frame
-    whose last leg is aligned with the preferred direction and whose time leg
-    fixes the future orientation. The full frame belongs to the direction
-    stage and is built on first access.
+    assemble connection coefficients and the covariant derivative of the
+    preferred direction. The adapted orthonormal frame, whose last leg is
+    aligned with the preferred direction and whose time leg fixes the future
+    orientation, belongs to the direction stage and is built on first read.
 
 Design choices
 --------------
@@ -29,28 +28,30 @@ evaluated once, and ``sample`` calls only the closures of entries that vary
 with position. ``sample`` runs three stages, each reading its own entries and
 running all its own checks: the base-metric stage (``a``, ``da``; singular,
 then inertia; the inverse and the connection), the direction stage
-(``b_cov``, ``db`` and the base stage; the norm ``c``, then the time leg;
-``b_contra``, ``nabla_b`` and the curl of ``b``) and the charge stage (``g``,
-``dg``; the range of ``g``). Each stage also records which of its fields
-are exactly zero (the connection; ``nabla_b`` with the curl; ``dg``), so that
-the spray reads these facts instead of testing them on every call. A stage
-whose entries are all constant runs once, when the field is built, and its
-read-only arrays and facts are shared by every sample; that run is the
-load-time validation, and its errors name no point and become
-``ConfigValueError``, as does a constant entry that cannot be evaluated. The
-other stages run at every ``sample``, with their checks in the fixed order
-singular, inertia, norm, time leg, charge; each of their errors but the time
-leg's names the point. Stages mark their arrays read-only by ``setflags``,
-and ``sample`` fills the record from their mappings through ``_built``. The
-adapted frame is built by Gram-Schmidt in a fixed deterministic order (last
-leg first, then the time leg, then the space legs, from fresh axis seeds)
-with each leg's sign pinned so results are reproducible across runs and
-platforms. The direction stage stores only the time leg and the time
-covector ``time_leg @ a``, which is all that orientation tests need, and a
-holder of the rest of the frame: the space legs, ``frame`` and ``frame_inv``
-are built on the holder's first access and are bit-identical to an eager
-build. Every sample that shares a stage's result shares its holder, so when
-``a`` and ``b`` are constant the frame is built once per field.
+(``b_cov``, ``db`` and the base stage; the norm ``c``; ``b_contra``,
+``nabla_b`` and the curl of ``b``; on a flat base ``nabla_b`` is ``db``
+itself, whose bits the all-zero connection term would keep) and the charge
+stage (``g``, ``dg``; the range of ``g``). Each stage also records which of
+its fields are exactly zero (the connection; ``nabla_b`` with the curl;
+``dg``), so that the spray reads these facts instead of testing them on
+every call. A stage whose entries are all constant runs once, when the
+field is built, and its read-only arrays and facts are shared by every
+sample; that run is the load-time validation, and its errors name no point
+and become ``ConfigValueError``, as does a constant entry that cannot be
+evaluated. The other stages run at every ``sample``, with their checks in the fixed order
+singular, inertia, norm, charge; each of their errors names the point.
+Stages mark their arrays read-only by ``setflags``, and ``sample`` fills the
+record from their mappings through ``_built``. The adapted frame is built by
+Gram-Schmidt in a fixed deterministic order (last leg first, then the time
+leg, then the space legs, from fresh axis seeds) with each leg's sign pinned
+so results are reproducible across runs and platforms. The direction stage
+keeps a holder of ``(a, b_contra, c)`` that builds, each on its first read,
+the time leg, the time covector ``time_leg @ a`` (all that orientation tests
+need), and ``frame`` and ``frame_inv``, bit-identical to an eager build; a
+space-like geodesic reads none of them. A frame the holder cannot build
+raises its ``DomainError`` (naming no point) at that read. Samples that share
+a stage's result share its holder: constant ``a`` and ``b`` build each piece
+once per field.
 """
 
 from __future__ import annotations
@@ -220,26 +221,44 @@ class BackgroundField:
 # --- sampled values ----------------------------------------------------------
 
 
+class _memo:
+    """A ``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first access: the first read stores the value in the instance
+    ``__dict__``, where every later read finds it before this descriptor."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _FrameHolder:
-    """The adapted frame of one direction-stage result, built on first access
-    from the ``(a, b_contra, c, time_leg)`` it holds."""
+    """The adapted frame of one direction-stage result, each piece built on
+    first read from the ``(a, b_contra, c)`` it holds."""
 
-    def __init__(self, a: np.ndarray, b_contra: np.ndarray, c: float, time_leg: np.ndarray):
-        self.inputs = (a, b_contra, c, time_leg)
+    def __init__(self, a: np.ndarray, b_contra: np.ndarray, c: float):
+        self.inputs = (a, b_contra, c)
 
-    def serves(self, sample: "BackgroundSample") -> bool:
-        """Whether ``sample`` holds this holder's inputs: the same arrays and ``c``."""
-        a, b_contra, c, time_leg = self.inputs
-        return (
-            sample.a is a and sample.b_contra is b_contra and sample.c == c
-            and sample.time_leg is time_leg
-        )
+    @_memo
+    def time_leg(self) -> np.ndarray:
+        a, b_contra, c = self.inputs  # the frame's first Gram-Schmidt step
+        return _read_only(_next_leg(a, [(-b_contra / c, -1.0)], 1.0))
 
-    @cached_property
+    @_memo
+    def time_cov(self) -> np.ndarray:
+        return _read_only(self.time_leg @ self.inputs[0])
+
+    @_memo
     def frame_inv(self) -> np.ndarray:
-        return _read_only(_build_frame(*self.inputs).T.copy())
+        return _read_only(_build_frame(*self.inputs, self.time_leg).T.copy())
 
-    @cached_property
+    @_memo
     def frame(self) -> np.ndarray:
         return _read_only(np.linalg.inv(self.frame_inv))
 
@@ -252,15 +271,16 @@ class BackgroundSample:
     ``db[k, j]`` of ``b_j``; ``christoffel[k, i, j]`` carries the upper index
     first; ``nabla_b[i, j]`` is the covariant derivative of ``b_j`` along
     ``x^i``. ``time_leg[i]`` is the adapted frame's time leg and
-    ``time_cov = time_leg @ a`` its lowered form, both stored at sampling
-    time. ``frame[p, i]`` maps vectors to frame components ``R^p``;
-    ``frame_inv[i, p]`` maps back, with ``frame_inv = inv(frame)``, and
-    ``frame_inv[:, 0]`` equals ``time_leg``. Both are read from
-    ``frame_holder``, the direction stage's holder, which builds them on first
-    access; a stage that reads only constants has one holder per field, so its
-    frame is built once per field. A sample whose ``a``, ``b_contra``, ``c``
-    or ``time_leg`` is not its holder's (one made by ``dataclasses.replace``)
-    builds its frame from its own fields at each access.
+    ``time_cov = time_leg @ a`` its lowered form. ``frame[p, i]`` maps
+    vectors to frame components ``R^p``; ``frame_inv[i, p]`` maps back, with
+    ``frame_inv = inv(frame)``, and ``frame_inv[:, 0]`` equals ``time_leg``.
+    These four are read-only attributes, not fields: they are read from
+    ``frame_holder``, the direction stage's holder, which builds each on first
+    read; a stage that reads only constants has one holder per field, so each
+    is built once per field, and a sample that no one asks for its time leg
+    (a space-like geodesic's) never builds one. A sample whose ``a``,
+    ``b_contra`` or ``c`` is not its holder's (one made by
+    ``dataclasses.replace``) builds them from its own fields at each read.
     ``curl[i, j] = db[i, j] - db[j, i]`` is the curl of ``b``; the connection
     parts of ``nabla_b`` cancel in it.
 
@@ -284,19 +304,27 @@ class BackgroundSample:
     dg: np.ndarray
     christoffel: np.ndarray
     nabla_b: np.ndarray
-    time_leg: np.ndarray
     curl: np.ndarray
     christoffel_zero: bool
     b_parallel: bool
     dg_zero: bool
-    time_cov: np.ndarray
     frame_holder: _FrameHolder = field(repr=False, compare=False)
 
     def _frames(self) -> _FrameHolder:
+        """The stage's holder while this sample holds its inputs, else its own."""
         holder = self.frame_holder
-        if holder.serves(self):
+        a, b_contra, c = holder.inputs
+        if self.a is a and self.b_contra is b_contra and self.c == c:
             return holder
-        return _FrameHolder(self.a, self.b_contra, self.c, self.time_leg)
+        return _FrameHolder(self.a, self.b_contra, self.c)
+
+    @property
+    def time_leg(self) -> np.ndarray:
+        return self._frames().time_leg
+
+    @property
+    def time_cov(self) -> np.ndarray:
+        return self._frames().time_cov
 
     @property
     def frame_inv(self) -> np.ndarray:
@@ -506,7 +534,7 @@ def _build_frame(
 
     The last leg is ``-b_contra/c`` (so the preferred direction has frame
     components ``(0, ..., 0, -c)``) and the time leg (index 0) is the one the
-    direction stage stored. The space legs are Gram-Schmidt residuals of
+    frame holder built. The space legs are Gram-Schmidt residuals of
     coordinate-axis seeds taken in order, with eigenvector seeds as a
     deterministic fallback, and each leg's sign fixed so its first significant
     component is positive.
@@ -584,7 +612,7 @@ def _direction_stage(
 ) -> dict:
     """The preferred-direction fields of a sample over the base stage's, keyed
     by ``BackgroundSample`` field name, with the holder of the adapted frame
-    they define; raises the norm and time-leg errors."""
+    they define; raises the norm errors."""
     flat = _flat_slices(dim)
     b_cov = values[flat["b_cov"]].copy()
     db = values[flat["db"]].reshape(dim, dim).copy()
@@ -599,16 +627,15 @@ def _direction_stage(
     if c_sq > 1.0 + 1e-12:
         raise DomainError(f"preferred direction norm exceeds 1 (c^2 = {c_sq!r}){_at(coords)}")
     c = min(math.sqrt(c_sq), 1.0)
-    # the frame's first Gram-Schmidt step; the other legs wait for the holder
-    time_leg = _next_leg(base["a"], [(-b_contra / c, -1.0)], 1.0)
-    time_cov = time_leg @ base["a"]
-    nabla_b = db - np.einsum("k,kij->ij", b_cov, base["christoffel"])
+    christoffel = base["christoffel"]
+    # on a flat base the connection term is +0.0 throughout and keeps db's bits
+    nabla_b = db if base["christoffel_zero"] else db - np.einsum("k,kij->ij", b_cov, christoffel)
     curl = db - db.T
-    _read_only(b_cov, db, b_contra, nabla_b, time_leg, time_cov, curl)
+    _read_only(b_cov, db, b_contra, nabla_b, curl)
     return dict(
-        b_cov=b_cov, db=db, b_contra=b_contra, c=c, nabla_b=nabla_b, time_leg=time_leg,
-        curl=curl, b_parallel=not (nabla_b.any() or curl.any()), time_cov=time_cov,
-        frame_holder=_FrameHolder(base["a"], b_contra, c, time_leg),
+        b_cov=b_cov, db=db, b_contra=b_contra, c=c, nabla_b=nabla_b, curl=curl,
+        b_parallel=not (nabla_b.any() or curl.any()),
+        frame_holder=_FrameHolder(base["a"], b_contra, c),
     )
 
 

@@ -197,8 +197,9 @@ def _sector(
     sample: BackgroundSample, y_arr: np.ndarray, scale: float, b: float, gamma: float
 ) -> Sector:
     """The classification decision on a direction's ``(|y|, b, gamma)``; the
-    time orientation is the sign of ``time_cov @ y``, the sample's stored
-    ``time_leg @ a`` applied to ``y`` (so ``time_leg @ a @ y`` bit for bit)."""
+    time orientation is the sign of ``time_cov @ y``, the sample's
+    ``time_leg @ a`` applied to ``y`` (so ``time_leg @ a @ y`` bit for bit),
+    built on the first read, which only a time-cone direction makes."""
     tol_gamma = GAMMA_TOL_REL * scale * scale
     tol_margin = MARGIN_TOL_REL * scale
 

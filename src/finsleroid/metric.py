@@ -49,11 +49,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .background import BackgroundSample, _built, _read_only
+from .background import BackgroundSample, _built, _memo, _read_only
 from .errors import CNotUnit, DegenerateNu, DegenerateQ, NullCartan
 from .kinematics import AuxVectors, NU_MIN_REL, Q_MIN_REL, _scalar_values, aux_vectors, scalars
 
@@ -108,23 +108,6 @@ class FrameComponents:
 
 
 # --- the stack at one direction ----------------------------------------------
-
-
-class _memo:
-    """A ``functools.cached_property`` without the lock that Python 3.11 takes
-    on every first access: the first read stores the value in the instance
-    ``__dict__``, where every later read finds it before this descriptor."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class _Direction:

@@ -36,8 +36,8 @@ PARAMETERS = {
     "BackgroundField": ("dim", "a", "b_cov", "g"),
     "BackgroundSample": (
         "x", "a", "a_inv", "b_cov", "b_contra", "c", "g", "h_time", "h_space", "da", "db", "dg",
-        "christoffel", "nabla_b", "time_leg", "curl", "christoffel_zero", "b_parallel", "dg_zero",
-        "time_cov", "frame_holder",
+        "christoffel", "nabla_b", "curl", "christoffel_zero", "b_parallel", "dg_zero",
+        "frame_holder",
     ),
     "ConformalImage": ("zeta", "kappa", "S2", "p"),
     "CovectorStack": ("y_cov", "b_hat", "q_hat", "B_hat", "f_hat", "J_hat", "eps"),

@@ -16,6 +16,7 @@ from finsleroid.background import (
     _build_frame,
     _charge_stage,
     _direction_stage,
+    _next_leg,
     load_config,
     parse_config,
     sample,
@@ -28,7 +29,8 @@ from finsleroid.errors import (
     DomainError,
 )
 from finsleroid.expressions import FieldExpression
-from finsleroid.kinematics import KinematicScalars, scalars
+from finsleroid import background, spray
+from finsleroid.kinematics import KinematicScalars, classify, scalars
 from finsleroid.metric import _Direction
 from finsleroid.numdiff import TOL_FRAME_CONSTANT
 from finsleroid.spray import SprayData, _spray
@@ -44,6 +46,9 @@ a.3.3 = -1
 b.3 = 1
 g = 0.6
 """
+
+# a preferred direction with a time part that varies with x1, so the time leg does too
+TILTED_TEXT = DESK_TEXT.replace("b.3 = 1", "b.0 = 0.3*x1\nb.3 = 1")
 
 
 class TestParsing:
@@ -333,20 +338,31 @@ class TestCheapSampling:
         assert sample(varying, POINTS[0]).frame_holder is not sample(varying, POINTS[1]).frame_holder
 
     def test_replaced_sample_builds_its_own_frame(self):
-        # desk_curved_a: ``a`` varies with x0; desk_shifted_b: ``b_contra`` and ``c`` with x1
-        for config_name, names in (("desk_curved_a", ("a",)), ("desk_shifted_b", ("b_contra", "c"))):
-            field = load_config(config_path(config_name))
+        # desk_curved_a: ``a`` varies with x0; desk_shifted_b: ``b_contra`` and ``c`` with x1;
+        # on TILTED_TEXT the time leg itself turns with ``b_contra`` and ``c``
+        for field, names in (
+            (load_config(config_path("desk_curved_a")), ("a",)),
+            (load_config(config_path("desk_shifted_b")), ("b_contra", "c")),
+            (parse_config(TILTED_TEXT), ("b_contra", "c")),
+        ):
             first, second = (sample(field, np.array(x)) for x in ([0.1, 0.1, 0, 0], [3.0, 0.4, 0, 0]))
-            built = first.frame_inv
+            built, holder = first.frame_inv, first.frame_holder
             assert dataclasses.replace(first).frame_inv is built
             for name in names:
                 mixed = dataclasses.replace(first, **{name: getattr(second, name)})
-                legs = _build_frame(mixed.a, mixed.b_contra, mixed.c, mixed.time_leg)
+                leg = _next_leg(mixed.a, [(-mixed.b_contra / mixed.c, -1.0)], 1.0)
+                assert mixed.time_leg is not holder.time_leg and mixed.time_cov is not holder.time_cov
+                assert mixed.time_leg.tobytes() == leg.tobytes()
+                assert mixed.time_cov.tobytes() == (leg @ mixed.a).tobytes()
+                if field.b_cov[0].is_constant:  # the time leg is e0 wherever b has no time part
+                    assert mixed.time_leg.tobytes() == holder.time_leg.tobytes()
+                else:
+                    assert mixed.time_leg.tobytes() != holder.time_leg.tobytes()
+                    assert mixed.time_cov.tobytes() != holder.time_cov.tobytes()
+                legs = _build_frame(mixed.a, mixed.b_contra, mixed.c, leg)
                 assert mixed.frame_inv.tobytes() == legs.T.copy().tobytes() != built.tobytes()
                 assert mixed.frame.tobytes() == np.linalg.inv(legs.T).tobytes()
-        flipped = -first.time_leg
-        mixed = dataclasses.replace(first, time_leg=flipped)
-        assert mixed.frame_inv[:, 0].tobytes() == flipped.tobytes()
+                assert mixed.frame_inv[:, 0].tobytes() == mixed.time_leg.tobytes()
 
     def test_only_varying_entries_are_evaluated(self):
         constant = load_config(config_path("desk"))
@@ -514,6 +530,75 @@ class TestStageFacts:
             assert here.dg_zero == (not np.any(here.dg != 0.0))
             assert here.curl.tobytes() == (here.db - here.db.T).tobytes()
             assert not here.curl.flags.writeable
+
+
+class TestLazyTimeLeg:
+    """The time leg and ``time_cov`` are built on first read, once per holder,
+    and ``nabla_b`` skips the connection term only where it is all zeros."""
+
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_time_leg_is_the_first_gram_schmidt_step(self, config_name):
+        field = load_config(config_path(config_name))
+        samples = [sample(field, x) for x in POINTS]
+        holder = samples[0].frame_holder
+        assert "time_leg" not in vars(holder) and "time_cov" not in vars(holder)
+        for first, second in itertools.permutations(samples, 2):
+            replaced = [
+                dataclasses.replace(first, **{name: getattr(second, name)})
+                for name in ("a", "b_contra", "c")
+            ]
+            for here in [first, dataclasses.replace(first, c=0.9 * first.c), *replaced]:
+                leg = _next_leg(here.a, [(-here.b_contra / here.c, -1.0)], 1.0)
+                assert here.time_leg.tobytes() == leg.tobytes()
+                assert here.time_cov.tobytes() == (leg @ here.a).tobytes()
+                assert not here.time_leg.flags.writeable and not here.time_cov.flags.writeable
+
+    @pytest.mark.parametrize("config_name", SHIPPED)
+    def test_nabla_b_is_the_connection_corrected_gradient(self, config_name):
+        field = load_config(config_path(config_name))
+        for x in POINTS:
+            here = sample(field, x)
+            expected = here.db - np.einsum("k,kij->ij", here.b_cov, here.christoffel)
+            assert here.nabla_b.tobytes() == expected.tobytes()
+
+    def test_flat_base_keeps_signed_zeros_of_the_gradient(self):
+        # at x2 = -0.0 both b_0 and its x1 derivative are -0.0
+        field = parse_config(DESK_TEXT.replace("b.3 = 1", "b.0 = 0.1*x1*x2\nb.3 = 1"))
+        here = sample(field, np.array([0.1, 0.4, -0.0, 0.3]))
+        assert here.christoffel_zero and np.signbit(here.b_cov[0]) and np.signbit(here.db[1, 0])
+        expected = here.db - np.einsum("k,kij->ij", here.b_cov, here.christoffel)
+        assert here.nabla_b.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize(
+        "y, tag", [((1.0, 0.1, 0.0, 0.2), "time-future"), ((0.3, 1.0, 0.0, -0.2), "space-like")]
+    )
+    @pytest.mark.parametrize("config_name", ["desk_shifted_b", "desk_variable_g"])
+    def test_geodesic_builds_a_time_leg_only_where_it_is_read(
+        self, config_name, y, tag, method, monkeypatch
+    ):
+        counts = {"legs": 0, "samples": 0}
+
+        def counted(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        x = np.array([0.2, 0.4, 0.1, 0.3])
+        assert classify(sample(load_config(config_path(config_name)), x), y).tag == tag
+        monkeypatch.setattr(background, "_next_leg", counted("legs", background._next_leg))
+        monkeypatch.setattr(spray, "sample_background", counted("samples", spray.sample_background))
+        field = load_config(config_path(config_name))
+        step = 1.0 / 64.0 if method == "rk4" else None
+        assert spray.geodesic_integrate(field, x, y, 0.5, method=method, step=step).exit_reason is None
+        if tag == "space-like":
+            assert counts["legs"] == 0
+        elif field._constant_stages.keys() >= {"direction"}:  # one holder per field
+            assert counts["legs"] == 1
+        else:  # one holder per sample, each read once
+            assert counts["legs"] == counts["samples"] > 1
 
 
 def eager_frame(a: np.ndarray, b_contra: np.ndarray, c: float) -> np.ndarray:
