@@ -263,6 +263,22 @@ class _FrameHolder:
         return _read_only(np.linalg.inv(self.frame_inv))
 
 
+def _held(name: str) -> property:
+    """The read-only sample attribute ``name`` of the frame holder: the
+    stage's holder while the sample holds its inputs (the same arrays and
+    ``c``), else a holder of the sample's own. One property and no method
+    call, as ``kinematics`` reads ``time_cov`` once per classified direction."""
+
+    def read(sample: "BackgroundSample") -> np.ndarray:
+        holder = sample.frame_holder
+        a, b_contra, c = holder.inputs
+        if sample.a is not a or sample.b_contra is not b_contra or sample.c != c:
+            holder = _FrameHolder(sample.a, sample.b_contra, sample.c)
+        return getattr(holder, name)
+
+    return property(read)
+
+
 @dataclass(frozen=True)
 class BackgroundSample:
     """All background data evaluated at one chart point.
@@ -310,29 +326,10 @@ class BackgroundSample:
     dg_zero: bool
     frame_holder: _FrameHolder = field(repr=False, compare=False)
 
-    def _frames(self) -> _FrameHolder:
-        """The stage's holder while this sample holds its inputs, else its own."""
-        holder = self.frame_holder
-        a, b_contra, c = holder.inputs
-        if self.a is a and self.b_contra is b_contra and self.c == c:
-            return holder
-        return _FrameHolder(self.a, self.b_contra, self.c)
-
-    @property
-    def time_leg(self) -> np.ndarray:
-        return self._frames().time_leg
-
-    @property
-    def time_cov(self) -> np.ndarray:
-        return self._frames().time_cov
-
-    @property
-    def frame_inv(self) -> np.ndarray:
-        return self._frames().frame_inv
-
-    @property
-    def frame(self) -> np.ndarray:
-        return self._frames().frame
+    time_leg = _held("time_leg")
+    time_cov = _held("time_cov")
+    frame_inv = _held("frame_inv")
+    frame = _held("frame")
 
     @property
     def dim(self) -> int:

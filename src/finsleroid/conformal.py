@@ -144,7 +144,7 @@ def zeta_inverse(sample: BackgroundSample, zeta: Sequence[float]) -> np.ndarray:
     """Reconstruct the direction whose conformal image is ``zeta``."""
     _require_unit(sample, "the inverse conformal map")
     z_arr = np.asarray(zeta, dtype=float)
-    if not np.isfinite(z_arr).all():
+    if not all(map(math.isfinite, z_arr.tolist())):
         raise UnsupportedImage(f"image vector {tuple(z_arr.tolist())} has a non-finite component")
     s2 = float(z_arr @ sample.a @ z_arr)
     scale = float(np.linalg.norm(z_arr))
