@@ -60,6 +60,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -263,20 +264,21 @@ class _FrameHolder:
         return _read_only(np.linalg.inv(self.frame_inv))
 
 
-def _held(name: str) -> property:
-    """The read-only sample attribute ``name`` of the frame holder: the
-    stage's holder while the sample holds its inputs (the same arrays and
-    ``c``), else a holder of the sample's own. One property and no method
-    call, as ``kinematics`` reads ``time_cov`` once per classified direction."""
+class _OwnHolder:
+    """The ``frame_holder`` slot of ``BackgroundSample``. A sample made by
+    ``__init__`` (``dataclasses.replace`` makes one) keeps the holder it is
+    given only if it holds the sample's ``a``, ``b_contra`` and ``c`` (the same
+    arrays and ``c``; ``frame_holder`` is the last field, so they are set),
+    else it gets a holder of its own. ``sample`` fills its records without
+    ``__init__``, with the holder of the stage that made them. The slot has no
+    ``__get__``: a read finds the holder in the instance ``__dict__``, so the
+    per-direction reads of ``time_cov`` check nothing."""
 
-    def read(sample: "BackgroundSample") -> np.ndarray:
-        holder = sample.frame_holder
+    def __set__(self, sample: "BackgroundSample", holder: _FrameHolder) -> None:
         a, b_contra, c = holder.inputs
         if sample.a is not a or sample.b_contra is not b_contra or sample.c != c:
             holder = _FrameHolder(sample.a, sample.b_contra, sample.c)
-        return getattr(holder, name)
-
-    return property(read)
+        sample.__dict__["frame_holder"] = holder
 
 
 @dataclass(frozen=True)
@@ -294,9 +296,9 @@ class BackgroundSample:
     ``frame_holder``, the direction stage's holder, which builds each on first
     read; a stage that reads only constants has one holder per field, so each
     is built once per field, and a sample that no one asks for its time leg
-    (a space-like geodesic's) never builds one. A sample whose ``a``,
-    ``b_contra`` or ``c`` is not its holder's (one made by
-    ``dataclasses.replace``) builds them from its own fields at each read.
+    (a space-like geodesic's) never builds one. A sample made with an ``a``,
+    ``b_contra`` or ``c`` that is not its holder's (by ``dataclasses.replace``)
+    gets a holder of its own, built from its own fields.
     ``curl[i, j] = db[i, j] - db[j, i]`` is the curl of ``b``; the connection
     parts of ``nabla_b`` cancel in it.
 
@@ -326,10 +328,10 @@ class BackgroundSample:
     dg_zero: bool
     frame_holder: _FrameHolder = field(repr=False, compare=False)
 
-    time_leg = _held("time_leg")
-    time_cov = _held("time_cov")
-    frame_inv = _held("frame_inv")
-    frame = _held("frame")
+    time_leg = property(attrgetter("frame_holder.time_leg"))
+    time_cov = property(attrgetter("frame_holder.time_cov"))
+    frame_inv = property(attrgetter("frame_holder.frame_inv"))
+    frame = property(attrgetter("frame_holder.frame"))
 
     @property
     def dim(self) -> int:
@@ -338,6 +340,9 @@ class BackgroundSample:
     @property
     def c_is_unit(self) -> bool:
         return abs(self.c - 1.0) <= 1e-9
+
+
+BackgroundSample.frame_holder = _OwnHolder()  # after the dataclass took its field
 
 
 # --- configuration parsing ---------------------------------------------------
