@@ -60,6 +60,9 @@ __all__ = [
     "TOL_FRAME_VARYING",
     "TOL_FD_SELFTEST",
     "TOL_CHART_COVARIANCE",
+    "TOL_GEODESIC_CHART",
+    "TOL_GEODESIC_CHART_END",
+    "TOL_GEODESIC_BERWALD",
 ]
 
 # --- tolerances (single source of truth) ------------------------------------
@@ -124,6 +127,13 @@ TOL_FD_SELFTEST = 1e-9
 #: The stack in a change of chart (constant linear, or curved) versus its
 #: tensor transform, relative to the largest component (rounding alone).
 TOL_CHART_COVARIANCE = 1e-12
+#: Geodesics in two charts, relative to the largest component: rk4 (step
+#: 1/64) node by node, above rounding since its truncation error depends on
+#: the chart, and rk45 (``tol = 1e-11``) at the end point.
+TOL_GEODESIC_CHART = 1e-9
+TOL_GEODESIC_CHART_END = 1e-11
+#: A Berwald background's geodesic versus its base metric's, node by node.
+TOL_GEODESIC_BERWALD = 1e-12
 
 
 def _relmax(difference: np.ndarray, reference: np.ndarray) -> float:

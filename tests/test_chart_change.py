@@ -23,7 +23,9 @@ spray picks up the second derivatives of ``phi``:
 ``G' = J^-1 (G(phi(x'), J y') + d^2 phi(y', y'))``. In this chart ``desk``
 and ``desk_c09`` have a curved base with a nonzero charge and a parallel
 ``b``, so the spray's drift and curl terms run and must cancel to the base
-connection quadratic (the Berwald case).
+connection quadratic (the Berwald case). The integrator is tied to all of
+this end to end: geodesics map between the two charts, and a Berwald
+geodesic is the base metric's.
 """
 
 from __future__ import annotations
@@ -51,8 +53,13 @@ from finsleroid.metric import (
     metric_function,
     metric_tensor,
 )
-from finsleroid.numdiff import TOL_CHART_COVARIANCE
-from finsleroid.spray import spray_coefficients
+from finsleroid.numdiff import (
+    TOL_CHART_COVARIANCE,
+    TOL_GEODESIC_BERWALD,
+    TOL_GEODESIC_CHART,
+    TOL_GEODESIC_CHART_END,
+)
+from finsleroid.spray import geodesic_integrate, spray_coefficients
 
 from conftest import config_path
 
@@ -301,6 +308,74 @@ def test_berwald_spray_in_a_curved_chart(config_name):
         G = spray_coefficients(new, y).G
         quadratic = np.einsum("inm,n,m->i", new.christoffel, y, y)
         assert _rel(G, quadratic) <= TOL_CHART_COVARIANCE, (_rel(G, quadratic), G, quadratic)
+
+
+def _geodesic_directions(here, seed: int):
+    """One seeded direction of each sector at ``here``."""
+    rng = np.random.default_rng(seed)
+    tags = ("time-future", "space-like")
+    return [random_admissible(here, rng, tag, 1, margin=0.05)[0] for tag in tags]
+
+
+#: each method's run: parameter length 1/2, rk4 at a step of 1/64, rk45 at tol 1e-11
+GEODESIC_METHODS = {"rk4": {"step": 1 / 64}, "rk45": {"tol": 1e-11}}
+
+
+@pytest.mark.parametrize("config_name", CONFIGS)
+def test_geodesics_map_between_charts(config_name):
+    """A geodesic integrated in the curved chart from ``(x', y')`` maps by
+    ``(phi, J)`` onto the one integrated in the shipped chart from
+    ``(phi(x'), J y')``: rk4 node by node, rk45 (whose nodes depend on the
+    chart) at the end point. A run that leaves the valid region does so in
+    both charts, rk4 at the same node."""
+    chart = CurvedChart()
+    text = Path(config_path(config_name)).read_text(encoding="utf-8")
+    old_field = load_config(config_path(config_name))
+    new_field = parse_config(transformed_config(text, chart))
+    x_old, J = chart.point(X_OLD), chart.jacobian(X_OLD)
+    ends = 0
+    for y in _geodesic_directions(sample(old_field, x_old), 3):
+        for method, kwargs in GEODESIC_METHODS.items():
+            old = geodesic_integrate(old_field, x_old, y, 0.5, method=method, **kwargs)
+            y_new = np.linalg.solve(J, y)
+            new = geodesic_integrate(new_field, X_OLD, y_new, 0.5, method=method, **kwargs)
+            mapped = np.array([
+                np.concatenate([chart.point(x), chart.jacobian(x) @ v])
+                for x, v in zip(new.samples[:, 1:5], new.samples[:, 5:9])
+            ])
+            assert (old.exit_reason is None) == (new.exit_reason is None)
+            if method == "rk4":
+                assert old.samples.shape == new.samples.shape
+                assert str(old.exit_reason).split(":")[0] == str(new.exit_reason).split(":")[0]
+                for got, want in zip(mapped, old.samples[:, 1:9]):
+                    assert _rel(got, want) <= TOL_GEODESIC_CHART, (_rel(got, want), got, want)
+            elif old.exit_reason is None:
+                ends += 1
+                assert _rel(mapped[-1], old.samples[-1, 1:9]) <= TOL_GEODESIC_CHART_END
+    # on desk_shifted_b both sectors leave the region where c^2 <= 1
+    assert ends == (0 if config_name == "desk_shifted_b" else 2)
+
+
+@pytest.mark.parametrize("config_name", ["desk", "desk_c09"])
+def test_berwald_geodesics_in_a_curved_chart(config_name):
+    """Parallel ``b`` and constant ``g``: the geodesics are the base metric's,
+    so in the curved chart both methods give at ``g`` what they give at
+    ``g = 0``, node by node, to rounding."""
+    text = Path(config_path(config_name)).read_text(encoding="utf-8")
+    text = transformed_config(text, CurvedChart())
+    charged = parse_config(text)
+    uncharged = parse_config(re.sub(r"(?m)^g = .*$", "g = 0", text))
+    assert sample(charged, X_OLD).g != 0.0 and sample(uncharged, X_OLD).g == 0.0
+    for y in _geodesic_directions(sample(charged, X_OLD), 7):
+        for method, kwargs in GEODESIC_METHODS.items():
+            runs = [
+                geodesic_integrate(field, X_OLD, y, 0.5, method=method, **kwargs)
+                for field in (charged, uncharged)
+            ]
+            assert runs[0].exit_reason is None and runs[1].exit_reason is None
+            assert runs[0].samples.shape == runs[1].samples.shape
+            for got, want in zip(runs[0].samples[:, :-1], runs[1].samples[:, :-1]):
+                assert _rel(got, want) <= TOL_GEODESIC_BERWALD, (_rel(got, want), got, want)
 
 
 def _check_exit(config: str, seed: int) -> int:

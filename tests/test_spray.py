@@ -342,6 +342,51 @@ class TestAdaptiveRejections:
         assert len(calls) == 1 + 6 * (bound + 1)
 
 
+class TestStageFailures:
+    """A ``GeometryError`` in a stage ends the run with its method's reason:
+    rk4 names the end of the step, rk45 its start. In the run's first stage,
+    rk4 truncates to the start node and rk45 raises."""
+
+    @staticmethod
+    def fail_at(monkeypatch, call):
+        """Make the ``call``-th closed spray of the run raise."""
+        calls = []
+        closed = spray._spray
+
+        def failing(d):
+            calls.append(1)
+            if len(calls) == call:
+                raise GeometryError("forced")
+            return closed(d)
+
+        monkeypatch.setattr(spray, "_spray", failing)
+
+    def test_rk4_later_stage(self, desk_field, monkeypatch):
+        self.fail_at(monkeypatch, 4 * 2 + 2)  # the second stage of the third step
+        traj = geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method="rk4", step=1 / 8)
+        assert traj.exit_reason == "geometry degenerated at s = 0.375: forced"
+        assert traj.samples.shape[0] == 3 and traj.length == 0.25
+
+    def test_rk45_later_stage(self, desk_field, monkeypatch):
+        # the start's stage, then six per step: the third stage of the third step;
+        # on desk the steps are 0.01 and 0.05
+        self.fail_at(monkeypatch, 1 + 6 * 2 + 3)
+        traj = geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method="rk45")
+        assert traj.exit_reason == "geometry degenerated near s = 0.06: forced"
+        assert traj.samples.shape[0] == 3 and traj.length == 0.01 + 0.05
+
+    def test_rk4_first_stage_truncates(self, desk_field, monkeypatch):
+        self.fail_at(monkeypatch, 1)
+        traj = geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method="rk4", step=1 / 8)
+        assert traj.exit_reason == "geometry degenerated at s = 0.125: forced"
+        assert traj.samples.shape[0] == 1 and traj.length == 0.0
+
+    def test_rk45_first_stage_raises(self, desk_field, monkeypatch):
+        self.fail_at(monkeypatch, 1)
+        with pytest.raises(GeometryError, match="^forced$"):
+            geodesic_integrate(desk_field, np.zeros(4), Y_TIME, 1.0, method="rk45")
+
+
 @pytest.fixture
 def sample_calls(monkeypatch):
     """Count the background samples taken by the spray module."""
