@@ -19,8 +19,10 @@ spray_coefficients
 spray_oracle
     Finite-difference route for the same vector.
 geodesic_integrate
-    Fixed-step or adaptive integration of the spray equation with sector-exit
-    detection after every accepted substep.
+    Fixed-step (rk4) or adaptive (rk45) integration of the spray equation,
+    with sector-exit detection after every accepted step. One loop takes
+    both methods' steps; an rk45 node reuses the record of its step's last
+    stage where that stage lies at the node (first-same-as-last).
 """
 
 from __future__ import annotations
@@ -212,47 +214,76 @@ _DP_B4 = np.array(
 )
 
 
-def _rhs(
-    field: BackgroundField,
-    state: np.ndarray,
-    dim: int,
-    d: _Direction | None = None,
-) -> np.ndarray:
-    """Spray right-hand side; ``d`` is the record of ``state`` when the
-    caller already holds it."""
+def _rhs(field: BackgroundField, state: np.ndarray, dim: int, d: _Direction | None = None):
+    """Spray right-hand side at ``state`` and the record it read: ``d`` when
+    the caller holds it, else the record of a new sample."""
     velocity = state[dim:]
     if d is None:
         d = _Direction(sample_background(field, state[:dim]), velocity)
-    return np.concatenate([velocity, -_spray(d).G])
+    return np.concatenate([velocity, -_spray(d).G]), d
+
+
+def _rk4(field: BackgroundField, state: np.ndarray, h: float, dim: int, k1, tol: float):
+    """A classical Runge-Kutta step from the stage ``k1``: the candidate, an
+    error of 0 and no last stage."""
+    k2 = _rhs(field, state + 0.5 * h * k1, dim)[0]
+    k3 = _rhs(field, state + 0.5 * h * k2, dim)[0]
+    k4 = _rhs(field, state + h * k3, dim)[0]
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None
+
+
+def _dp45(field: BackgroundField, state: np.ndarray, h: float, dim: int, k1, tol: float):
+    """A Dormand-Prince step from the stage ``k1``: the order-5 candidate, its
+    error in units of ``tol``, and the last stage ``(state, record, k)``."""
+    stages = [k1]
+    for row in _DP_A[1:]:
+        at = state + h * sum(coeff * stages[j] for j, coeff in enumerate(row))
+        k, d = _rhs(field, at, dim)
+        stages.append(k)
+    stages_arr = np.stack(stages)
+    order5 = state + h * (_DP_B5 @ stages_arr)
+    order4 = state + h * (_DP_B4 @ stages_arr)
+    scale = tol + tol * np.abs(order5)
+    err = float(np.sqrt(np.mean(((order5 - order4) / scale) ** 2)))
+    return order5, err, (at, d, k)
 
 
 def _accept_node(
-    field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float
+    field: BackgroundField, state: np.ndarray, dim: int, start_tag: str, s_next: float, last=None
 ) -> tuple[_Direction | None, str | None]:
-    """Sample the node ``state`` reached at ``s_next`` and measure it once;
-    return its record, or ``None`` and the reason the run stops short of it.
-    Only a node outside the start sector, or refused by its record, is
-    classified again, for the reason."""
+    """Measure the node ``state`` reached at ``s_next`` once; return its
+    record, or ``None`` and the reason the run stops short of it. The step's
+    last stage ``last = (state, record, k)`` gives the record where its state
+    has the node's bytes and its record is in the start sector (first-same-
+    as-last); otherwise the node is sampled. Only a node outside the start
+    sector, or refused by its record, is classified, for the reason."""
+    sign = 1 if start_tag == "time-future" else -1
+    if last is not None and last[1].scal.eps == sign and last[0].tobytes() == state.tobytes():
+        return last[1], None
     try:
         here = sample_background(field, state[:dim])
         velocity = state[dim:]
         try:
             node = _Direction(here, velocity)
-            if node.scal.eps == (1 if start_tag == "time-future" else -1):
-                return node, None
         except (GeometryError, ArithmeticError):
-            if classify(here, velocity).tag == start_tag:
+            tag = classify(here, velocity).tag
+            if tag == start_tag:
                 raise  # refused in the start sector: the refusal is the reason
-        tag = classify(here, velocity).tag
+        else:
+            if node.scal.eps == sign:
+                return node, None
+            tag = classify(here, velocity).tag
         return None, f"sector exit at s = {s_next:.9g}: velocity became {tag}"
     except GeometryError as exc:
         return None, f"geometry degenerated at s = {s_next:.9g}: {exc}"
 
 
-def _first_step(length: float, method: str, step: float | None) -> float:
+def _first_step(length: float, method: str, step: float | None) -> tuple[float, float]:
     """``step``, or the default: ``length / 4096`` for rk4, ``length / 100`` for
-    rk45. A ``length`` whose default step underflows to zero is a ``ValueError``,
-    and so is an rk4 run whose loop step ``h = length / n_steps`` (not the step
+    rk45; and the step count: for rk4 ``ceil(length / h - 1e-12)``, at least 1,
+    else ``math.inf`` (an overflowing rk4 count is left to ``max_steps``). A
+    ``length`` whose default step underflows to zero is a ``ValueError``, and
+    so is an rk4 run whose loop step ``h = length / n_steps`` (not the step
     asked for) leaves ``h / 6`` below the normal floats: the update
     ``(h / 6) * (k1 + ...)`` would lose the motion."""
     if step is not None:
@@ -265,16 +296,16 @@ def _first_step(length: float, method: str, step: float | None) -> float:
                 f"length {length!r} is too short: its default {method} step "
                 f"length / {count} underflows to 0"
             )
-    steps_needed = length / h - 1e-12  # as the rk4 loop counts them
-    # an infinite count is left to the loop, which refuses it by max_steps
-    if method == "rk4" and steps_needed < math.inf:
-        n_steps = max(1, math.ceil(steps_needed))
-        if length / n_steps / 6.0 < np.finfo(float).tiny:
-            raise ValueError(
-                f"rk4 step h = {length!r} / {n_steps} = {length / n_steps!r} leaves "
-                f"h / 6 below the normal float range"
-            )
-    return h
+    steps_needed = length / h - 1e-12
+    if method != "rk4" or steps_needed == math.inf:
+        return h, math.inf
+    n_steps = max(1, math.ceil(steps_needed))
+    if length / n_steps / 6.0 < np.finfo(float).tiny:
+        raise ValueError(
+            f"rk4 step h = {length!r} / {n_steps} = {length / n_steps!r} leaves "
+            f"h / 6 below the normal float range"
+        )
+    return h, n_steps
 
 
 def geodesic_integrate(
@@ -292,15 +323,16 @@ def geodesic_integrate(
 
     ``method`` is ``rk4`` (fixed step, default ``length / 4096``) or ``rk45``
     (adaptive embedded pair controlled by ``tol``, first step by default
-    ``length / 100``). After every accepted
-    substep the velocity is re-classified; leaving the initial sector (or
+    ``length / 100``); one loop takes the steps of both. After every accepted
+    step the velocity is re-classified; leaving the initial sector (or
     entering a degenerate configuration) truncates the trajectory at the last
     good node and records the reason. Each accepted node is measured once,
     into one direction record that classifies it and gives its squared norm
-    and, in the rk4 loop, the next step's first stage. ``max_steps`` bounds
-    the rk4 step count and the rk45 accepted steps; rk45 rejects a non-finite
-    error estimate, bounds the rejections in a row, and stops at a step too
-    small to advance ``s``.
+    and, for rk4, the next step's first stage; an rk45 node takes the record
+    of its step's last stage where that stage lies at the node.
+    ``max_steps`` bounds the rk4 step count and the rk45 accepted steps; rk45
+    rejects a non-finite error estimate, bounds the rejections in a row, and
+    stops at a step too small to advance ``s``.
 
     Raises
     ------
@@ -323,7 +355,7 @@ def geodesic_integrate(
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not (math.isfinite(tol) and tol >= _EPS):  # below it, err overflows or reads 0
         raise ValueError(f"tol must be finite and at least {_EPS!r}, got {tol!r}")
-    h = _first_step(length, method, step)
+    h, n_steps = _first_step(length, method, step)
     x_arr = np.asarray(x0, dtype=float)
     y_arr = np.asarray(y0, dtype=float)
     dim = x_arr.size
@@ -332,96 +364,56 @@ def geodesic_integrate(
     start_tag = classify(start, y_arr).tag
     node = _Direction(start, y_arr)  # the record at the current node
     f2_start = node.f2
-
-    rows: list[np.ndarray] = [
-        np.concatenate([[0.0], x_arr, y_arr, [f2_start]])
-    ]
+    rows = [np.concatenate([[0.0], x_arr, y_arr, [f2_start]])]
     state = np.concatenate([x_arr, y_arr])
     s_now = 0.0
     exit_reason: str | None = None
 
-    if method == "rk4":
-        steps_needed = length / h - 1e-12  # compared unrounded, so an infinite count raises too
-        if steps_needed > max_steps:
-            raise NoConvergence(
-                f"fixed-step integrator needs more than {max_steps} steps of {h!r}"
-            )
-        n_steps = max(1, math.ceil(steps_needed))
-        h = length / n_steps
-        step_used = h
-        for _ in range(n_steps):
-            try:
-                k1 = _rhs(field, state, dim, node)
-                k2 = _rhs(field, state + 0.5 * h * k1, dim)
-                k3 = _rhs(field, state + 0.5 * h * k2, dim)
-                k4 = _rhs(field, state + h * k3, dim)
-                candidate = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            except GeometryError as exc:
-                exit_reason = f"geometry degenerated at s = {s_now + h:.9g}: {exc}"
-                break
-            node, exit_reason = _accept_node(field, candidate, dim, start_tag, s_now + h)
-            if node is None:
-                break
-            state = candidate
-            s_now += h
-            rows.append(np.concatenate([[s_now], state, [node.f2]]))
+    adaptive = method == "rk45"
+    if adaptive:  # the first stage is formed here, so that its failure raises
+        advance, end, k = _dp45, length - 1e-14 * length, _rhs(field, state, dim, node)[0]
+    elif n_steps > max_steps:  # an infinite count raises too
+        raise NoConvergence(f"fixed-step integrator needs more than {max_steps} steps of {h!r}")
     else:
-        step_used = h
-        k_cache = _rhs(field, state, dim, node)
-        accepted = rejected = 0
-        while s_now < length - 1e-14 * length:
-            if accepted >= max_steps:
-                raise NoConvergence(
-                    f"adaptive integrator exceeded {max_steps} accepted steps"
-                )
-            if rejected > _MAX_REJECTED_IN_A_ROW:
-                raise NoConvergence(
-                    f"adaptive integrator rejected {rejected} steps in a row at s = {s_now:.9g}"
-                )
+        advance, end, k, h = _rk4, math.inf, None, length / n_steps
+    step_used = h
+    accepted = rejected = 0
+    while accepted < n_steps and s_now < end:
+        if accepted >= max_steps:
+            raise NoConvergence(f"adaptive integrator exceeded {max_steps} accepted steps")
+        if rejected > _MAX_REJECTED_IN_A_ROW:
+            raise NoConvergence(
+                f"adaptive integrator rejected {rejected} steps in a row at s = {s_now:.9g}"
+            )
+        if adaptive:
             h = min(h, length - s_now)
             if s_now + h == s_now:
-                raise NoConvergence(
-                    f"adaptive step {h!r} no longer advances s = {s_now:.9g}"
-                )
-            try:
-                stages = [k_cache]
-                for row_idx in range(1, 7):
-                    increment = sum(
-                        coeff * stages[j] for j, coeff in enumerate(_DP_A[row_idx])
-                    )
-                    stages.append(_rhs(field, state + h * increment, dim))
-                stages_arr = np.stack(stages)
-                order5 = state + h * (_DP_B5 @ stages_arr)
-                order4 = state + h * (_DP_B4 @ stages_arr)
-                scale = tol + tol * np.abs(order5)
-                err = float(np.sqrt(np.mean(((order5 - order4) / scale) ** 2)))
-            except GeometryError as exc:
-                exit_reason = f"geometry degenerated near s = {s_now:.9g}: {exc}"
-                break
-            if not err <= 1.0:  # a NaN estimate is rejected too
-                rejected += 1
-                h *= max(0.2, 0.9 * err ** (-0.2)) if err < math.inf else 0.2
-                continue
-            node, exit_reason = _accept_node(field, order5, dim, start_tag, s_now + h)
-            if node is None:
-                break
-            state = order5
-            s_now += h
-            accepted += 1
-            rejected = 0
-            rows.append(np.concatenate([[s_now], state, [node.f2]]))
-            k_cache = stages[6]  # first-same-as-last
-            if err > 0.0:
-                h *= min(5.0, 0.9 * err ** (-0.2))
-            else:
-                h *= 5.0
+                raise NoConvergence(f"adaptive step {h!r} no longer advances s = {s_now:.9g}")
+        try:
+            if k is None:  # rk4 forms its first stage from the node's record
+                k = _rhs(field, state, dim, node)[0]
+            candidate, err, last = advance(field, state, h, dim, k, tol)
+        except GeometryError as exc:
+            where = f"near s = {s_now:.9g}" if adaptive else f"at s = {s_now + h:.9g}"
+            exit_reason = f"geometry degenerated {where}: {exc}"
+            break
+        if not err <= 1.0:  # a NaN estimate is rejected too
+            rejected += 1
+            h *= max(0.2, 0.9 * err ** (-0.2)) if err < math.inf else 0.2
+            continue
+        node, exit_reason = _accept_node(field, candidate, dim, start_tag, s_now + h, last)
+        if node is None:
+            break
+        state, k = candidate, None if last is None else last[2]  # first-same-as-last
+        s_now += h
+        accepted += 1
+        rejected = 0
+        rows.append(np.concatenate([[s_now], state, [node.f2]]))
+        if adaptive:
+            h *= min(5.0, 0.9 * err ** (-0.2)) if err > 0.0 else 5.0
 
     samples = np.vstack(rows)
     drift = float(np.max(np.abs(samples[:, -1] - f2_start)))
     return GeodesicTrajectory(
-        samples=samples,
-        F2_drift=drift,
-        step=step_used,
-        length=s_now,
-        exit_reason=exit_reason,
+        samples=samples, F2_drift=drift, step=step_used, length=s_now, exit_reason=exit_reason
     )

@@ -232,6 +232,28 @@ class TestAcceptNode:
             "trace weight needs a positive transverse radius below unit norm",
         )
 
+    def test_last_stage_gives_the_record_only_at_the_node(self, sample_calls):
+        """The step's last stage ``(state, record, k)`` gives the node's record
+        when its state has the node's bytes and its record is in the start
+        sector; otherwise the node is sampled and measured."""
+        field = load_config(config_path("desk_shifted_b"))
+        state = np.concatenate([X_PROBE, Y_TIME])
+        record = _Direction(sample(field, X_PROBE), Y_TIME)
+        nearby = state.copy()
+        nearby[0] = np.nextafter(nearby[0], 1.0)
+
+        def accept(start_tag, last_state):
+            return spray._accept_node(field, state, 4, start_tag, 0.25, (last_state, record, None))
+
+        node, reason = accept("time-future", state.copy())
+        assert node is record and reason is None and not sample_calls
+        node, reason = accept("time-future", nearby)
+        assert node is not record and node.f2 == record.f2 and reason is None
+        assert len(sample_calls) == 1
+        node, reason = accept("space-like", state)
+        assert (node, reason) == (None, "sector exit at s = 0.25: velocity became time-future")
+        assert len(sample_calls) == 2
+
     @pytest.mark.parametrize("config_name", VARYING)
     def test_good_node_gives_the_record_of_its_sector(self, config_name):
         field = load_config(config_path(config_name))
@@ -312,8 +334,8 @@ class TestStepsThatCannotAdvance:
         rhs = spray._rhs
 
         def stiff_past_the_wall(field, state, dim, d=None):
-            k = rhs(field, state, dim, d)
-            return 1e30 * k if state[0] > 0.25 else k
+            k, d = rhs(field, state, dim, d)
+            return (1e30 * k if state[0] > 0.25 else k), d
 
         monkeypatch.setattr(spray, "_rhs", stiff_past_the_wall)
         with pytest.raises(NoConvergence, match=r"no longer advances s = 0\.25$"):
@@ -332,7 +354,7 @@ class TestAdaptiveRejections:
 
         def nan_after_the_first_stage(field, state, dim, d=None):
             calls.append(1)
-            return rhs(field, state, dim, d) if len(calls) == 1 else np.full(2 * dim, np.nan)
+            return rhs(field, state, dim, d) if len(calls) == 1 else (np.full(2 * dim, np.nan), d)
 
         monkeypatch.setattr(spray, "_rhs", nan_after_the_first_stage)
         bound = spray._MAX_REJECTED_IN_A_ROW
@@ -408,6 +430,32 @@ class TestSampleReuse:
         assert traj.exit_reason is None and traj.samples.shape[0] == n + 1
         # the start node, then three stages and the new node per step
         assert len(sample_calls) == 4 * n + 1
+
+    def test_rk45_node_takes_the_record_of_its_last_stage(self, sample_calls, monkeypatch):
+        """The start, then six stages per attempted step, then each accepted
+        node whose last stage does not have its bytes: the others reuse the
+        record of that stage (first-same-as-last)."""
+        steps = []
+        dp45 = spray._dp45
+
+        def recording(*args):
+            steps.append(dp45(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(spray, "_dp45", recording)
+        field = load_config(config_path("desk_shifted_b"))
+        rng = np.random.default_rng(31)
+        y = random_admissible(sample(field, X_PROBE), rng, "space-like", 1)[0]
+        traj = geodesic_integrate(field, X_PROBE, y, 0.5, method="rk45")
+        assert traj.exit_reason is None
+        nodes = {row[1:-1].tobytes() for row in traj.samples[1:]}
+        accepted = len(traj.samples) - 1
+        reused = sum(
+            last[0].tobytes() == candidate.tobytes() and candidate.tobytes() in nodes
+            for candidate, _, last in steps
+        )
+        assert 0 < reused < accepted
+        assert len(sample_calls) == 1 + 6 * len(steps) + (accepted - reused)
 
     def test_oracle_samples_each_probe_once(self, sample_calls):
         field = load_config(config_path("desk_variable_g"))
