@@ -198,9 +198,9 @@ def _oracle(
 
 # --- integration -------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau, without its nodes: the spray is autonomous
+# Dormand-Prince 5(4) tableau, without its nodes (the spray is autonomous); row i
+# of _DP_A forms stage i + 2 from the stages before it
 _DP_A = [
-    np.array([]),
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
     np.array([44 / 45, -56 / 15, 32 / 9]),
@@ -236,7 +236,7 @@ def _dp45(field: BackgroundField, state: np.ndarray, h: float, dim: int, k1, tol
     """A Dormand-Prince step from the stage ``k1``: the order-5 candidate, its
     error in units of ``tol``, and the last stage ``(state, record, k)``."""
     stages = [k1]
-    for row in _DP_A[1:]:
+    for row in _DP_A:
         at = state + h * sum(coeff * stages[j] for j, coeff in enumerate(row))
         k, d = _rhs(field, at, dim)
         stages.append(k)
